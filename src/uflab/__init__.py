@@ -10,6 +10,8 @@ through certified adaptive quadrature, with an FFT-based cross check.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .gaussian import (
     MIN_CHIRP_MARGIN,
     ChirpParams,
@@ -18,11 +20,8 @@ from .gaussian import (
     TwoScaleParams,
     closed_form_Fq_chirp,
     closed_form_Fqp_chirp,
-    eval_mixture,
-    fourier_transform,
     make_chirp,
     make_two_scale,
-    mixture_l2_norm,
     term_lq_norm,
 )
 from .numerics import (
@@ -85,69 +84,9 @@ from .explore import (
 )
 from .cli import main, run_cli
 
-__all__ = [
-    "__version__",
-    "MIN_CHIRP_MARGIN",
-    "ChirpParams",
-    "ComplexGaussianTerm",
-    "GaussianMixture",
-    "TwoScaleParams",
-    "closed_form_Fq_chirp",
-    "closed_form_Fqp_chirp",
-    "eval_mixture",
-    "fourier_transform",
-    "make_chirp",
-    "make_two_scale",
-    "mixture_l2_norm",
-    "term_lq_norm",
-    "NormEstimate",
-    "SampledFunction",
-    "ToleranceNotAchieved",
-    "dft_approx",
-    "integrate_adaptive",
-    "lq_norm_quad",
-    "norm_from_samples",
-    "sample",
-    "truncation_radius",
-    "N_MAX",
-    "HermiteExpansion",
-    "TestFunctionSpec",
-    "hermite_eval",
-    "hermite_ft_coeffs",
-    "random_schwartz",
-    "BoundReport",
-    "FunctionalReport",
-    "beckner_constant",
-    "bound_report",
-    "conjugate_exponent",
-    "eval_Fq",
-    "eval_Fqp",
-    "fq_gc_lower_bound",
-    "gc_l2_norm_sq",
-    "gc_lq_lower_bound",
-    "gc_lq_lower_bound_weak",
-    "gc_lq_upper_bound",
-    "interpolation_exponent",
-    "SUITE_NAMES",
-    "CheckResult",
-    "run_suite",
-    "verify_asymptotics",
-    "verify_closed_forms",
-    "verify_fq_lower_bound",
-    "verify_hausdorff_young",
-    "verify_interpolation",
-    "verify_reduction_q_lt_2_le_p",
-    "verify_superadditivity",
-    "GridSpec",
-    "IntervalReport",
-    "MinimizeFamilySpec",
-    "MinimizeReport",
-    "OptimizerConfig",
-    "SweepResult",
-    "SweepRow",
-    "estimate_image_interval",
-    "minimize_Fq",
-    "sweep",
-    "main",
-    "run_cli",
+# Every public name imported above; the submodules that the imports bind
+# as package attributes are not part of the flat API.
+__all__ = ["__version__"] + [
+    name for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -23,7 +22,6 @@ from .gaussian import (
     ComplexGaussianTerm,
     GaussianMixture,
     TwoScaleParams,
-    fourier_transform,
     make_chirp,
     make_two_scale,
 )
@@ -55,8 +53,6 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         sp.add_argument("--json", action="store_true", help="print JSON to stdout")
         sp.add_argument("--out", type=str, default=None, help="write output to this file")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads; overrides UFLAB_THREADS (default 1)")
 
     sp = sub.add_parser("eval", help="evaluate one uncertainty ratio")
     common(sp)
@@ -101,12 +97,6 @@ def _parser() -> argparse.ArgumentParser:
                     help="grid spacing; chosen automatically when omitted")
 
     return parser
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(int(args.threads), 1)
-    return max(int(os.environ.get("UFLAB_THREADS", "1")), 1)
 
 
 def _family_object(args):
@@ -177,14 +167,7 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.q is None:
         raise ValueError("sweep needs --q")
-    result = sweep(
-        args.family,
-        args.q,
-        args.p,
-        GridSpec.parse(args.grid),
-        args.tol,
-        threads=_threads(args),
-    )
+    result = sweep(args.family, args.q, args.p, GridSpec.parse(args.grid), args.tol)
     if args.json:
         _emit(_json_text(result.to_json_dict()), args.out)
     else:
@@ -194,14 +177,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    results = run_suite(
-        names,
-        seed=args.seed,
-        samples=args.samples,
-        q=args.q,
-        p=args.p,
-        threads=_threads(args),
-    )
+    results = run_suite(names, seed=args.seed, samples=args.samples, q=args.q, p=args.p)
     all_pass = all(r.passed for r in results)
     _emit(
         _json_text(
@@ -259,7 +235,7 @@ def _cmd_ftcheck(args) -> int:
     if n < 16 or n & (n - 1):
         raise ValueError(f"--grid-n must be a power of two >= 16, got {n}")
     obj, param = _family_object(args)
-    obj_hat = fourier_transform(obj)
+    obj_hat = obj.ft()
     dx = args.dx if args.dx is not None else _auto_dx(obj, obj_hat, n, args.tol)
     if dx <= 0.0:
         raise ValueError(f"--dx must be positive, got {dx}")

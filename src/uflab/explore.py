@@ -31,9 +31,6 @@ from .gaussian import (
     GaussianMixture,
     MIN_CHIRP_MARGIN,
     TwoScaleParams,
-    fourier_transform,
-    make_chirp,
-    term_lq_norm,
 )
 from .numerics import ToleranceNotAchieved
 
@@ -155,46 +152,28 @@ class SweepResult:
         }
 
 
+def _row(family: str, param: float, f, q, p, method, tol) -> SweepRow:
+    """One sweep row from the evaluator's report.  The error estimate is
+    the closed-form/quadrature discrepancy when both routes ran, else the
+    value times the summed relative error estimates of the four norms."""
+    if p is None:
+        rep = eval_Fq(f, q, method, tol)
+    else:
+        rep = eval_Fqp(f, q, p, method, tol)
+    err = rep.discrepancy
+    if err is None:
+        err = rep.value * sum(n.abs_error_estimate / n.value for n in rep.norms if n.value > 0)
+    return SweepRow(family, param, q, rep.p, *(n.value for n in rep.norms), rep.value,
+                    rep.method, err)
+
+
 def _chirp_row(t: float, q: float, p: float | None, tol: float, spot: bool) -> SweepRow:
-    params = ChirpParams.from_t(t)
-    term = make_chirp(params)
-    that = fourier_transform(term)
-    denom = 2.0 if p is None else p
-    norms = (
-        term_lq_norm(term, q),
-        term_lq_norm(that, q),
-        term_lq_norm(term, denom),
-        term_lq_norm(that, denom),
-    )
-    value = norms[0] * norms[1] / (norms[2] * norms[3])
-    method, err = "closed-form", 0.0
-    if spot:
-        if p is None:
-            rep = eval_Fq(params, q, "quadrature", tol)
-        else:
-            rep = eval_Fqp(params, q, p, "quadrature", tol)
-        method, err = "both", abs(value - rep.value) / value
-    return SweepRow("chirp", t, q, denom, *norms, value, method, err)
+    method = "both" if spot else "closed-form"
+    return _row("chirp", t, ChirpParams.from_t(t), q, p, method, tol)
 
 
 def _twoscale_row(c: float, q: float, p: float | None, tol: float) -> SweepRow:
-    params = TwoScaleParams(c)
-    if p is None:
-        rep = eval_Fq(params, q, "quadrature", tol)
-    else:
-        rep = eval_Fqp(params, q, p, "quadrature", tol)
-    norms = rep.norms
-    rel = sum(n.abs_error_estimate / n.value for n in norms if n.value > 0)
-    return SweepRow(
-        "twoscale",
-        c,
-        q,
-        2.0 if p is None else p,
-        *(n.value for n in norms),
-        rep.value,
-        "quadrature",
-        rep.value * rel,
-    )
+    return _row("twoscale", c, TwoScaleParams(c), q, p, "quadrature", tol)
 
 
 def sweep(
@@ -204,7 +183,6 @@ def sweep(
     grid: GridSpec | str = "1.1:100:25log",
     tol: float = 1e-8,
     spot_check_every: int = 8,
-    threads: int = 1,
 ) -> SweepResult:
     """Evaluate the ratio along a parameter grid.
 
@@ -216,23 +194,14 @@ def sweep(
         grid = GridSpec.parse(grid)
     values = grid.values()
     if family == "chirp":
-        jobs = [
-            (lambda t=t, i=i: _chirp_row(
-                float(t), q, p, tol, spot_check_every > 0 and i % spot_check_every == 0
-            ))
+        rows = [
+            _chirp_row(float(t), q, p, tol, spot_check_every > 0 and i % spot_check_every == 0)
             for i, t in enumerate(values)
         ]
     elif family == "twoscale":
-        jobs = [(lambda c=c: _twoscale_row(float(c), q, p, tol)) for c in values]
+        rows = [_twoscale_row(float(c), q, p, tol) for c in values]
     else:
         raise ValueError(f"unknown sweep family {family!r}")
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda j: j(), jobs))
-    else:
-        rows = [j() for j in jobs]
     return SweepResult(SWEEP_SCHEMA, rows)
 
 

@@ -16,13 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import numerics
 from .gaussian import (
     ChirpParams,
     ComplexGaussianTerm,
     GaussianMixture,
     TwoScaleParams,
-    fourier_transform,
     make_chirp,
     make_two_scale,
     term_lq_norm,
@@ -66,8 +64,12 @@ class BoundReport:
     case_tag: str | None
 
 
+def _in_range(*exponents) -> bool:
+    return all(math.isfinite(e) and EXPONENT_MIN <= e <= EXPONENT_MAX for e in exponents)
+
+
 def _check_exponent(value: float, name: str = "q"):
-    if not (math.isfinite(value) and EXPONENT_MIN <= value <= EXPONENT_MAX):
+    if not _in_range(value):
         raise ValueError(
             f"{name} must lie in [{EXPONENT_MIN}, {EXPONENT_MAX}], got {value}"
         )
@@ -152,41 +154,29 @@ def fq_gc_lower_bound(c: float, q: float) -> float:
 
 
 def _resolve(f):
-    """Map any accepted input to (object, analytic transform, closed?)."""
+    """Map any accepted input to (object, analytic transform)."""
     if isinstance(f, ChirpParams):
-        mix = GaussianMixture((make_chirp(f),))
+        obj = GaussianMixture((make_chirp(f),))
     elif isinstance(f, TwoScaleParams):
-        mix = make_two_scale(f)
+        obj = make_two_scale(f)
     elif isinstance(f, ComplexGaussianTerm):
-        mix = GaussianMixture((f,))
-    elif isinstance(f, GaussianMixture):
-        mix = f
-    elif isinstance(f, HermiteExpansion):
-        if all(c == 0 for c in f.coefficients):
-            raise ValueError("zero function has no uncertainty ratio")
-        return f, f.ft(), False
+        obj = GaussianMixture((f,))
+    elif isinstance(f, (GaussianMixture, HermiteExpansion)):
+        obj = f
     else:
         raise TypeError(f"cannot evaluate functionals of {type(f).__name__}")
-    if mix.amp_abs_sum == 0.0:
+    if obj.envelope()[0] == 0.0:
         raise ValueError("zero function has no uncertainty ratio")
-    return mix, fourier_transform(mix), len(mix.terms) == 1
+    return obj, obj.ft()
 
 
-def _closed_norms(mix, mix_hat, q, p):
-    t, th = mix.terms[0], mix_hat.terms[0]
-    return tuple(
-        NormEstimate(term_lq_norm(term, e), "closed-form", 0.0, e)
-        for term, e in ((t, q), (th, q), (t, p), (th, p))
-    )
+def _four_norms(obj, obj_hat, q, p, norm):
+    """||f||_q, ||fhat||_q, ||f||_p, ||fhat||_p, in report order."""
+    return tuple(norm(g, e) for e in (q, p) for g in (obj, obj_hat))
 
 
-def _quad_norms(obj, obj_hat, q, p, tol):
-    return (
-        lq_norm_quad(obj, q, tol),
-        lq_norm_quad(obj_hat, q, tol),
-        lq_norm_quad(obj, p, tol),
-        lq_norm_quad(obj_hat, p, tol),
-    )
+def _closed_norm(mix, e):
+    return NormEstimate(term_lq_norm(mix.terms[0], e), "closed-form", 0.0, e)
 
 
 def _ratio(norms) -> float:
@@ -196,24 +186,22 @@ def _ratio(norms) -> float:
 def _eval_ratio(f, q, p, method, tol) -> FunctionalReport:
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-    obj, obj_hat, closed_ok = _resolve(f)
+    obj, obj_hat = _resolve(f)
+    closed_ok = isinstance(obj, GaussianMixture) and len(obj.terms) == 1
     if method in ("closed-form", "both") and not closed_ok:
         raise ValueError(
             "closed-form evaluation needs a single Gaussian/chirp term; "
             "use method='quadrature' for this input"
         )
-    if method == "closed-form":
-        norms = _closed_norms(obj, obj_hat, q, p)
-        return FunctionalReport(q, p, norms, _ratio(norms), method, None)
-    if method == "quadrature":
-        norms = _quad_norms(obj, obj_hat, q, p, tol)
-        return FunctionalReport(q, p, norms, _ratio(norms), method, None)
-    closed = _closed_norms(obj, obj_hat, q, p)
-    value = _ratio(closed)
-    quad_value = _ratio(_quad_norms(obj, obj_hat, q, p, tol))
-    return FunctionalReport(
-        q, p, closed, value, "both", abs(value - quad_value) / value
-    )
+    closed = quad = None
+    if method != "quadrature":
+        closed = _four_norms(obj, obj_hat, q, p, _closed_norm)
+    if method != "closed-form":
+        quad = _four_norms(obj, obj_hat, q, p, lambda g, e: lq_norm_quad(g, e, tol))
+    norms = closed or quad
+    value = _ratio(norms)
+    discrepancy = abs(value - _ratio(quad)) / value if method == "both" else None
+    return FunctionalReport(q, p, norms, value, method, discrepancy)
 
 
 def eval_Fq(f, q: float, method: str = "quadrature", tol: float = 1e-10) -> FunctionalReport:

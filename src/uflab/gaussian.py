@@ -56,6 +56,12 @@ class ComplexGaussianTerm:
         x = np.asarray(x)
         return self.amplitude * np.exp(-math.pi * self.width * x * x)
 
+    def ft(self) -> "ComplexGaussianTerm":
+        """Exact transform ``(A/sqrt(z), 1/z)``."""
+        # Principal branch keeps Re sqrt(z) > 0, so 1/z stays admissible.
+        root = cmath.sqrt(self.width)
+        return ComplexGaussianTerm(self.amplitude / root, 1.0 / self.width)
+
 
 @dataclass(frozen=True)
 class GaussianMixture:
@@ -94,6 +100,20 @@ class GaussianMixture:
     def scales(self):
         """Decay length 1/sqrt(Re z) of each term, ascending."""
         return tuple(sorted(1.0 / math.sqrt(t.width.real) for t in self.terms))
+
+    def ft(self) -> "GaussianMixture":
+        """Exact transform, term by term; applying it twice reproduces an
+        even input exactly."""
+        return GaussianMixture(tuple(t.ft() for t in self.terms))
+
+    def l2_norm(self) -> float:
+        """Exact L^2 norm from pairwise Gaussian integrals."""
+        acc = 0.0 + 0.0j
+        for tj in self.terms:
+            for tk in self.terms:
+                w = tj.width + tk.width.conjugate()
+                acc += tj.amplitude * tk.amplitude.conjugate() / cmath.sqrt(w)
+        return math.sqrt(max(acc.real, 0.0))
 
 
 @dataclass(frozen=True)
@@ -144,44 +164,11 @@ def make_two_scale(params: TwoScaleParams) -> GaussianMixture:
     return GaussianMixture((wide, narrow))
 
 
-def _transform_term(term: ComplexGaussianTerm) -> ComplexGaussianTerm:
-    # Principal branch keeps Re sqrt(z) > 0, so 1/z stays admissible.
-    root = cmath.sqrt(term.width)
-    return ComplexGaussianTerm(term.amplitude / root, 1.0 / term.width)
-
-
-def fourier_transform(f):
-    """Analytic transform of a term or mixture (2*pi-in-the-exponent unitary
-    convention); applying it twice reproduces an even input exactly."""
-    if isinstance(f, ComplexGaussianTerm):
-        return _transform_term(f)
-    if isinstance(f, GaussianMixture):
-        return GaussianMixture(tuple(_transform_term(t) for t in f.terms))
-    raise TypeError(f"cannot transform {type(f).__name__}")
-
-
-def eval_mixture(f, x):
-    """Pointwise complex values of a term or mixture at scalar/array x."""
-    if isinstance(f, (ComplexGaussianTerm, GaussianMixture)):
-        return f.eval(x)
-    raise TypeError(f"cannot evaluate {type(f).__name__}")
-
-
 def term_lq_norm(term: ComplexGaussianTerm, q: float) -> float:
     """Closed-form L^q norm |A| * (q * Re z)**(-1/(2q)) of a single term."""
     if not (math.isfinite(q) and q >= 1.0):
         raise ValueError(f"norm exponent must be finite and >= 1, got {q}")
     return abs(term.amplitude) * (q * term.width.real) ** (-0.5 / q)
-
-
-def mixture_l2_norm(f: GaussianMixture) -> float:
-    """Exact L^2 norm of a mixture from pairwise Gaussian integrals."""
-    acc = 0.0 + 0.0j
-    for tj in f.terms:
-        for tk in f.terms:
-            w = tj.width + tk.width.conjugate()
-            acc += tj.amplitude * tk.amplitude.conjugate() / cmath.sqrt(w)
-    return math.sqrt(max(acc.real, 0.0))
 
 
 def _check_fq_exponents(q: float, p: float | None = None):
@@ -190,6 +177,13 @@ def _check_fq_exponents(q: float, p: float | None = None):
     if p is not None:
         if not (math.isfinite(p) and p > q):
             raise ValueError(f"p must be finite and > q = {q}, got {p}")
+
+
+def _chirp_ratio(t: float, q: float, p: float) -> float:
+    """(1/q)**(1/q) / (1/p)**(1/p) * ((t+1)/(t-1))**(1/q - 1/p), the ratio
+    ||f||_q ||fhat||_q / (||f||_p ||fhat||_p) of the chirp with t = a*a."""
+    ratio = (t + 1.0) / (t - 1.0)
+    return (1.0 / q) ** (1.0 / q) / (1.0 / p) ** (1.0 / p) * ratio ** (1.0 / q - 1.0 / p)
 
 
 def closed_form_Fq_chirp(a: float, q: float) -> float:
@@ -201,17 +195,11 @@ def closed_form_Fq_chirp(a: float, q: float) -> float:
     """
     ChirpParams(a)
     _check_fq_exponents(q)
-    t = a * a
-    return math.sqrt(2.0) * (1.0 / q) ** (1.0 / q) * ((t + 1.0) / (t - 1.0)) ** (
-        1.0 / q - 0.5
-    )
+    return _chirp_ratio(a * a, q, 2.0)
 
 
 def closed_form_Fqp_chirp(a: float, q: float, p: float) -> float:
-    """Two-exponent ratio ||f||_q ||fhat||_q / (||f||_p ||fhat||_p) of the
-    chirp: (1/q)**(1/q) / (1/p)**(1/p) * ((t+1)/(t-1))**(1/q - 1/p)."""
+    """Two-exponent ratio of the chirp, stated for p > q."""
     ChirpParams(a)
     _check_fq_exponents(q, p)
-    t = a * a
-    ratio = (t + 1.0) / (t - 1.0)
-    return (1.0 / q) ** (1.0 / q) / (1.0 / p) ** (1.0 / p) * ratio ** (1.0 / q - 1.0 / p)
+    return _chirp_ratio(a * a, q, p)

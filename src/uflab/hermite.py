@@ -4,9 +4,11 @@ The basis functions h_n(x) are the L^2-normalized Hermite functions in
 the scaling that makes them eigenvectors of the transform used here:
 h_n = kappa_n * H_n(sqrt(2*pi)*x) * exp(-pi*x**2) with
 hat(h_n) = (-i)**n * h_n.  They are generated by the stable normalized
-three-term recurrence; the normalization of each degree is fixed by
-quadrature at first use instead of a hand-derived factorial constant,
-and verified against ||h_n||_2 = 1 in the test suite.
+three-term recurrence, which gives every degree the L^2 norm of its
+seed; seeding it with the normalized h_0 = 2**0.25 * exp(-pi*x**2)
+therefore normalizes all degrees with one constant instead of a
+factorial kappa_n.  The test suite checks ||h_n||_2 = 1 for every degree
+against independent quadrature.
 """
 
 from __future__ import annotations
@@ -16,27 +18,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
-from .gaussian import ComplexGaussianTerm, GaussianMixture, mixture_l2_norm
+from .gaussian import ComplexGaussianTerm, GaussianMixture
 
 N_MAX = 32
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-# Uniform sup bound for the normalized basis: |h_n(x)| <= 2**0.25
-# (attained by h_0 at the origin).  The extra factor 2 makes the
-# envelope used for tail truncation safely conservative beyond the
-# classical turning point.
+# Peak of h_0, which is also the uniform sup bound for the normalized
+# basis: |h_n(x)| <= 2**0.25.  The extra factor 2 makes the envelope
+# used for tail truncation safely conservative beyond the classical
+# turning point.
 _SUP_BOUND = 2.0 ** 0.25
 _ENVELOPE_SAFETY = 2.0
 
-_norm_cache: dict[int, float] = {}
 
-
-def _raw_values(nmax: int, y: np.ndarray) -> np.ndarray:
-    """Rows 0..nmax of the unnormalized recurrence, seeded with
-    exp(-y**2/2) so no closed-form constant enters."""
+def _basis_values(nmax: int, y: np.ndarray) -> np.ndarray:
+    """Rows h_0..h_nmax at x = y/sqrt(2*pi), by the normalized recurrence
+    seeded with h_0."""
     y = np.asarray(y, dtype=float)
     out = np.empty((nmax + 1,) + y.shape)
-    out[0] = np.exp(-0.5 * y * y)
+    out[0] = _SUP_BOUND * np.exp(-0.5 * y * y)
     if nmax >= 1:
         out[1] = math.sqrt(2.0) * y * out[0]
     for n in range(1, nmax):
@@ -47,30 +46,12 @@ def _raw_values(nmax: int, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _normalizer(n: int) -> float:
-    """L^2 norm of the unnormalized degree-n function, by quadrature."""
-    if n not in _norm_cache:
-        radius = math.sqrt((2 * n + 1) / (2.0 * math.pi)) + 6.0
-
-        def integrand(x):
-            vals = _raw_values(n, _SQRT_2PI * np.asarray(x))[n]
-            return vals * vals
-
-        total, _err, converged, _ = numerics.integrate_adaptive(
-            integrand, -radius, radius, 1e-12, np.linspace(-radius, radius, 33)
-        )
-        if not converged or total <= 0.0:
-            raise RuntimeError(f"normalization quadrature failed for degree {n}")
-        _norm_cache[n] = math.sqrt(total)
-    return _norm_cache[n]
-
-
 def hermite_eval(n: int, x):
     """Value(s) of the degree-n basis function at scalar or array x."""
     if not (isinstance(n, (int, np.integer)) and 0 <= n <= N_MAX):
         raise ValueError(f"degree must be an integer in [0, {N_MAX}], got {n}")
     y = _SQRT_2PI * np.asarray(x, dtype=float)
-    return _raw_values(n, y)[n] / _normalizer(n)
+    return _basis_values(n, y)[n]
 
 
 def hermite_ft_coeffs(coefficients) -> tuple[complex, ...]:
@@ -103,11 +84,8 @@ class HermiteExpansion:
 
     def eval(self, x):
         y = _SQRT_2PI * np.asarray(x, dtype=float)
-        rows = _raw_values(self.degree, y)
-        scaled = np.array(
-            [c / _normalizer(n) for n, c in enumerate(self.coefficients)]
-        )
-        return np.tensordot(scaled, rows, axes=(0, 0))
+        rows = _basis_values(self.degree, y)
+        return np.tensordot(np.array(self.coefficients), rows, axes=(0, 0))
 
     def ft(self) -> "HermiteExpansion":
         return HermiteExpansion(hermite_ft_coeffs(self.coefficients))
@@ -173,14 +151,12 @@ def random_schwartz(spec: TestFunctionSpec):
                 amp = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
                 terms.append(ComplexGaussianTerm(amp, complex(w, im)))
             f = GaussianMixture(tuple(terms))
-            if mixture_l2_norm(f) >= L2_REJECT_FLOOR:
-                return f
         else:
             coeffs = tuple(
                 complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
                 for _ in range(spec.size + 1)
             )
             f = HermiteExpansion(coeffs)
-            if f.l2_norm() >= L2_REJECT_FLOOR:
-                return f
+        if f.l2_norm() >= L2_REJECT_FLOOR:
+            return f
     raise RuntimeError(f"rejection sampling failed for {spec}")

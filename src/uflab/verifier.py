@@ -23,16 +23,9 @@ from .functionals import (
     gc_l2_norm_sq,
     interpolation_exponent,
 )
-from .functionals import _check_exponent  # shared public-exponent cap
-from .gaussian import (
-    ChirpParams,
-    GaussianMixture,
-    TwoScaleParams,
-    closed_form_Fq_chirp,
-    fourier_transform,
-    make_two_scale,
-)
-from .hermite import HermiteExpansion, TestFunctionSpec, random_schwartz
+from .functionals import _check_exponent, _in_range  # shared public-exponent cap
+from .gaussian import ChirpParams, TwoScaleParams, closed_form_Fq_chirp, make_two_scale
+from .hermite import TestFunctionSpec, random_schwartz
 from .numerics import lq_norm_quad
 
 # Quadrature tolerance used inside verification checks; one-sided
@@ -93,10 +86,6 @@ def _sample_functions(samples: int, seed: int):
             spec = TestFunctionSpec("hermite", size, child)
         out.append(random_schwartz(spec))
     return out
-
-
-def _ft(f):
-    return f.ft() if isinstance(f, HermiteExpansion) else fourier_transform(f)
 
 
 def _norm(f, q: float) -> float:
@@ -168,7 +157,7 @@ def verify_hausdorff_young(
     worst = math.inf
     worst_sharp = math.inf
     for f in _sample_functions(samples, seed):
-        fhat = _ft(f)
+        fhat = f.ft()
         nf_q, nf_qc = _norm(f, q), _norm(f, qc)
         nh_q, nh_qc = _norm(fhat, q), _norm(fhat, qc)
         worst = min(worst, nf_q - nh_qc, nh_q - nf_qc)
@@ -194,7 +183,7 @@ def verify_interpolation(
     expo = (1.0 / q - 1.0 / p) / (1.0 / q - 0.5)
     worst = math.inf
     for f in _sample_functions(samples, seed):
-        fhat = _ft(f)
+        fhat = f.ft()
         nf = {e: _norm(f, e) for e in (q, p, 2.0)}
         nh = {e: _norm(fhat, e) for e in (q, p, 2.0)}
         worst = min(
@@ -231,7 +220,7 @@ def verify_reduction_q_lt_2_le_p(
     boundary = abs(pc - q) <= 1e-12
     worst = math.inf
     for f in _sample_functions(samples, seed):
-        fhat = _ft(f)
+        fhat = f.ft()
         nf_q, nh_q = _norm(f, q), _norm(fhat, q)
         nf_p, nh_p = _norm(f, p), _norm(fhat, p)
         f_qp = nf_q * nh_q / (nf_p * nh_p)
@@ -350,50 +339,31 @@ def verify_superadditivity(
     )
 
 
-# Canonical suite: name -> zero-argument thunk factory taking the shared
-# (seed, samples, q, p) overrides.  Names sort into the report order.
-SUITE_NAMES = (
-    "closed-forms",
-    "fq-lower",
-    "hy",
-    "interp",
-    "reduction",
-    "asymptotics",
-    "superadd",
+# The canonical suite, one row per check: (suite name, runner taking
+# (q, p, samples, seed), default q, default p, domain of (q, p)).  A None
+# default marks an exponent the check does not take; a None domain marks
+# a check without exponents.  Names keep this order in SUITE_NAMES.
+_SUITE = (
+    ("closed-forms", lambda q, p, n, seed: verify_closed_forms(), None, None, None),
+    ("fq-lower", lambda q, p, n, seed: verify_fq_lower_bound(q, n or 500, seed),
+     1.5, None, lambda q, p: _in_range(q) and q < 2.0),
+    ("hy", lambda q, p, n, seed: verify_hausdorff_young(q, n or 200, seed),
+     4.0 / 3.0, None,
+     lambda q, p: 1.0 < q <= 2.0 and _in_range(q, conjugate_exponent(q))),
+    ("interp", lambda q, p, n, seed: verify_interpolation(q, p, n or 200, seed),
+     1.2, 1.5, lambda q, p: 1.0 < q < p < 2.0),
+    ("reduction",
+     lambda q, p, n, seed: verify_reduction_q_lt_2_le_p(q, p, n or 200, seed),
+     1.3, 3.0,
+     lambda q, p: _in_range(q, p) and q < 2.0 <= p and 1.0 / p + 1.0 / q >= 1.0 - 1e-12),
+    ("asymptotics", lambda q, p, n, seed: verify_asymptotics(q),
+     4.0, None, lambda q, p: _in_range(q) and q > 2.0),
+    ("asymptotics", lambda q, p, n, seed: verify_asymptotics(q, p),
+     3.0, 6.0, lambda q, p: _in_range(q, p) and q < p and 1.0 / q + 1.0 / p < 1.0),
+    ("superadd", lambda q, p, n, seed: verify_superadditivity(n or 10_000, seed),
+     None, None, None),
 )
-
-
-def _suite_thunks(names, seed, samples, q, p):
-    thunks = []
-    for name in names:
-        if name == "closed-forms":
-            thunks.append(lambda: verify_closed_forms())
-        elif name == "fq-lower":
-            thunks.append(
-                lambda: verify_fq_lower_bound(q or 1.5, samples or 500, seed)
-            )
-        elif name == "hy":
-            thunks.append(
-                lambda: verify_hausdorff_young(q or 4.0 / 3.0, samples or 200, seed)
-            )
-        elif name == "interp":
-            thunks.append(
-                lambda: verify_interpolation(q or 1.2, p or 1.5, samples or 200, seed)
-            )
-        elif name == "reduction":
-            thunks.append(
-                lambda: verify_reduction_q_lt_2_le_p(
-                    q or 1.3, p or 3.0, samples or 200, seed
-                )
-            )
-        elif name == "asymptotics":
-            thunks.append(lambda: verify_asymptotics(q if (q and q > 2) else 4.0))
-            thunks.append(lambda: verify_asymptotics(3.0, 6.0) if p is None else verify_asymptotics(q or 3.0, p))
-        elif name == "superadd":
-            thunks.append(lambda: verify_superadditivity(samples or 10_000, seed))
-        else:
-            raise ValueError(f"unknown check {name!r}")
-    return thunks
+SUITE_NAMES = tuple(dict.fromkeys(row[0] for row in _SUITE))
 
 
 def run_suite(
@@ -402,20 +372,28 @@ def run_suite(
     samples: int | None = None,
     q: float | None = None,
     p: float | None = None,
-    threads: int = 1,
 ) -> list[CheckResult]:
     """Run the named checks and return results sorted by check name.
 
-    Checks are independent, so they may run on a thread pool; results
-    are collected in submission order before the final sort, keeping the
-    report identical for any thread count.
+    An exponent override ``q``/``p`` reaches every check whose domain
+    contains the resulting (q, p); the other checks run with both of
+    their defaults.  An override that no selected check accepts is a
+    ValueError.
     """
-    thunks = _suite_thunks(names, seed, samples, q, p)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda t: t(), thunks))
-    else:
-        results = [t() for t in thunks]
+    jobs = []
+    for name in names:
+        rows = [row for row in _SUITE if row[0] == name]
+        if not rows:
+            raise ValueError(f"unknown check {name!r}")
+        for _, run, dq, dp, domain in rows:
+            eq = dq if q is None or dq is None else q
+            ep = dp if p is None or dp is None else p
+            accepted = domain is None or domain(eq, ep)
+            jobs.append((run, (eq, ep) if accepted else (dq, dp), accepted))
+    if jobs and not any(accepted for *_, accepted in jobs):
+        raise ValueError(
+            f"exponent override q={q}, p={p} lies outside the domain of "
+            f"{', '.join(names)}"
+        )
+    results = [run(eq, ep, samples, seed) for run, (eq, ep), _ in jobs]
     return sorted(results, key=lambda r: r.check_name)

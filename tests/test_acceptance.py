@@ -24,7 +24,6 @@ from uflab.gaussian import (
     GaussianMixture,
     TwoScaleParams,
     closed_form_Fq_chirp,
-    fourier_transform,
     make_chirp,
     make_two_scale,
 )
@@ -127,7 +126,7 @@ def test_criterion_07_interpolation_suite():
 def test_criterion_08_dft_oracle():
     with Budget("08 discrete Fourier oracle", 10.0):
         f = GaussianMixture((make_chirp(ChirpParams(2.0)),))
-        fhat = fourier_transform(f)
+        fhat = f.ft()
         hat = dft_approx(sample(f, 4096, 0.01))
         err = np.max(np.abs(hat.samples - fhat.eval(hat.x_grid())))
         assert err <= 1e-8

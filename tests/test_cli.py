@@ -114,22 +114,37 @@ class TestVerify:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_flag_keeps_output(self, capsys, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run_cli(["verify", "--suite", "fq-lower", "--samples", "30",
-                 "--seed", "7", "--out", str(a)])
-        run_cli(["verify", "--suite", "fq-lower", "--samples", "30",
-                 "--seed", "7", "--threads", "2", "--out", str(b)])
-        capsys.readouterr()
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_env_var_threads(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("UFLAB_THREADS", "2")
-        out = tmp_path / "v.json"
-        code = run_cli(["verify", "--suite", "closed-forms", "--out", str(out)])
-        capsys.readouterr()
+    # Parameters each check must report: the override where the check's
+    # domain contains it, both defaults where it does not.
+    @pytest.mark.parametrize("flags, expected", [
+        (("--q", "3"), {"asymptotics-divergence": {"q": 3.0},
+                        "asymptotics-vanishing": {"q": 3.0, "p": 6.0},
+                        "fq-lower": {"q": 1.5},
+                        "interpolation": {"q": 1.2, "p": 1.5}}),
+        (("--q", "1.5"), {"hausdorff-young": {"q": 1.5},
+                          "reduction": {"q": 1.5, "p": 3.0},
+                          "asymptotics-vanishing": {"q": 1.5, "p": 6.0},
+                          "asymptotics-divergence": {"q": 4.0},
+                          "interpolation": {"q": 1.2, "p": 1.5}}),
+        (("--p", "1.5"), {"interpolation": {"q": 1.2, "p": 1.5},
+                          "reduction": {"q": 1.3, "p": 3.0},
+                          "asymptotics-vanishing": {"q": 3.0, "p": 6.0}}),
+    ])
+    def test_suite_all_applies_override_where_in_domain(self, capsys, flags, expected):
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--seed", "1",
+                           "--samples", "4", *flags)
         assert code == 0
-        assert json.loads(out.read_text())["pass"] is True
+        checks = {c["check_name"]: c for c in json.loads(out)["checks"]}
+        assert len(checks) == 8
+        for name, params in expected.items():
+            for key, value in params.items():
+                assert checks[name]["parameters"][key] == value
+
+    def test_single_suite_out_of_domain_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "verify", "--suite", "fq-lower", "--q", "3",
+                           "--samples", "4")
+        assert code == 2
+        assert "usage" in err and "error" in err
 
 
 class TestMinimize:

@@ -78,11 +78,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep("wavelet", 4.0, grid="1.1:2:3")
 
-    def test_threads_do_not_change_rows(self):
-        a = sweep("twoscale", 3.0, grid="0.5:8:6log", threads=1)
-        b = sweep("twoscale", 3.0, grid="0.5:8:6log", threads=3)
-        assert a == b
-
 
 class TestSerialization:
     def test_csv_roundtrip_exact(self):

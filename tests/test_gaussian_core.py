@@ -16,11 +16,8 @@ from uflab.gaussian import (
     TwoScaleParams,
     closed_form_Fq_chirp,
     closed_form_Fqp_chirp,
-    eval_mixture,
-    fourier_transform,
     make_chirp,
     make_two_scale,
-    mixture_l2_norm,
     term_lq_norm,
 )
 
@@ -78,18 +75,18 @@ class TestConstruction:
 
     def test_g1_is_doubled_gaussian(self):
         mix = make_two_scale(TwoScaleParams(1.0))
-        assert eval_mixture(mix, 0.0) == pytest.approx(2.0, rel=1e-15)
+        assert mix.eval(0.0) == pytest.approx(2.0, rel=1e-15)
         assert all(t.width == 1.0 for t in mix.terms)
 
 
 class TestEval:
     def test_chirp_at_zero(self):
-        assert eval_mixture(make_chirp(ChirpParams(2.0)), 0.0) == pytest.approx(1.0)
+        assert make_chirp(ChirpParams(2.0)).eval(0.0) == pytest.approx(1.0)
 
     def test_g2_at_one(self):
         # 2^{-1/2} e^{-pi/4} + 2^{1/2} e^{-4 pi}, scalar arithmetic oracle
         expected = 0.3224018737916913
-        got = eval_mixture(make_two_scale(TwoScaleParams(2.0)), 1.0)
+        got = make_two_scale(TwoScaleParams(2.0)).eval(1.0)
         assert got.real == pytest.approx(expected, rel=1e-14)
         assert got.imag == 0.0
 
@@ -108,42 +105,38 @@ class TestEval:
 class TestFourierTransform:
     def test_unit_gaussian_self_dual(self):
         term = ComplexGaussianTerm(1.0, 1.0)
-        hat = fourier_transform(term)
+        hat = term.ft()
         assert hat.amplitude == pytest.approx(1.0)
         assert hat.width == pytest.approx(1.0)
 
     def test_chirp_transform_modulus_and_width(self):
         # a = sqrt(3): |A_hat| = 1/2, Re(1/z) = (a^2-1)/(a^2+1)^2 = 1/8
-        hat = fourier_transform(make_chirp(ChirpParams(math.sqrt(3.0))))
+        hat = make_chirp(ChirpParams(math.sqrt(3.0))).ft()
         assert abs(hat.amplitude) == pytest.approx(0.5, rel=1e-14)
         assert hat.width.real == pytest.approx(0.125, rel=1e-14)
 
     def test_transform_rule(self):
         z = complex(3.0, 4.0)
-        hat = fourier_transform(ComplexGaussianTerm(2.0, z))
+        hat = ComplexGaussianTerm(2.0, z).ft()
         assert hat.amplitude == pytest.approx(2.0 / cmath.sqrt(z), rel=1e-15)
         assert hat.width == pytest.approx(1.0 / z, rel=1e-15)
 
     def test_double_transform_is_identity_for_even_terms(self):
         for z in (complex(3.0, 4.0), complex(0.01, -2.0), complex(5.0, 0.0)):
             term = ComplexGaussianTerm(1.5 - 0.5j, z)
-            twice = fourier_transform(fourier_transform(term))
+            twice = term.ft().ft()
             assert twice.amplitude == pytest.approx(term.amplitude, rel=1e-14)
             assert twice.width == pytest.approx(term.width, rel=1e-14)
 
     def test_two_scale_self_dual(self):
         mix = make_two_scale(TwoScaleParams(2.0))
-        hat = fourier_transform(mix)
+        hat = mix.ft()
         # transform swaps the two terms; compare sorted by real width
         got = sorted(hat.terms, key=lambda t: t.width.real)
         want = sorted(mix.terms, key=lambda t: t.width.real)
         for g, w in zip(got, want):
             assert g.amplitude == pytest.approx(w.amplitude, rel=1e-14)
             assert g.width == pytest.approx(w.width, rel=1e-14)
-
-    def test_transform_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            fourier_transform(3.0)
 
 
 class TestNorms:
@@ -164,7 +157,7 @@ class TestNorms:
         term = make_chirp(ChirpParams(math.sqrt(3.0)))
         assert term_lq_norm(term, 2.0) == pytest.approx(2.0 ** -0.5, rel=1e-14)
         # transformed side at q = 4: 0.5 * 2^{1/8}, quadrature-checked
-        hat = fourier_transform(term)
+        hat = term.ft()
         assert term_lq_norm(hat, 4.0) == pytest.approx(0.5452538663326288, rel=1e-14)
         assert term_lq_norm(hat, 4.0) == pytest.approx(lq_oracle(hat, 4.0), rel=1e-10)
 
@@ -180,7 +173,7 @@ class TestNorms:
         # ||g_c||_2^2 = sqrt(2) + 2c/sqrt(c^4+1)
         mix = make_two_scale(TwoScaleParams(c))
         expected = math.sqrt(math.sqrt(2.0) + 2.0 * c / math.sqrt(c ** 4 + 1.0))
-        assert mixture_l2_norm(mix) == pytest.approx(expected, rel=1e-13)
+        assert mix.l2_norm() == pytest.approx(expected, rel=1e-13)
 
     def test_mixture_l2_complex_cross_terms(self):
         mix = GaussianMixture(
@@ -190,9 +183,9 @@ class TestNorms:
             )
         )
         val, _ = quad(
-            lambda x: abs(eval_mixture(mix, x)) ** 2, -np.inf, np.inf
+            lambda x: abs(mix.eval(x)) ** 2, -np.inf, np.inf
         )
-        assert mixture_l2_norm(mix) == pytest.approx(math.sqrt(val), rel=1e-10)
+        assert mix.l2_norm() == pytest.approx(math.sqrt(val), rel=1e-10)
 
 
 class TestClosedForms:

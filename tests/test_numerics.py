@@ -12,7 +12,6 @@ from uflab.gaussian import (
     ComplexGaussianTerm,
     GaussianMixture,
     TwoScaleParams,
-    fourier_transform,
     make_chirp,
     make_two_scale,
     term_lq_norm,
@@ -205,7 +204,7 @@ class TestDftApprox:
         f = GaussianMixture((make_chirp(ChirpParams(2.0)),))
         s = sample(f, 4096, 0.01)
         hat = dft_approx(s)
-        exact = fourier_transform(f).eval(hat.x_grid())
+        exact = f.ft().eval(hat.x_grid())
         assert np.max(np.abs(hat.samples - exact)) <= 1e-8
 
     def test_zero_in_zero_out(self):
@@ -214,7 +213,7 @@ class TestDftApprox:
 
     def test_error_decreases_as_n_doubles(self):
         f = GaussianMixture((make_chirp(ChirpParams(2.0)),))
-        fhat = fourier_transform(f)
+        fhat = f.ft()
         r = truncation_radius(f, 1.0, 1e-12)
         dx = 2.0 * r / 2048  # fixed spacing; larger n widens coverage
         errors = []

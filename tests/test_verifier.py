@@ -161,11 +161,6 @@ class TestRunSuite:
             [r.to_json_dict() for r in b]
         )
 
-    def test_thread_count_does_not_change_results(self):
-        a = run_suite(("closed-forms", "superadd"), samples=50, seed=2, threads=1)
-        b = run_suite(("closed-forms", "superadd"), samples=50, seed=2, threads=4)
-        assert [r.to_json_dict() for r in a] == [r.to_json_dict() for r in b]
-
     def test_explicit_exponents_forwarded(self):
         results = run_suite(("asymptotics",), q=1.5, p=4.0, seed=0)
         by_name = {r.check_name: r for r in results}
