@@ -44,10 +44,8 @@ from .hermite import (
     random_schwartz,
 )
 from .functionals import (
-    BoundReport,
     FunctionalReport,
     beckner_constant,
-    bound_report,
     conjugate_exponent,
     eval_Fq,
     eval_Fqp,

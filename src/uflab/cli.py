@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -44,18 +45,24 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"uflab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--q", type=float, default=None, help="exponent q")
-        sp.add_argument("--p", type=float, default=None,
-                        help="second exponent; switches to the two-exponent ratio")
-        sp.add_argument("--tol", type=float, default=1e-8,
-                        help="relative quadrature tolerance (default 1e-8)")
-        sp.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        sp.add_argument("--json", action="store_true", help="print JSON to stdout")
-        sp.add_argument("--out", type=str, default=None, help="write output to this file")
+    # Flags shared by several subcommands; each subcommand declares only
+    # those its handler reads, so an unread flag is a usage error.
+    shared = {
+        "--q": dict(type=float, default=None, help="exponent q"),
+        "--p": dict(type=float, default=None,
+                    help="second exponent p; eval and sweep then use F_qp"),
+        "--tol": dict(type=float, default=1e-8, help="tolerance (default 1e-8)"),
+        "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+        "--out": dict(type=str, default=None, help="write output to this file"),
+    }
 
-    sp = sub.add_parser("eval", help="evaluate one uncertainty ratio")
-    common(sp)
+    def command(name, help, *flags):
+        sp = sub.add_parser(name, help=help)
+        for flag in flags + ("--out",):
+            sp.add_argument(flag, **shared[flag])
+        return sp
+
+    sp = command("eval", "evaluate one uncertainty ratio", "--q", "--p", "--tol")
     sp.add_argument("--family", choices=("chirp", "twoscale", "gaussian"), required=True)
     sp.add_argument("--a", type=float, default=None, help="chirp parameter, a > 1")
     sp.add_argument("--c", type=float, default=None,
@@ -63,21 +70,19 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=tuple(_METHOD_MAP), default="quad",
                     help="evaluation route (default quad)")
 
-    sp = sub.add_parser("sweep", help="sweep a family parameter")
-    common(sp)
+    sp = command("sweep", "sweep a family parameter", "--q", "--p", "--tol")
+    sp.add_argument("--json", action="store_true", help="write JSON instead of CSV")
     sp.add_argument("--family", choices=("chirp", "twoscale"), required=True)
     sp.add_argument("--grid", type=str, required=True,
                     help="start:stop:count[log|lin]; t for chirp, c for twoscale")
 
-    sp = sub.add_parser("verify", help="run inequality checks")
-    common(sp)
+    sp = command("verify", "run inequality checks", "--q", "--p", "--seed")
     sp.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all",
                     help="check name or 'all' (default all)")
     sp.add_argument("--samples", type=int, default=None,
                     help="random test functions per randomized check")
 
-    sp = sub.add_parser("minimize", help="search for small F_q values")
-    common(sp)
+    sp = command("minimize", "search for small F_q values", "--q", "--seed")
     sp.add_argument("--terms", type=int, default=2,
                     help="Gaussian terms in the mixture (default 2)")
     sp.add_argument("--restarts", type=int, default=8,
@@ -85,8 +90,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-iter", type=int, default=200,
                     help="iterations per restart (default 200)")
 
-    sp = sub.add_parser("ftcheck", help="compare DFT against the analytic transform")
-    common(sp)
+    sp = command("ftcheck", "compare DFT against the analytic transform", "--tol")
     sp.add_argument("--family", choices=("chirp", "twoscale", "gaussian"), required=True)
     sp.add_argument("--a", type=float, default=None, help="chirp parameter, a > 1")
     sp.add_argument("--c", type=float, default=None,
@@ -116,15 +120,6 @@ def _family_object(args):
     return GaussianMixture((ComplexGaussianTerm(1.0, complex(width)),)), width
 
 
-def _norm_dict(n) -> dict:
-    return {
-        "value": n.value,
-        "method": n.method,
-        "abs_error_estimate": n.abs_error_estimate,
-        "q": n.q,
-    }
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -146,21 +141,8 @@ def _cmd_eval(args) -> int:
         report = eval_Fq(obj, args.q, method, args.tol)
     else:
         report = eval_Fqp(obj, args.q, args.p, method, args.tol)
-    _emit(
-        _json_text(
-            {
-                "schema": EVAL_SCHEMA,
-                "family": args.family,
-                "q": report.q,
-                "p": report.p,
-                "norms": [_norm_dict(n) for n in report.norms],
-                "value": report.value,
-                "method": report.method,
-                "discrepancy": report.discrepancy,
-            }
-        ),
-        args.out,
-    )
+    doc = {"schema": EVAL_SCHEMA, "family": args.family, **asdict(report)}
+    _emit(_json_text(doc), args.out)
     return 0
 
 
@@ -169,7 +151,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError("sweep needs --q")
     result = sweep(args.family, args.q, args.p, GridSpec.parse(args.grid), args.tol)
     if args.json:
-        _emit(_json_text(result.to_json_dict()), args.out)
+        _emit(_json_text(asdict(result)), args.out)
     else:
         _emit(result.csv_text(), args.out)
     return 0
@@ -202,22 +184,7 @@ def _cmd_minimize(args) -> int:
         MinimizeFamilySpec(terms=args.terms),
         OptimizerConfig(restarts=args.restarts, max_iter=args.max_iter, seed=args.seed),
     )
-    _emit(
-        _json_text(
-            {
-                "schema": MINIMIZE_SCHEMA,
-                "q": report.q,
-                "terms": report.terms,
-                "best_value": report.best_value,
-                "best_parameters": report.best_parameters,
-                "iterations": report.iterations,
-                "restarts": report.restarts,
-                "converged": report.converged,
-                "comparisons": report.comparisons,
-            }
-        ),
-        args.out,
-    )
+    _emit(_json_text({"schema": MINIMIZE_SCHEMA, **asdict(report)}), args.out)
     return 0
 
 

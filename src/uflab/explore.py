@@ -14,7 +14,7 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import minimize as _nm_minimize
@@ -35,10 +35,7 @@ from .gaussian import (
 from .numerics import ToleranceNotAchieved
 
 SWEEP_SCHEMA = "uflab.sweep/1"
-CSV_HEADER = (
-    "schema,family,param,q,p,norm_f_q,norm_fhat_q,norm_f_p,norm_fhat_p,"
-    "value,method,err_est"
-)
+_SPOT_CHECK_EVERY = 8
 
 _GRID_RE = re.compile(r"^\s*([^:\s]+):([^:\s]+):(\d+)(log|lin)?\s*$")
 
@@ -92,20 +89,23 @@ class SweepRow:
     err_est: float
 
 
+# The CSV columns: the schema, then every SweepRow field in order.
+CSV_HEADER = ("schema",) + tuple(f.name for f in fields(SweepRow))
+
+
 @dataclass
 class SweepResult:
     schema: str
     rows: list[SweepRow] = field(default_factory=list)
 
     def to_csv(self, stream) -> None:
+        """Floats with 17 significant digits, so they read back exactly."""
         writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
+        writer.writerow(CSV_HEADER)
         for r in self.rows:
             writer.writerow(
-                [self.schema, r.family]
-                + [f"{v:.17g}" for v in (r.param, r.q, r.p, r.norm_f_q, r.norm_fhat_q,
-                                         r.norm_f_p, r.norm_fhat_p, r.value)]
-                + [r.method, f"{r.err_est:.17g}"]
+                [self.schema]
+                + [v if isinstance(v, str) else f"{v:.17g}" for v in astuple(r)]
             )
 
     def csv_text(self) -> str:
@@ -117,39 +117,16 @@ class SweepResult:
     def from_csv(cls, stream) -> "SweepResult":
         reader = csv.reader(stream)
         header = next(reader)
-        if header != CSV_HEADER.split(","):
+        if tuple(header) != CSV_HEADER:
             raise ValueError(f"unexpected sweep header {header!r}")
         schema = None
         rows = []
         for rec in reader:
             schema = rec[0]
-            rows.append(
-                SweepRow(
-                    rec[1], *(float(v) for v in rec[2:10]), rec[10], float(rec[11])
-                )
-            )
+            rows.append(SweepRow(*(
+                v if f.type == "str" else float(v) for f, v in zip(fields(SweepRow), rec[1:])
+            )))
         return cls(schema or SWEEP_SCHEMA, rows)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "rows": [
-                {
-                    "family": r.family,
-                    "param": r.param,
-                    "q": r.q,
-                    "p": r.p,
-                    "norm_f_q": r.norm_f_q,
-                    "norm_fhat_q": r.norm_fhat_q,
-                    "norm_f_p": r.norm_f_p,
-                    "norm_fhat_p": r.norm_fhat_p,
-                    "value": r.value,
-                    "method": r.method,
-                    "err_est": r.err_est,
-                }
-                for r in self.rows
-            ],
-        }
 
 
 def _row(family: str, param: float, f, q, p, method, tol) -> SweepRow:
@@ -182,12 +159,11 @@ def sweep(
     p: float | None = None,
     grid: GridSpec | str = "1.1:100:25log",
     tol: float = 1e-8,
-    spot_check_every: int = 8,
 ) -> SweepResult:
     """Evaluate the ratio along a parameter grid.
 
     family 'chirp' sweeps t = a*a (closed form, quadrature spot checks
-    on every ``spot_check_every``-th row); family 'twoscale' sweeps c by
+    on every ``_SPOT_CHECK_EVERY``-th row); family 'twoscale' sweeps c by
     quadrature.  Rows come back ordered by the swept parameter.
     """
     if isinstance(grid, str):
@@ -195,7 +171,7 @@ def sweep(
     values = grid.values()
     if family == "chirp":
         rows = [
-            _chirp_row(float(t), q, p, tol, spot_check_every > 0 and i % spot_check_every == 0)
+            _chirp_row(float(t), q, p, tol, i % _SPOT_CHECK_EVERY == 0)
             for i, t in enumerate(values)
         ]
     elif family == "twoscale":
@@ -282,6 +258,12 @@ def estimate_image_interval(
     )
 
 
+# Random restarts draw log-uniform widths from this range; each start's
+# initial simplex steps this far along every coordinate.
+_START_WIDTH_RANGE = (0.125, 8.0)
+_SIMPLEX_SCALE = 0.5
+
+
 @dataclass(frozen=True)
 class MinimizeFamilySpec:
     """Real Gaussian mixtures searched by the optimizer: ``terms``
@@ -289,7 +271,6 @@ class MinimizeFamilySpec:
     log-widths, so the search dimension is 2*terms - 1 <= 12."""
 
     terms: int = 2
-    width_range: tuple[float, float] = (0.125, 8.0)
 
     def __post_init__(self):
         if self.terms < 1 or 2 * self.terms - 1 > 12:
@@ -304,7 +285,6 @@ class MinimizeFamilySpec:
 class OptimizerConfig:
     restarts: int = 8
     max_iter: int = 200
-    simplex_scale: float = 0.5
     seed: int = 0
 
 
@@ -342,7 +322,7 @@ def minimize_Fq(
     """
     rng = np.random.default_rng(config.seed)
     dim = family.dimension
-    lo, hi = family.width_range
+    lo, hi = _START_WIDTH_RANGE
 
     def objective(x):
         try:
@@ -366,7 +346,7 @@ def minimize_Fq(
     iterations = 0
     converged = False
     for x0 in starts:
-        simplex = np.vstack([x0] + [x0 + config.simplex_scale * e for e in np.eye(dim)])
+        simplex = np.vstack([x0] + [x0 + _SIMPLEX_SCALE * e for e in np.eye(dim)])
         res = _nm_minimize(
             objective,
             x0,

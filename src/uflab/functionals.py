@@ -51,19 +51,6 @@ class FunctionalReport:
     discrepancy: float | None
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """A closed-form bound value with its family parameter and the
-    three-way exponent case it came from (q<2, q=2, q>2)."""
-
-    c: float | None
-    q: float
-    p: float | None
-    bound_value: float
-    kind: str
-    case_tag: str | None
-
-
 def _in_range(*exponents) -> bool:
     return all(math.isfinite(e) and EXPONENT_MIN <= e <= EXPONENT_MAX for e in exponents)
 
@@ -131,7 +118,7 @@ def gc_lq_lower_bound_weak(c: float, q: float) -> float:
     return (1.0 / q) ** (1.0 / q) * c ** (1.0 - 2.0 / q)
 
 
-def gc_lq_upper_bound(c: float, q: float) -> BoundReport:
+def gc_lq_upper_bound(c: float, q: float) -> float:
     """Upper bound for ||g_c||_q**2 with the three-way exponent split:
     4 at q = 2, the braced sum to the 2/q for q < 2, and an extra
     3**(1-2/q) (triple superadditivity constant) for q > 2."""
@@ -139,12 +126,12 @@ def gc_lq_upper_bound(c: float, q: float) -> BoundReport:
     if not (math.isfinite(q) and q > 1.0):
         raise ValueError(f"upper bound stated for q > 1, got {q}")
     if q == 2.0:
-        return BoundReport(c, q, None, 4.0, "gc-upper", "q=2")
+        return 4.0
     braced = _gc_braced_sum(c, q)
     if q < 2.0:
-        return BoundReport(c, q, None, braced ** (2.0 / q), "gc-upper", "q<2")
+        return braced ** (2.0 / q)
     factor = max(1.0, 3.0 ** (0.5 * q - 1.0)) ** (2.0 / q)
-    return BoundReport(c, q, None, factor * braced ** (2.0 / q), "gc-upper", "q>2")
+    return factor * braced ** (2.0 / q)
 
 
 def fq_gc_lower_bound(c: float, q: float) -> float:
@@ -225,20 +212,3 @@ def eval_Fqp(
         raise ValueError(f"need q < p, got q={q}, p={p}")
     return _eval_ratio(f, q, p, method, tol)
 
-
-def bound_report(kind: str, c: float | None = None, q: float | None = None,
-                 p: float | None = None) -> BoundReport:
-    """Uniform record constructor for the named closed-form bounds."""
-    if kind == "gc-l2":
-        return BoundReport(c, 2.0, None, gc_l2_norm_sq(c), kind, None)
-    if kind == "gc-lower":
-        return BoundReport(c, q, None, gc_lq_lower_bound(c, q), kind, "q>2")
-    if kind == "gc-upper":
-        return gc_lq_upper_bound(c, q)
-    if kind == "fq-gc-lower":
-        return BoundReport(c, q, None, fq_gc_lower_bound(c, q), kind, "q>2")
-    if kind == "beckner":
-        return BoundReport(None, q, None, beckner_constant(q), kind, None)
-    if kind == "interpolation-exponent":
-        return BoundReport(None, q, p, interpolation_exponent(q, p), kind, None)
-    raise ValueError(f"unknown bound kind {kind!r}")

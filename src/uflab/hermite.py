@@ -108,7 +108,7 @@ class TestFunctionSpec:
     """Recipe for one seeded random test function.
 
     family 'gaussian-mixture': ``size`` terms with log-uniform real
-    widths in ``scale_range``, amplitudes from the complex unit box, and
+    widths in ``_MIXTURE_WIDTHS``, amplitudes from the complex unit box, and
     (for half the terms on average) a chirp bounded by |Im z| <= 4 Re z
     so the transformed widths stay well off the imaginary axis.
     family 'hermite': degree ``size`` with unit-box complex
@@ -120,7 +120,6 @@ class TestFunctionSpec:
     family: str
     size: int
     seed: int
-    scale_range: tuple[float, float] = (0.2, 5.0)
 
     def __post_init__(self):
         if self.family not in ("gaussian-mixture", "hermite"):
@@ -129,11 +128,9 @@ class TestFunctionSpec:
             raise ValueError(f"size must be >= 1, got {self.size}")
         if self.family == "hermite" and self.size > N_MAX:
             raise ValueError(f"hermite size capped at {N_MAX}, got {self.size}")
-        lo, hi = self.scale_range
-        if not (0.0 < lo <= hi and math.isfinite(hi)):
-            raise ValueError(f"bad scale range {self.scale_range}")
 
 
+_MIXTURE_WIDTHS = (0.2, 5.0)
 L2_REJECT_FLOOR = 1e-6
 _MAX_DRAWS = 1000
 
@@ -141,7 +138,7 @@ _MAX_DRAWS = 1000
 def random_schwartz(spec: TestFunctionSpec):
     """Deterministic draw for ``spec``; same spec, same function."""
     rng = np.random.default_rng(spec.seed)
-    lo, hi = spec.scale_range
+    lo, hi = _MIXTURE_WIDTHS
     for _ in range(_MAX_DRAWS):
         if spec.family == "gaussian-mixture":
             terms = []

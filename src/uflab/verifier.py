@@ -11,7 +11,8 @@ reproduces every result bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,11 +20,12 @@ from .functionals import (
     beckner_constant,
     conjugate_exponent,
     eval_Fq,
+    eval_Fqp,
     fq_gc_lower_bound,
     gc_l2_norm_sq,
     interpolation_exponent,
 )
-from .functionals import _check_exponent, _in_range  # shared public-exponent cap
+from .functionals import _in_range  # shared public-exponent cap
 from .gaussian import ChirpParams, TwoScaleParams, closed_form_Fq_chirp, make_two_scale
 from .hermite import TestFunctionSpec, random_schwartz
 from .numerics import lq_norm_quad
@@ -32,21 +34,6 @@ from .numerics import lq_norm_quad
 # inequality slacks then only dip below zero by rounding, never by
 # integration error.
 QUAD_TOL = 1e-10
-
-
-def _jsonable(value):
-    """Coerce numpy scalars/arrays so reports serialize identically."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
 
 
 @dataclass
@@ -60,20 +47,68 @@ class CheckResult:
     observed: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "parameters": _jsonable(self.parameters),
-            "samples": int(self.samples),
-            "worst_slack": float(self.worst_slack),
-            "pass": bool(self.passed),
-            "seed": self.seed,
-            "observed": _jsonable(self.observed),
-        }
+        """Every field in declaration order; ``passed`` is written "pass"."""
+        return {("pass" if k == "passed" else k): v for k, v in asdict(self).items()}
+
+
+@dataclass(frozen=True)
+class _Check:
+    """One suite row.  ``run(q, p, samples, seed)`` looks its entry point
+    up by module-global name at call time, so a replaced module attribute
+    (a tracing wrapper, say) sees every call.  None marks default
+    exponents, sample counts and domains that a check does not take."""
+
+    suite: str
+    check_name: str
+    run: Callable
+    q: float | None = None
+    p: float | None = None
+    samples: int | None = None
+    domain: Callable[[float, float | None], bool] | None = None
+
+
+# The suite in SUITE_NAMES order: the only statement of each check's
+# default exponents, default sample count and domain.
+_SUITE = (
+    _Check("closed-forms", "closed-forms", lambda q, p, n, seed: verify_closed_forms()),
+    _Check("fq-lower", "fq-lower",
+           lambda q, p, n, seed: verify_fq_lower_bound(q, n, seed),
+           1.5, None, 500, lambda q, p: _in_range(q) and q < 2.0),
+    _Check("hy", "hausdorff-young",
+           lambda q, p, n, seed: verify_hausdorff_young(q, n, seed),
+           4.0 / 3.0, None, 200,
+           lambda q, p: 1.0 < q <= 2.0 and _in_range(q, conjugate_exponent(q))),
+    _Check("interp", "interpolation",
+           lambda q, p, n, seed: verify_interpolation(q, p, n, seed),
+           1.2, 1.5, 200, lambda q, p: _in_range(q, p) and q < p < 2.0),
+    _Check("reduction", "reduction",
+           lambda q, p, n, seed: verify_reduction_q_lt_2_le_p(q, p, n, seed),
+           1.3, 3.0, 200,
+           lambda q, p: _in_range(q, p) and q < 2.0 <= p and 1.0 / p + 1.0 / q >= 1.0 - 1e-12),
+    _Check("asymptotics", "asymptotics-divergence",
+           lambda q, p, n, seed: verify_asymptotics(q),
+           4.0, None, None, lambda q, p: _in_range(q) and q > 2.0),
+    _Check("asymptotics", "asymptotics-vanishing",
+           lambda q, p, n, seed: verify_asymptotics(q, p),
+           3.0, 6.0, None,
+           lambda q, p: _in_range(q, p) and q < p and 1.0 / q + 1.0 / p < 1.0),
+    _Check("superadd", "superadditivity",
+           lambda q, p, n, seed: verify_superadditivity(n, seed), samples=10_000),
+)
+SUITE_NAMES = tuple(dict.fromkeys(row.suite for row in _SUITE))
+_BY_CHECK = {row.check_name: row for row in _SUITE}
+
+
+def _require_domain(check_name: str, q: float, p: float | None = None) -> None:
+    if not _BY_CHECK[check_name].domain(q, p):
+        raise ValueError(f"q={q}, p={p} lies outside the domain of {check_name}")
 
 
 def _sample_functions(samples: int, seed: int):
     """Half mixtures, half expansions, with child seeds drawn from one
     generator so the batch is a pure function of (samples, seed)."""
+    if samples < 1:
+        raise ValueError(f"a randomized check needs samples >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     out = []
     for i in range(samples):
@@ -121,13 +156,12 @@ def verify_closed_forms(tol: float = 1e-8) -> CheckResult:
 
 
 def verify_fq_lower_bound(
-    q: float, samples: int = 500, seed: int = 0, tol: float = 1e-7
+    q: float, samples: int = _BY_CHECK["fq-lower"].samples, seed: int = 0,
+    tol: float = 1e-7,
 ) -> CheckResult:
     """min F_q over a seeded batch stays above 1 (and is recorded against
     the sharper floor 1/B_q); stated for 1 < q < 2."""
-    _check_exponent(q)
-    if not q < 2.0:
-        raise ValueError(f"lower-bound check is stated for q < 2, got {q}")
+    _require_domain("fq-lower", q)
     floor = 1.0 / beckner_constant(q)
     vmin = math.inf
     for f in _sample_functions(samples, seed):
@@ -144,15 +178,13 @@ def verify_fq_lower_bound(
 
 
 def verify_hausdorff_young(
-    q: float, samples: int = 200, seed: int = 0, tol: float = 1e-9
+    q: float, samples: int = _BY_CHECK["hausdorff-young"].samples, seed: int = 0,
+    tol: float = 1e-9,
 ) -> CheckResult:
     """||fhat||_q' <= B_q * ||f||_q <= ||f||_q and its reflected twin on a
-    seeded batch, 1 < q <= 2."""
-    if not (1.0 < q <= 2.0):
-        raise ValueError(f"Hausdorff-Young check needs 1 < q <= 2, got {q}")
+    seeded batch, 1 < q <= 2 (q' in the exponent range too)."""
+    _require_domain("hausdorff-young", q)
     qc = conjugate_exponent(q)
-    _check_exponent(q)
-    _check_exponent(qc, "q'")
     sharp = beckner_constant(q)
     worst = math.inf
     worst_sharp = math.inf
@@ -174,11 +206,13 @@ def verify_hausdorff_young(
 
 
 def verify_interpolation(
-    q: float, p: float, samples: int = 200, seed: int = 0, tol: float = 1e-6
+    q: float, p: float, samples: int = _BY_CHECK["interpolation"].samples,
+    seed: int = 0, tol: float = 1e-6,
 ) -> CheckResult:
     """Holder interpolation ||f||_p <= ||f||_q**theta * ||f||_2**(1-theta)
     on f and fhat, plus its consequence
     F_qp >= F_q**((1/q-1/p)/(1/q-1/2)), for 1 < q < p < 2."""
+    _require_domain("interpolation", q, p)
     theta = interpolation_exponent(q, p)
     expo = (1.0 / q - 1.0 / p) / (1.0 / q - 0.5)
     worst = math.inf
@@ -206,16 +240,12 @@ def verify_interpolation(
 
 
 def verify_reduction_q_lt_2_le_p(
-    q: float, p: float, samples: int = 200, seed: int = 0, tol: float = 1e-6
+    q: float, p: float, samples: int = _BY_CHECK["reduction"].samples,
+    seed: int = 0, tol: float = 1e-6,
 ) -> CheckResult:
     """F_qp >= F_qp' when 1 < q < 2 <= p and 1/p + 1/q >= 1 (p' conjugate
     to p; the boundary q = p' degenerates to F_qp >= 1)."""
-    _check_exponent(q)
-    _check_exponent(p, "p")
-    if not (q < 2.0 <= p):
-        raise ValueError(f"need 1 < q < 2 <= p, got q={q}, p={p}")
-    if 1.0 / p + 1.0 / q < 1.0 - 1e-12:
-        raise ValueError(f"need 1/p + 1/q >= 1, got q={q}, p={p}")
+    _require_domain("reduction", q, p)
     pc = conjugate_exponent(p)
     boundary = abs(pc - q) <= 1e-12
     worst = math.inf
@@ -241,22 +271,18 @@ def verify_reduction_q_lt_2_le_p(
     )
 
 
-def verify_asymptotics(
-    q: float, p: float | None = None, c_grid=None, tol: float = 1e-9
-) -> CheckResult:
+def verify_asymptotics(q: float, p: float | None = None, tol: float = 1e-9) -> CheckResult:
     """Trend checks along the two-scale family.
 
     Without p (needs q > 2): F_q(g_c) strictly increases along the grid
-    and dominates fq_gc_lower_bound everywhere.  With p (needs
-    1/p + 1/q < 1): F_qp(g_c) strictly decreases and its log-log slope
-    over the last four grid points matches the predicted decay rate
-    within 0.05.
+    c = 10..1e4 and dominates fq_gc_lower_bound everywhere.  With p
+    (needs q < p and 1/p + 1/q < 1): F_qp(g_c) strictly decreases along
+    c = 10..1e6 and its log-log slope over the last four grid points
+    matches the predicted decay rate within 0.05.
     """
-    _check_exponent(q)
     if p is None:
-        if not q > 2.0:
-            raise ValueError(f"divergence trend is stated for q > 2, got {q}")
-        grid = np.geomspace(10.0, 1e4, 9) if c_grid is None else np.asarray(c_grid, float)
+        _require_domain("asymptotics-divergence", q)
+        grid = np.geomspace(10.0, 1e4, 9)
         values = [
             eval_Fq(TwoScaleParams(c), q, "quadrature", QUAD_TOL).value for c in grid
         ]
@@ -277,12 +303,8 @@ def verify_asymptotics(
             None,
             {"values": values, "bounds": bounds},
         )
-    _check_exponent(p, "p")
-    if not (q < p and 1.0 / q + 1.0 / p < 1.0):
-        raise ValueError(f"vanishing trend needs q < p and 1/q + 1/p < 1, got {q}, {p}")
-    from .functionals import eval_Fqp
-
-    grid = np.geomspace(10.0, 1e6, 9) if c_grid is None else np.asarray(c_grid, float)
+    _require_domain("asymptotics-vanishing", q, p)
+    grid = np.geomspace(10.0, 1e6, 9)
     values = [
         eval_Fqp(TwoScaleParams(c), q, p, "quadrature", QUAD_TOL).value for c in grid
     ]
@@ -307,11 +329,14 @@ def verify_asymptotics(
 
 
 def verify_superadditivity(
-    samples: int = 10_000, seed: int = 0, tol: float = 1e-9
+    samples: int = _BY_CHECK["superadditivity"].samples, seed: int = 0,
+    tol: float = 1e-9,
 ) -> CheckResult:
     """Scalar triple inequalities behind the two-scale norm bounds:
     (a1+a2+a3)**s >= sum(a_i**s) for s >= 1, and the reverse with the
     factor max(1, 3**(s-1)) for every s > 0.  Slacks are relative."""
+    if samples < 2:
+        raise ValueError(f"superadditivity needs samples >= 2, got {samples}")
     rng = np.random.default_rng(seed)
     triples = rng.uniform(0.0, 10.0, size=(samples, 3))
     # Degenerate rows exercise the equality cases exactly.
@@ -339,33 +364,6 @@ def verify_superadditivity(
     )
 
 
-# The canonical suite, one row per check: (suite name, runner taking
-# (q, p, samples, seed), default q, default p, domain of (q, p)).  A None
-# default marks an exponent the check does not take; a None domain marks
-# a check without exponents.  Names keep this order in SUITE_NAMES.
-_SUITE = (
-    ("closed-forms", lambda q, p, n, seed: verify_closed_forms(), None, None, None),
-    ("fq-lower", lambda q, p, n, seed: verify_fq_lower_bound(q, n or 500, seed),
-     1.5, None, lambda q, p: _in_range(q) and q < 2.0),
-    ("hy", lambda q, p, n, seed: verify_hausdorff_young(q, n or 200, seed),
-     4.0 / 3.0, None,
-     lambda q, p: 1.0 < q <= 2.0 and _in_range(q, conjugate_exponent(q))),
-    ("interp", lambda q, p, n, seed: verify_interpolation(q, p, n or 200, seed),
-     1.2, 1.5, lambda q, p: 1.0 < q < p < 2.0),
-    ("reduction",
-     lambda q, p, n, seed: verify_reduction_q_lt_2_le_p(q, p, n or 200, seed),
-     1.3, 3.0,
-     lambda q, p: _in_range(q, p) and q < 2.0 <= p and 1.0 / p + 1.0 / q >= 1.0 - 1e-12),
-    ("asymptotics", lambda q, p, n, seed: verify_asymptotics(q),
-     4.0, None, lambda q, p: _in_range(q) and q > 2.0),
-    ("asymptotics", lambda q, p, n, seed: verify_asymptotics(q, p),
-     3.0, 6.0, lambda q, p: _in_range(q, p) and q < p and 1.0 / q + 1.0 / p < 1.0),
-    ("superadd", lambda q, p, n, seed: verify_superadditivity(n or 10_000, seed),
-     None, None, None),
-)
-SUITE_NAMES = tuple(dict.fromkeys(row[0] for row in _SUITE))
-
-
 def run_suite(
     names=SUITE_NAMES,
     seed: int = 0,
@@ -382,18 +380,21 @@ def run_suite(
     """
     jobs = []
     for name in names:
-        rows = [row for row in _SUITE if row[0] == name]
+        rows = [row for row in _SUITE if row.suite == name]
         if not rows:
             raise ValueError(f"unknown check {name!r}")
-        for _, run, dq, dp, domain in rows:
-            eq = dq if q is None or dq is None else q
-            ep = dp if p is None or dp is None else p
-            accepted = domain is None or domain(eq, ep)
-            jobs.append((run, (eq, ep) if accepted else (dq, dp), accepted))
+        for row in rows:
+            eq = row.q if q is None or row.q is None else q
+            ep = row.p if p is None or row.p is None else p
+            accepted = row.domain is None or row.domain(eq, ep)
+            jobs.append((row, (eq, ep) if accepted else (row.q, row.p), accepted))
     if jobs and not any(accepted for *_, accepted in jobs):
         raise ValueError(
             f"exponent override q={q}, p={p} lies outside the domain of "
             f"{', '.join(names)}"
         )
-    results = [run(eq, ep, samples, seed) for run, (eq, ep), _ in jobs]
+    results = [
+        row.run(eq, ep, row.samples if samples is None else samples, seed)
+        for row, (eq, ep), _ in jobs
+    ]
     return sorted(results, key=lambda r: r.check_name)

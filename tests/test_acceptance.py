@@ -89,14 +89,14 @@ def test_criterion_03_lower_bound_q_below_2():
 
 def test_criterion_04_divergence_q_above_2():
     with Budget("04 divergence along g_c at q=4", 60.0):
-        r = verify_asymptotics(4.0, c_grid=np.geomspace(10.0, 1e4, 9))
+        r = verify_asymptotics(4.0)
         assert r.passed  # F_4(g_c) >= fq_gc_lower_bound(c, 4) on the grid
         assert r.observed["values"][-1] >= 50.0
 
 
 def test_criterion_05_vanishing_q3_p6():
     with Budget("05 vanishing slope at (q,p)=(3,6)", 120.0):
-        r = verify_asymptotics(3.0, 6.0, c_grid=np.geomspace(10.0, 1e6, 9))
+        r = verify_asymptotics(3.0, 6.0)
         assert r.passed
         assert r.observed["slope"] == pytest.approx(-1.0 / 3.0, abs=0.05)
         assert r.observed["values"][-1] <= 0.1

@@ -42,6 +42,32 @@ class TestUsageErrors:
         assert run(capsys, "--help")[0] == 0
         assert run(capsys, "eval", "--help")[0] == 0
 
+    # Each subcommand takes only the shared flags its handler reads; any
+    # other one is rejected instead of silently ignored.
+    BASE = {
+        "eval": ("eval", "--family", "chirp", "--a", "2", "--q", "4"),
+        "sweep": ("sweep", "--family", "chirp", "--q", "4", "--grid", "2:3:2"),
+        "verify": ("verify", "--suite", "closed-forms"),
+        "minimize": ("minimize", "--q", "1.5", "--terms", "1", "--restarts", "1",
+                     "--max-iter", "5"),
+        "ftcheck": ("ftcheck", "--family", "gaussian", "--grid-n", "16"),
+    }
+
+    @pytest.mark.parametrize("command, flag", [
+        ("eval", ("--seed", "1")), ("eval", ("--json",)),
+        ("sweep", ("--seed", "1")),
+        ("verify", ("--tol", "1e-30")), ("verify", ("--json",)),
+        ("minimize", ("--p", "3")), ("minimize", ("--tol", "1e-3")),
+        ("minimize", ("--json",)),
+        ("ftcheck", ("--q", "4")), ("ftcheck", ("--p", "6")),
+        ("ftcheck", ("--seed", "1")), ("ftcheck", ("--json",)),
+    ])
+    def test_unread_flag_is_usage_error(self, capsys, command, flag):
+        code, out, err = run(capsys, *self.BASE[command], *flag)
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
+
 
 class TestEval:
     def test_chirp_both_methods(self, capsys):
@@ -143,6 +169,17 @@ class TestVerify:
     def test_single_suite_out_of_domain_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "fq-lower", "--q", "3",
                            "--samples", "4")
+        assert code == 2
+        assert "usage" in err and "error" in err
+
+    @pytest.mark.parametrize("flags", [
+        # below the public exponent range [1.001, 64]
+        ("--suite", "interp", "--q", "1.0000001", "--p", "1.5", "--samples", "2"),
+        ("--suite", "hy", "--samples", "0"),
+        ("--suite", "superadd", "--samples", "1"),  # two rows are fixed
+    ])
+    def test_unrunnable_check_is_usage_error(self, capsys, flags):
+        code, _, err = run(capsys, "verify", *flags)
         assert code == 2
         assert "usage" in err and "error" in err
 

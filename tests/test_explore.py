@@ -2,6 +2,7 @@
 
 import io
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -99,7 +100,7 @@ class TestSerialization:
 
     def test_json_dict(self):
         res = sweep("chirp", 4.0, grid="2:3:2")
-        d = res.to_json_dict()
+        d = asdict(res)
         assert d["schema"] == "uflab.sweep/1"
         assert len(d["rows"]) == 2
         assert d["rows"][0]["family"] == "chirp"

@@ -12,7 +12,6 @@ from uflab.functionals import (
     EXPONENT_MAX,
     EXPONENT_MIN,
     beckner_constant,
-    bound_report,
     conjugate_exponent,
     eval_Fq,
     eval_Fqp,
@@ -120,22 +119,18 @@ class TestGcBounds:
             gc_lq_lower_bound(1.0, 2.0)
 
     def test_upper_bound_cases(self):
-        rep = gc_lq_upper_bound(7.0, 2.0)
-        assert rep.case_tag == "q=2"
-        assert rep.bound_value == pytest.approx(4.0)
-        assert gc_lq_upper_bound(10.0, 1.5).case_tag == "q<2"
-        assert gc_lq_upper_bound(10.0, 4.0).case_tag == "q>2"
+        assert gc_lq_upper_bound(7.0, 2.0) == pytest.approx(4.0)
 
     @pytest.mark.parametrize("c,q", [(10.0, 4.0), (3.0, 1.5), (7.0, 2.0), (0.3, 6.0)])
     def test_upper_bound_above_quadrature(self, c, q):
         norm_sq = lq_norm_quad(make_two_scale(TwoScaleParams(c)), q, 1e-10).value ** 2
-        assert norm_sq <= gc_lq_upper_bound(c, q).bound_value + 1e-9
+        assert norm_sq <= gc_lq_upper_bound(c, q) + 1e-9
 
     def test_upper_bound_growth_exponent_q_lt_2(self):
         # log-log slope of the q = 1.5 bound approaches 2/q - 1 = 1/3;
         # the c^{q/2-1} term decays slowly, so fit far out
         cs = np.geomspace(1e6, 1e12, 7)
-        vals = np.array([gc_lq_upper_bound(c, 1.5).bound_value for c in cs])
+        vals = np.array([gc_lq_upper_bound(c, 1.5) for c in cs])
         slope = np.polyfit(np.log(cs), np.log(vals), 1)[0]
         assert slope == pytest.approx(1.0 / 3.0, abs=1e-4)
 
@@ -151,22 +146,6 @@ class TestGcBounds:
     def test_eval_fq_dominates_bound(self, c, q):
         value = eval_Fq(TwoScaleParams(c), q, "quadrature", 1e-9).value
         assert value >= fq_gc_lower_bound(c, q) - 1e-9
-
-    def test_bound_report_dispatch(self):
-        assert bound_report("gc-l2", c=1.0).bound_value == pytest.approx(
-            2.0 * math.sqrt(2.0)
-        )
-        assert bound_report("beckner", q=2.0).bound_value == pytest.approx(1.0)
-        assert bound_report("gc-lower", c=1.0, q=4.0).bound_value == pytest.approx(
-            math.sqrt(3.0)
-        )
-        assert bound_report("fq-gc-lower", c=100.0, q=4.0).bound_value == (
-            pytest.approx(4.930275377300498)
-        )
-        rep = bound_report("interpolation-exponent", q=1.2, p=1.5)
-        assert rep.bound_value == pytest.approx((1 / 1.5 - 0.5) / (1 / 1.2 - 0.5))
-        with pytest.raises(ValueError):
-            bound_report("unknown-kind", c=1.0, q=4.0)
 
 
 class TestEvalFq:

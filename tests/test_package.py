@@ -21,6 +21,7 @@ def test_no_submodule_in_all():
 
 
 def test_removed_free_functions_absent():
-    for name in ("fourier_transform", "eval_mixture", "mixture_l2_norm"):
+    for name in ("fourier_transform", "eval_mixture", "mixture_l2_norm",
+                 "bound_report", "BoundReport"):
         assert name not in uflab.__all__
         assert not hasattr(uflab, name)

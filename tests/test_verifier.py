@@ -76,6 +76,10 @@ class TestInterpolation:
         with pytest.raises(ValueError):
             verify_interpolation(1.2, 2.0, samples=10, seed=0)
 
+    def test_rejects_q_below_exponent_range(self):
+        with pytest.raises(ValueError):
+            verify_interpolation(1.0000001, 1.5, samples=2, seed=0)
+
 
 class TestReduction:
     def test_pass(self):
@@ -136,6 +140,10 @@ class TestSuperadditivity:
         r = verify_superadditivity(samples=10, seed=9)
         assert r.passed  # (1,0,0) and (0,0,0) rows are forced in
 
+    def test_needs_room_for_forced_rows(self):
+        with pytest.raises(ValueError):
+            verify_superadditivity(samples=1)
+
 
 class TestRunSuite:
     def test_all_names(self):
@@ -152,6 +160,14 @@ class TestRunSuite:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             run_suite(("nonsense",), seed=0)
+
+    @pytest.mark.parametrize("names", [("fq-lower",), ("hy",), ("interp",), ("reduction",)])
+    def test_empty_batch_rejected(self, names):
+        with pytest.raises(ValueError):
+            run_suite(names, samples=0)
+
+    def test_default_sample_count(self):
+        assert run_suite(("superadd",), seed=0)[0].samples == 10_000
 
     def test_bitwise_reproducible(self):
         a = run_suite(("fq-lower", "superadd"), samples=30, seed=123)
