@@ -30,28 +30,28 @@ _SUP_BOUND = 2.0 ** 0.25
 _ENVELOPE_SAFETY = 2.0
 
 
-def _basis_values(nmax: int, y: np.ndarray) -> np.ndarray:
-    """Rows h_0..h_nmax at x = y/sqrt(2*pi), by the normalized recurrence
-    seeded with h_0."""
+def _basis_rows(nmax: int, y: np.ndarray):
+    """Yield h_0..h_nmax at x = y/sqrt(2*pi), by the normalized recurrence
+    seeded with h_0, holding two rows at a time."""
     y = np.asarray(y, dtype=float)
-    out = np.empty((nmax + 1,) + y.shape)
-    out[0] = _SUP_BOUND * np.exp(-0.5 * y * y)
-    if nmax >= 1:
-        out[1] = math.sqrt(2.0) * y * out[0]
-    for n in range(1, nmax):
-        out[n + 1] = (
-            math.sqrt(2.0 / (n + 1)) * y * out[n]
-            - math.sqrt(n / (n + 1.0)) * out[n - 1]
-        )
-    return out
+    prev = np.zeros_like(y)
+    cur = _SUP_BOUND * np.exp(-0.5 * y * y)
+    for n in range(nmax + 1):
+        yield cur
+        if n < nmax:
+            prev, cur = cur, (
+                math.sqrt(2.0 / (n + 1)) * y * cur
+                - math.sqrt(n / (n + 1.0)) * prev
+            )
 
 
 def hermite_eval(n: int, x):
     """Value(s) of the degree-n basis function at scalar or array x."""
     if not (isinstance(n, (int, np.integer)) and 0 <= n <= N_MAX):
         raise ValueError(f"degree must be an integer in [0, {N_MAX}], got {n}")
-    y = _SQRT_2PI * np.asarray(x, dtype=float)
-    return _basis_values(n, y)[n]
+    for row in _basis_rows(n, _SQRT_2PI * np.asarray(x, dtype=float)):
+        pass
+    return row
 
 
 def hermite_ft_coeffs(coefficients) -> tuple[complex, ...]:
@@ -84,8 +84,10 @@ class HermiteExpansion:
 
     def eval(self, x):
         y = _SQRT_2PI * np.asarray(x, dtype=float)
-        rows = _basis_values(self.degree, y)
-        return np.tensordot(np.array(self.coefficients), rows, axes=(0, 0))
+        acc = np.zeros(y.shape, dtype=complex)
+        for c, row in zip(self.coefficients, _basis_rows(self.degree, y)):
+            acc += c * row
+        return acc
 
     def ft(self) -> "HermiteExpansion":
         return HermiteExpansion(hermite_ft_coeffs(self.coefficients))

@@ -376,7 +376,8 @@ def run_suite(
     An exponent override ``q``/``p`` reaches every check whose domain
     contains the resulting (q, p); the other checks run with both of
     their defaults.  An override that no selected check accepts is a
-    ValueError.
+    ValueError, and so is a ``samples`` count when every selected check
+    runs a fixed grid.
     """
     jobs = []
     for name in names:
@@ -393,6 +394,8 @@ def run_suite(
             f"exponent override q={q}, p={p} lies outside the domain of "
             f"{', '.join(names)}"
         )
+    if samples is not None and jobs and all(row.samples is None for row, *_ in jobs):
+        raise ValueError(f"{', '.join(names)} takes no sample count")
     results = [
         row.run(eq, ep, row.samples if samples is None else samples, seed)
         for row, (eq, ep), _ in jobs

@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import uflab
 from uflab.cli import run_cli
 from uflab.explore import SweepResult
 
@@ -184,6 +189,22 @@ class TestVerify:
         assert "usage" in err and "error" in err
 
 
+    def test_suite_all_samples_reach_randomized_checks(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--seed", "1",
+                           "--samples", "4")
+        assert code == 0
+        samples = {c["check_name"]: c["samples"] for c in json.loads(out)["checks"]}
+        for name in ("fq-lower", "hausdorff-young", "interpolation", "reduction",
+                     "superadditivity"):
+            assert samples[name] == 4
+
+    @pytest.mark.parametrize("suite", ["closed-forms", "asymptotics"])
+    def test_samples_on_fixed_grid_is_usage_error(self, capsys, suite):
+        code, _, err = run(capsys, "verify", "--suite", suite, "--samples", "3")
+        assert code == 2
+        assert "usage" in err and "takes no sample count" in err
+
+
 class TestMinimize:
     def test_report(self, capsys):
         code, out, _ = run(capsys, "minimize", "--q", "1.5", "--terms", "1",
@@ -226,3 +247,17 @@ class TestFtcheck:
     def test_grid_must_be_pow2(self, capsys):
         assert run(capsys, "ftcheck", "--family", "gaussian",
                    "--grid-n", "100")[0] == 2
+
+
+def test_python_dash_m_runs_cli():
+    src = str(Path(uflab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "uflab", "eval", "--family", "chirp", "--a", "2",
+         "--q", "4"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["schema"] == "uflab.eval/1"

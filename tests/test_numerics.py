@@ -1,7 +1,9 @@
 """Quadrature engine and discrete Fourier oracle."""
 
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -16,7 +18,9 @@ from uflab.gaussian import (
     make_two_scale,
     term_lq_norm,
 )
+from uflab.hermite import HermiteExpansion
 from uflab.numerics import (
+    MAX_PANELS,
     NormEstimate,
     SampledFunction,
     ToleranceNotAchieved,
@@ -74,6 +78,25 @@ class TestIntegrateAdaptive:
         a = integrate_adaptive(fn, -8.0, 8.0, 1e-12)
         b = integrate_adaptive(fn, -8.0, 8.0, 1e-12)
         assert a == b
+
+    @pytest.mark.parametrize("max_panels", [1, 2, 3, 5, 17, 100])
+    def test_never_exceeds_max_panels(self, max_panels):
+        fn = lambda x: 1.0 / np.sqrt(np.abs(x))
+        _, _, _, panels = integrate_adaptive(fn, 0.0, 1.0, 1e-12, max_panels=max_panels)
+        assert panels <= max_panels
+
+    def test_jump_at_float_spacing_reports_failure(self):
+        # Near 1e6 the panel holding the jump reaches float spacing while
+        # its error is still far above 1e-13 of the integral: refinement
+        # must stop at the panel budget and report non-convergence, not
+        # loop, and not read a one-spacing panel's collapsed nodes as exact.
+        jump = 1e6 + math.sqrt(2.0)
+        fn = lambda x: np.where(x > jump, 1.0, 0.0)
+        val, err, converged, panels = integrate_adaptive(fn, 1e6, 1e6 + 2.0, 1e-13)
+        assert not converged
+        assert panels <= MAX_PANELS
+        assert err > 1e-13 * val
+        assert abs(val - (2.0 - math.sqrt(2.0))) <= 2.0 * np.spacing(jump)
 
 
 class TestTruncationRadius:
@@ -152,12 +175,79 @@ class TestLqNormQuad:
             numerics.lq_norm_quad(make_two_scale(TwoScaleParams(50.0)), 4.0, 1e-10)
         assert exc.value.estimate.value > 0.0
         assert exc.value.estimate.method == "quadrature"
+        assert re.fullmatch(
+            r"GaussianMixture L\^4 norm: tolerance 1e-10 not achieved "
+            r"\(relative error \S+, radius \S+, \d+ panels\)",
+            str(exc.value),
+        )
 
     def test_halving_tol_never_raises_error_estimate(self):
         f = make_two_scale(TwoScaleParams(3.0))
         tols = [1e-4, 5e-5, 2.5e-5, 1.25e-5, 6.25e-6]
         errs = [lq_norm_quad(f, 3.0, t).abs_error_estimate for t in tols]
         assert all(b <= a for a, b in zip(errs, errs[1:]))
+
+
+def _h32_lq_reference(q):
+    """30-digit ||h_32||_q: the normalized recurrence in mpmath, integrated
+    between the 32 zeros so every cusp of |h_32|**q sits at a panel end."""
+    with mpmath.workdps(30):
+        def h32(x):
+            y = mpmath.sqrt(2 * mpmath.pi) * x
+            prev, cur = mpmath.mpf(0), mpmath.mpf(2) ** 0.25 * mpmath.exp(-y * y / 2)
+            for k in range(32):
+                prev, cur = cur, (
+                    mpmath.sqrt(mpmath.mpf(2) / (k + 1)) * y * cur
+                    - mpmath.sqrt(mpmath.mpf(k) / (k + 1)) * prev
+                )
+            return cur
+
+        nodes, _ = np.polynomial.hermite.hermgauss(32)
+        zeros = [mpmath.findroot(h32, z / mpmath.sqrt(2 * mpmath.pi))
+                 for z in nodes if z > 0]
+        qm = mpmath.mpf(q)
+        total = 2 * mpmath.quad(lambda x: abs(h32(x)) ** qm, [0, *zeros, 5, 8])
+        return float(total ** (1 / qm))
+
+
+def _gc_lq_reference(c, q):
+    """30-digit ||g_c||_q, integrated piecewise at the two scales 1/c, c."""
+    with mpmath.workdps(30):
+        cm, qm = mpmath.mpf(c), mpmath.mpf(q)
+        g = lambda x: (cm ** -0.5 * mpmath.exp(-mpmath.pi * (x / cm) ** 2)
+                       + cm ** 0.5 * mpmath.exp(-mpmath.pi * (cm * x) ** 2))
+        total = 2 * mpmath.quad(lambda x: g(x) ** qm, [0, 1 / cm, cm, mpmath.inf])
+        return float(total ** (1 / qm))
+
+
+def _chirp_cases():
+    for a, q in ((1.0 + 2e-6, 64.0), (1.7, 1.001)):
+        f = GaussianMixture((make_chirp(ChirpParams(a)),))
+        for g in (f, f.ft()):
+            yield pytest.param(g, q, lambda g=g, q=q: term_lq_norm(g.terms[0], q),
+                               id=f"chirp-a{a}-q{q}-{'ft' if g is not f else 'f'}")
+
+
+_HARD_CASES = [
+    *_chirp_cases(),
+    *(pytest.param(make_two_scale(TwoScaleParams(c)), 3.0,
+                   lambda c=c: _gc_lq_reference(c, 3.0), id=f"gc-{c:g}-q3")
+      for c in (1.0, 1e3, 1e6)),
+    pytest.param(HermiteExpansion((0.0,) * 32 + (1.0,)), 1.001,
+                 lambda: _h32_lq_reference(1.001), id="h32-q1.001"),
+]
+
+
+class TestErrorEstimateHonesty:
+    """The reported abs_error_estimate bounds the true error against an
+    exact closed form or a 30-digit mpmath reference."""
+
+    @pytest.mark.parametrize("f, q, reference", _HARD_CASES)
+    def test_estimate_bounds_true_error(self, f, q, reference):
+        exact = reference()
+        for tol in (1e-6, 1e-10):
+            est = lq_norm_quad(f, q, tol)
+            assert abs(est.value - exact) <= est.abs_error_estimate
 
 
 class TestSampledFunction:
