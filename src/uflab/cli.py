@@ -115,8 +115,6 @@ def _family_object(args):
             raise ValueError("--family twoscale needs --c")
         return make_two_scale(TwoScaleParams(args.c)), args.c
     width = 1.0 if args.c is None else args.c
-    if width <= 0.0:
-        raise ValueError(f"gaussian width must be positive, got {width}")
     return GaussianMixture((ComplexGaussianTerm(1.0, complex(width)),)), width
 
 
@@ -204,8 +202,6 @@ def _cmd_ftcheck(args) -> int:
     obj, param = _family_object(args)
     obj_hat = obj.ft()
     dx = args.dx if args.dx is not None else _auto_dx(obj, obj_hat, n, args.tol)
-    if dx <= 0.0:
-        raise ValueError(f"--dx must be positive, got {dx}")
     approx = dft_approx(sample(obj, n, dx))
     exact = obj_hat.eval(approx.x_grid())
     max_err = float(np.max(np.abs(approx.samples - exact)))

@@ -20,11 +20,7 @@ import numpy as np
 from scipy.optimize import minimize as _nm_minimize
 
 from . import verifier
-from .functionals import (
-    beckner_constant,
-    eval_Fq,
-    eval_Fqp,
-)
+from .functionals import _check_exponent, beckner_constant, eval_Fq, eval_Fqp
 from .gaussian import (
     ChirpParams,
     ComplexGaussianTerm,
@@ -199,9 +195,12 @@ def _strictly_monotone(values, sign: int) -> bool:
     return all(sign * (b - a) > 0.0 for a, b in zip(values, values[1:]))
 
 
-def estimate_image_interval(
-    q: float, p: float | None = None, budget: int = 17, tol: float = 1e-8
-) -> IntervalReport:
+# Chirp grid points and quadrature tolerance of estimate_image_interval.
+_INTERVAL_POINTS = 17
+_INTERVAL_TOL = 1e-8
+
+
+def estimate_image_interval(q: float, p: float | None = None) -> IntervalReport:
     """Sweep both families and report the observed value envelope.
 
     The divergence and vanishing flags are only raised when the
@@ -210,12 +209,11 @@ def estimate_image_interval(
     The proved lower bound is 1/B_q for q < 2, 1 at q = 2, and 1 for the
     two-exponent case with 1/p + 1/q >= 1; otherwise none is known.
     """
-    budget = max(int(budget), 5)
     # Geometric in t - 1, not t, so the grid actually probes the guarded
     # corner above the a > 1 margin as well as the flat tail.
     t_min = (1.0 + 2.0 * MIN_CHIRP_MARGIN) ** 2
-    t_grid = 1.0 + np.geomspace(t_min - 1.0, 1e6, budget)
-    chirp_rows = [_chirp_row(float(t), q, p, tol, False) for t in t_grid]
+    t_grid = 1.0 + np.geomspace(t_min - 1.0, 1e6, _INTERVAL_POINTS)
+    chirp_rows = [_chirp_row(float(t), q, p, _INTERVAL_TOL, False) for t in t_grid]
     chirp_vals = [r.value for r in chirp_rows]
 
     if p is None and q < 2.0:
@@ -224,7 +222,7 @@ def estimate_image_interval(
         c_grid = np.concatenate([np.geomspace(0.1, 10.0, 5), np.geomspace(10.0, 1e4, 9)[1:]])
     else:
         c_grid = np.concatenate([np.geomspace(0.1, 10.0, 5), np.geomspace(10.0, 1e6, 9)[1:]])
-    ts_vals = [_twoscale_row(float(c), q, p, tol).value for c in c_grid]
+    ts_vals = [_twoscale_row(float(c), q, p, _INTERVAL_TOL).value for c in c_grid]
 
     all_vals = chirp_vals + ts_vals
     if p is None:
@@ -287,6 +285,11 @@ class OptimizerConfig:
     max_iter: int = 200
     seed: int = 0
 
+    def __post_init__(self):
+        if self.restarts < 1 or self.max_iter < 1:
+            raise ValueError(f"restarts and max_iter must be >= 1, got "
+                             f"{self.restarts} and {self.max_iter}")
+
 
 @dataclass
 class MinimizeReport:
@@ -320,6 +323,7 @@ def minimize_Fq(
     never exceeds sqrt(2)*q**(-1/q) beyond quadrature noise; for q < 2
     the proved floor 1/B_q is reported alongside for comparison.
     """
+    _check_exponent(q)
     rng = np.random.default_rng(config.seed)
     dim = family.dimension
     lo, hi = _START_WIDTH_RANGE
@@ -333,7 +337,7 @@ def minimize_Fq(
 
     starts = [np.zeros(dim)]
     attempts = 0
-    while len(starts) < max(config.restarts, 1) and attempts < 100 * config.restarts:
+    while len(starts) < config.restarts and attempts < 100 * config.restarts:
         attempts += 1
         cand = np.concatenate([
             rng.uniform(-1.0, 1.0, family.terms - 1),

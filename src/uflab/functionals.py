@@ -152,8 +152,6 @@ def _resolve(f):
         obj = f
     else:
         raise TypeError(f"cannot evaluate functionals of {type(f).__name__}")
-    if obj.envelope()[0] == 0.0:
-        raise ValueError("zero function has no uncertainty ratio")
     return obj, obj.ft()
 
 
@@ -167,6 +165,8 @@ def _closed_norm(mix, e):
 
 
 def _ratio(norms) -> float:
+    if any(n.value == 0.0 for n in norms):
+        raise ValueError("zero function has no uncertainty ratio (a norm is 0 or underflows)")
     return norms[0].value * norms[1].value / (norms[2].value * norms[3].value)
 
 

@@ -143,13 +143,16 @@ class ChirpParams:
 
 @dataclass(frozen=True)
 class TwoScaleParams:
-    """Parameter of the self-dual two-scale family; any ``c > 0``."""
+    """Parameter of the self-dual two-scale family: any ``c > 0`` whose
+    widths ``c*c`` and ``1/(c*c)`` are both finite positive floats."""
 
     c: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.c) and self.c > 0.0):
-            raise ValueError(f"two-scale parameter must be positive, got {self.c}")
+        w = self.c * self.c
+        if not (self.c > 0.0 and 0.0 < w < math.inf and 1.0 / w < math.inf):
+            raise ValueError(f"two-scale parameter needs c > 0 with finite positive "
+                             f"c*c and 1/(c*c), got {self.c}")
 
 
 def make_chirp(params: ChirpParams) -> ComplexGaussianTerm:

@@ -134,7 +134,7 @@ def _gk_panels(fn, lo, hi):
     return ik, np.maximum(err, 50.0 * _EPS * np.abs(ik))
 
 
-def integrate_adaptive(fn, lo, hi, rel_tol, breakpoints=(), max_panels=MAX_PANELS):
+def integrate_adaptive(fn, lo, hi, rel_tol, breakpoints=()):
     """Adaptively integrate ``fn`` over [lo, hi].
 
     Returns ``(value, err_estimate, converged, panels)``.  ``fn`` takes
@@ -142,17 +142,18 @@ def integrate_adaptive(fn, lo, hi, rel_tol, breakpoints=(), max_panels=MAX_PANEL
     (stable, largest first), takes the shortest prefix whose summed
     estimate covers the excess over ``rel_tol * |value|``, and bisects
     all of it with one ``fn`` call.  Panels within a few float spacings
-    of their width limit keep their error and are never bisected, and
-    bisection stops before the panel count would exceed ``max_panels``.
-    Sums run in panel position order, so results are reproducible run
-    to run.
+    of their width limit keep their error and are never bisected;
+    refinement gives up once their error alone exceeds the target, and
+    bisection stops before the panel count would exceed ``MAX_PANELS``
+    (read at call time).  Sums run in panel position order, so results
+    are reproducible run to run.
     """
     inner = (float(b) for b in breakpoints if lo < b < hi)
     pts = np.array(sorted({float(lo), float(hi), *inner}))
     los, his = pts[:-1], pts[1:]
     vals, errs = _gk_panels(fn, los, his)
     total, err_total = float(vals.sum()), float(errs.sum())
-    while err_total > rel_tol * abs(total) and los.size < max_panels:
+    while err_total > rel_tol * abs(total) and los.size < MAX_PANELS:
         mids = 0.5 * (los + his)
         # A panel one float spacing wide rounds all 15 nodes to one value
         # and would report zero error, so only panels whose halves can
@@ -161,11 +162,18 @@ def integrate_adaptive(fn, lo, hi, rel_tol, breakpoints=(), max_panels=MAX_PANEL
         splittable = (los < left) & (left < mids) & (mids < right) & (right < his)
         order = np.argsort(-errs, kind="stable")
         order = order[splittable[order]]
-        if order.size == 0:
+        # Refinement moves the total by at most err_total and never lowers
+        # the error of panels that cannot be split; once that error alone
+        # exceeds the target at the largest total refinement could reach,
+        # no further round can converge.
+        if order.size == 0 or (
+            order.size < los.size
+            and float(errs[~splittable].sum()) > rel_tol * (abs(total) + err_total)
+        ):
             break
         covered = np.cumsum(errs[order])
         take = int(np.searchsorted(covered, err_total - rel_tol * abs(total))) + 1
-        split = order[: min(take, max_panels - los.size)]
+        split = order[: min(take, MAX_PANELS - los.size)]
         new_lo = np.concatenate((los[split], mids[split]))
         new_hi = np.concatenate((mids[split], his[split]))
         new_vals, new_errs = _gk_panels(fn, new_lo, new_hi)

@@ -61,6 +61,7 @@ class _Check:
     suite: str
     check_name: str
     run: Callable
+    tol: float
     q: float | None = None
     p: float | None = None
     samples: int | None = None
@@ -68,35 +69,44 @@ class _Check:
 
 
 # The suite in SUITE_NAMES order: the only statement of each check's
-# default exponents, default sample count and domain.
+# tolerance, default exponents, default sample count and domain.
 _SUITE = (
-    _Check("closed-forms", "closed-forms", lambda q, p, n, seed: verify_closed_forms()),
+    _Check("closed-forms", "closed-forms",
+           lambda q, p, n, seed: verify_closed_forms(), 1e-8),
     _Check("fq-lower", "fq-lower",
-           lambda q, p, n, seed: verify_fq_lower_bound(q, n, seed),
+           lambda q, p, n, seed: verify_fq_lower_bound(q, n, seed), 1e-7,
            1.5, None, 500, lambda q, p: _in_range(q) and q < 2.0),
     _Check("hy", "hausdorff-young",
-           lambda q, p, n, seed: verify_hausdorff_young(q, n, seed),
+           lambda q, p, n, seed: verify_hausdorff_young(q, n, seed), 1e-9,
            4.0 / 3.0, None, 200,
            lambda q, p: 1.0 < q <= 2.0 and _in_range(q, conjugate_exponent(q))),
     _Check("interp", "interpolation",
-           lambda q, p, n, seed: verify_interpolation(q, p, n, seed),
+           lambda q, p, n, seed: verify_interpolation(q, p, n, seed), 1e-6,
            1.2, 1.5, 200, lambda q, p: _in_range(q, p) and q < p < 2.0),
     _Check("reduction", "reduction",
-           lambda q, p, n, seed: verify_reduction_q_lt_2_le_p(q, p, n, seed),
+           lambda q, p, n, seed: verify_reduction_q_lt_2_le_p(q, p, n, seed), 1e-6,
            1.3, 3.0, 200,
            lambda q, p: _in_range(q, p) and q < 2.0 <= p and 1.0 / p + 1.0 / q >= 1.0 - 1e-12),
     _Check("asymptotics", "asymptotics-divergence",
-           lambda q, p, n, seed: verify_asymptotics(q),
+           lambda q, p, n, seed: verify_asymptotics(q), 1e-9,
            4.0, None, None, lambda q, p: _in_range(q) and q > 2.0),
     _Check("asymptotics", "asymptotics-vanishing",
-           lambda q, p, n, seed: verify_asymptotics(q, p),
+           lambda q, p, n, seed: verify_asymptotics(q, p), 1e-9,
            3.0, 6.0, None,
            lambda q, p: _in_range(q, p) and q < p and 1.0 / q + 1.0 / p < 1.0),
     _Check("superadd", "superadditivity",
-           lambda q, p, n, seed: verify_superadditivity(n, seed), samples=10_000),
+           lambda q, p, n, seed: verify_superadditivity(n, seed), 1e-9, samples=10_000),
 )
 SUITE_NAMES = tuple(dict.fromkeys(row.suite for row in _SUITE))
 _BY_CHECK = {row.check_name: row for row in _SUITE}
+
+
+def _result(check_name, parameters, samples, worst, seed, observed) -> CheckResult:
+    """The report of one check: its row's tolerance goes last in
+    ``parameters`` and decides whether the worst slack passes."""
+    tol = _BY_CHECK[check_name].tol
+    return CheckResult(check_name, {**parameters, "tol": tol}, samples, worst,
+                       worst >= -tol, seed, observed)
 
 
 def _require_domain(check_name: str, q: float, p: float | None = None) -> None:
@@ -127,7 +137,7 @@ def _norm(f, q: float) -> float:
     return lq_norm_quad(f, q, QUAD_TOL).value
 
 
-def verify_closed_forms(tol: float = 1e-8) -> CheckResult:
+def verify_closed_forms() -> CheckResult:
     """Chirp ratios and the two-scale L^2 identity against quadrature."""
     a_grid = (1.01, 1.1, 2.0, 10.0, 100.0)
     q_grid = (1.2, 1.5, 2.0, 3.0, 4.0, 8.0)
@@ -144,20 +154,12 @@ def verify_closed_forms(tol: float = 1e-8) -> CheckResult:
         quad = _norm(make_two_scale(TwoScaleParams(c)), 2.0) ** 2
         worst = min(worst, -abs(closed - quad) / closed)
         count += 1
-    return CheckResult(
-        "closed-forms",
-        {"a_grid": list(a_grid), "q_grid": list(q_grid), "tol": tol},
-        count,
-        worst,
-        worst >= -tol,
-        None,
-        {},
-    )
+    return _result("closed-forms", {"a_grid": list(a_grid), "q_grid": list(q_grid)},
+                   count, worst, None, {})
 
 
 def verify_fq_lower_bound(
-    q: float, samples: int = _BY_CHECK["fq-lower"].samples, seed: int = 0,
-    tol: float = 1e-7,
+    q: float, samples: int = _BY_CHECK["fq-lower"].samples, seed: int = 0
 ) -> CheckResult:
     """min F_q over a seeded batch stays above 1 (and is recorded against
     the sharper floor 1/B_q); stated for 1 < q < 2."""
@@ -166,20 +168,12 @@ def verify_fq_lower_bound(
     vmin = math.inf
     for f in _sample_functions(samples, seed):
         vmin = min(vmin, eval_Fq(f, q, "quadrature", QUAD_TOL).value)
-    return CheckResult(
-        "fq-lower",
-        {"q": q, "tol": tol},
-        samples,
-        vmin - 1.0,
-        (vmin - 1.0) >= -tol,
-        seed,
-        {"min_value": vmin, "beckner_floor": floor, "beckner_slack": vmin - floor},
-    )
+    return _result("fq-lower", {"q": q}, samples, vmin - 1.0, seed,
+                   {"min_value": vmin, "beckner_floor": floor, "beckner_slack": vmin - floor})
 
 
 def verify_hausdorff_young(
-    q: float, samples: int = _BY_CHECK["hausdorff-young"].samples, seed: int = 0,
-    tol: float = 1e-9,
+    q: float, samples: int = _BY_CHECK["hausdorff-young"].samples, seed: int = 0
 ) -> CheckResult:
     """||fhat||_q' <= B_q * ||f||_q <= ||f||_q and its reflected twin on a
     seeded batch, 1 < q <= 2 (q' in the exponent range too)."""
@@ -194,20 +188,14 @@ def verify_hausdorff_young(
         nh_q, nh_qc = _norm(fhat, q), _norm(fhat, qc)
         worst = min(worst, nf_q - nh_qc, nh_q - nf_qc)
         worst_sharp = min(worst_sharp, sharp * nf_q - nh_qc, sharp * nh_q - nf_qc)
-    return CheckResult(
-        "hausdorff-young",
-        {"q": q, "q_conjugate": qc, "sharp_constant": sharp, "tol": tol},
-        samples,
-        min(worst, worst_sharp),
-        min(worst, worst_sharp) >= -tol,
-        seed,
-        {"worst_plain_slack": worst, "worst_sharp_slack": worst_sharp},
-    )
+    return _result("hausdorff-young", {"q": q, "q_conjugate": qc, "sharp_constant": sharp},
+                   samples, min(worst, worst_sharp), seed,
+                   {"worst_plain_slack": worst, "worst_sharp_slack": worst_sharp})
 
 
 def verify_interpolation(
     q: float, p: float, samples: int = _BY_CHECK["interpolation"].samples,
-    seed: int = 0, tol: float = 1e-6,
+    seed: int = 0,
 ) -> CheckResult:
     """Holder interpolation ||f||_p <= ||f||_q**theta * ||f||_2**(1-theta)
     on f and fhat, plus its consequence
@@ -228,20 +216,14 @@ def verify_interpolation(
         f_q = nf[q] * nh[q] / (nf[2.0] * nh[2.0])
         f_qp = nf[q] * nh[q] / (nf[p] * nh[p])
         worst = min(worst, f_qp - f_q ** expo)
-    return CheckResult(
-        "interpolation",
-        {"q": q, "p": p, "theta": theta, "consequence_exponent": expo, "tol": tol},
-        samples,
-        worst,
-        worst >= -tol,
-        seed,
-        {},
-    )
+    return _result("interpolation",
+                   {"q": q, "p": p, "theta": theta, "consequence_exponent": expo},
+                   samples, worst, seed, {})
 
 
 def verify_reduction_q_lt_2_le_p(
     q: float, p: float, samples: int = _BY_CHECK["reduction"].samples,
-    seed: int = 0, tol: float = 1e-6,
+    seed: int = 0,
 ) -> CheckResult:
     """F_qp >= F_qp' when 1 < q < 2 <= p and 1/p + 1/q >= 1 (p' conjugate
     to p; the boundary q = p' degenerates to F_qp >= 1)."""
@@ -260,18 +242,10 @@ def verify_reduction_q_lt_2_le_p(
             nf_pc, nh_pc = _norm(f, pc), _norm(fhat, pc)
             rhs = nf_q * nh_q / (nf_pc * nh_pc)
         worst = min(worst, f_qp - rhs)
-    return CheckResult(
-        "reduction",
-        {"q": q, "p": p, "p_conjugate": pc, "tol": tol},
-        samples,
-        worst,
-        worst >= -tol,
-        seed,
-        {},
-    )
+    return _result("reduction", {"q": q, "p": p, "p_conjugate": pc}, samples, worst, seed, {})
 
 
-def verify_asymptotics(q: float, p: float | None = None, tol: float = 1e-9) -> CheckResult:
+def verify_asymptotics(q: float, p: float | None = None) -> CheckResult:
     """Trend checks along the two-scale family.
 
     Without p (needs q > 2): F_q(g_c) strictly increases along the grid
@@ -294,15 +268,8 @@ def verify_asymptotics(q: float, p: float | None = None, tol: float = 1e-9) -> C
             if grid[i] >= 10.0
         ]
         worst = min(slacks)
-        return CheckResult(
-            "asymptotics-divergence",
-            {"q": q, "c_grid": [float(c) for c in grid], "tol": tol},
-            len(grid),
-            worst,
-            worst >= -tol,
-            None,
-            {"values": values, "bounds": bounds},
-        )
+        return _result("asymptotics-divergence", {"q": q, "c_grid": [float(c) for c in grid]},
+                       len(grid), worst, None, {"values": values, "bounds": bounds})
     _require_domain("asymptotics-vanishing", q, p)
     grid = np.geomspace(10.0, 1e6, 9)
     values = [
@@ -317,20 +284,13 @@ def verify_asymptotics(q: float, p: float | None = None, tol: float = 1e-9) -> C
     ]
     slacks.append(0.05 - abs(slope - target))
     worst = min(slacks)
-    return CheckResult(
-        "asymptotics-vanishing",
-        {"q": q, "p": p, "c_grid": [float(c) for c in grid], "tol": tol},
-        len(grid),
-        worst,
-        worst >= -tol,
-        None,
-        {"values": values, "slope": slope, "slope_target": target},
-    )
+    return _result("asymptotics-vanishing",
+                   {"q": q, "p": p, "c_grid": [float(c) for c in grid]}, len(grid), worst,
+                   None, {"values": values, "slope": slope, "slope_target": target})
 
 
 def verify_superadditivity(
-    samples: int = _BY_CHECK["superadditivity"].samples, seed: int = 0,
-    tol: float = 1e-9,
+    samples: int = _BY_CHECK["superadditivity"].samples, seed: int = 0
 ) -> CheckResult:
     """Scalar triple inequalities behind the two-scale norm bounds:
     (a1+a2+a3)**s >= sum(a_i**s) for s >= 1, and the reverse with the
@@ -353,15 +313,7 @@ def verify_superadditivity(
         factor = max(1.0, 3.0 ** (s - 1.0))
         scale = np.maximum(factor * rhs, 1e-300)
         worst = min(worst, float(((factor * rhs - lhs) / scale).min()))
-    return CheckResult(
-        "superadditivity",
-        {"s_values": list(s_values), "tol": tol},
-        samples,
-        worst,
-        worst >= -tol,
-        seed,
-        {},
-    )
+    return _result("superadditivity", {"s_values": list(s_values)}, samples, worst, seed, {})
 
 
 def run_suite(

@@ -73,6 +73,25 @@ class TestUsageErrors:
         assert out == ""
         assert f"unrecognized arguments: {' '.join(flag)}" in err
 
+    # Values the library rejects reach the user as usage errors, not
+    # tracebacks or silently clamped reports.
+    @pytest.mark.parametrize("argv", [
+        ("minimize", "--q", "0.5"),
+        ("minimize", "--q", "100"),
+        ("minimize", "--q", "1.5", "--restarts", "0"),
+        ("minimize", "--q", "1.5", "--restarts", "-3"),
+        ("minimize", "--q", "1.5", "--max-iter", "0"),
+        ("eval", "--family", "twoscale", "--c", "1e-300", "--q", "3"),
+        ("ftcheck", "--family", "gaussian", "--c", "-1", "--grid-n", "16"),
+        ("ftcheck", "--family", "gaussian", "--grid-n", "16", "--dx", "0"),
+        ("ftcheck", "--family", "gaussian", "--grid-n", "16", "--dx", "nan"),
+    ])
+    def test_rejected_value_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "usage" in err and "error" in err
+
 
 class TestEval:
     def test_chirp_both_methods(self, capsys):

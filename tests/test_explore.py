@@ -109,14 +109,14 @@ class TestSerialization:
 
 class TestImageInterval:
     def test_q4_divergence_and_small_values(self):
-        rep = estimate_image_interval(4.0, budget=9)
+        rep = estimate_image_interval(4.0)
         assert rep.divergence_flag
         assert rep.observed_min < 0.05
         assert rep.observed_max > 10.0
         assert rep.proved_lower_bound is None
 
     def test_q15_floor(self):
-        rep = estimate_image_interval(1.5, budget=9)
+        rep = estimate_image_interval(1.5)
         assert rep.proved_lower_bound == pytest.approx(1.0491150634216482, rel=1e-12)
         assert rep.observed_min >= rep.proved_lower_bound - 1e-6
         assert rep.observed_min <= 1.07926
@@ -124,20 +124,20 @@ class TestImageInterval:
         assert not rep.vanishing_flag
 
     def test_q2_degenerate(self):
-        rep = estimate_image_interval(2.0, budget=6)
+        rep = estimate_image_interval(2.0)
         assert rep.proved_lower_bound == 1.0
         assert rep.observed_min == pytest.approx(1.0, rel=1e-7)
         assert rep.observed_max == pytest.approx(1.0, rel=1e-7)
         assert not rep.divergence_flag and not rep.vanishing_flag
 
     def test_qp_vanishing(self):
-        rep = estimate_image_interval(3.0, 6.0, budget=7)
+        rep = estimate_image_interval(3.0, 6.0)
         assert rep.vanishing_flag  # 1/3 + 1/6 < 1
         assert rep.divergence_flag
         assert rep.proved_lower_bound is None
 
     def test_qp_scaling_boundary_keeps_floor(self):
-        rep = estimate_image_interval(1.5, 3.0, budget=6)
+        rep = estimate_image_interval(1.5, 3.0)
         assert rep.proved_lower_bound == 1.0  # 1/q + 1/p = 1
         assert rep.observed_min >= 1.0 - 1e-6
 

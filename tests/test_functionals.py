@@ -209,6 +209,18 @@ class TestEvalFq:
         with pytest.raises(ValueError, match="zero function"):
             eval_Fq(HermiteExpansion((0.0, 0.0)), 3.0)
 
+    @pytest.mark.parametrize("f, q", [
+        # nonzero coefficients, identically zero sum
+        (GaussianMixture((ComplexGaussianTerm(1, 1), ComplexGaussianTerm(-1, 1))), 3.0),
+        # every norm underflows
+        (HermiteExpansion((1e-300,)), 3.0),
+        # the q-norms underflow though F_64(h_0) = 1.3252...
+        (HermiteExpansion((1e-10,)), 64.0),
+    ])
+    def test_vanishing_norm_rejected(self, f, q):
+        with pytest.raises(ValueError, match="zero function"):
+            eval_Fq(f, q)
+
     def test_exponent_domain(self):
         f = ChirpParams(2.0)
         with pytest.raises(ValueError):

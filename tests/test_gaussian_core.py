@@ -72,6 +72,11 @@ class TestConstruction:
             TwoScaleParams(0.0)
         with pytest.raises(ValueError):
             TwoScaleParams(-2.0)
+        # c*c or 1/(c*c) underflows or overflows
+        for c in (1e-160, 1e-300, 1e160, 1e300):
+            with pytest.raises(ValueError):
+                TwoScaleParams(c)
+        TwoScaleParams(1e-154)  # both widths still finite and positive
 
     def test_g1_is_doubled_gaussian(self):
         mix = make_two_scale(TwoScaleParams(1.0))

@@ -1,5 +1,6 @@
 """Inequality check suite: every check passes at reduced sample counts,
-results are reproducible bit for bit, and degenerate tolerances fail."""
+results are reproducible bit for bit, and each check's pass rule is its
+suite row's tolerance."""
 
 import json
 import math
@@ -7,8 +8,10 @@ import math
 import pytest
 
 from uflab.verifier import (
+    _SUITE,
     SUITE_NAMES,
     CheckResult,
+    _result,
     run_suite,
     verify_asymptotics,
     verify_closed_forms,
@@ -25,9 +28,6 @@ class TestClosedForms:
         r = verify_closed_forms()
         assert r.passed
         assert r.worst_slack >= -1e-8
-
-    def test_zero_tolerance_fails(self):
-        assert not verify_closed_forms(tol=0.0).passed
 
 
 class TestFqLowerBound:
@@ -196,6 +196,16 @@ class TestCheckResult:
         assert d["seed"] == 3
         json.dumps(d)  # serializable
 
-    def test_pass_iff_slack_above_negative_tolerance(self):
-        r = verify_closed_forms(tol=1e-8)
-        assert r.passed == (r.worst_slack >= -1e-8)
+    @pytest.mark.parametrize("row", _SUITE, ids=lambda row: row.check_name)
+    def test_pass_iff_slack_above_row_tolerance(self, row):
+        r = row.run(row.q, row.p, 4 if row.samples else None, 0)
+        assert r.check_name == row.check_name
+        assert list(r.parameters)[-1] == "tol"
+        assert r.parameters["tol"] == row.tol
+        assert r.passed == (r.worst_slack >= -row.tol)
+
+    def test_slack_just_below_negative_tolerance_fails(self):
+        for row in _SUITE:
+            below = math.nextafter(-row.tol, -math.inf)
+            assert not _result(row.check_name, {}, 1, below, None, {}).passed
+            assert _result(row.check_name, {}, 1, -row.tol, None, {}).passed
