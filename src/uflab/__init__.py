@@ -4,8 +4,10 @@ The package evaluates the scale-invariant ratios
 F_q(f) = ||f||_q ||f^||_q / (||f||_2 ||f^||_2) and the two-exponent
 variant F_qp on complex Gaussian mixtures and Hermite expansions, using
 the unitary transform convention f^(xi) = integral f(x) e^{-2 pi i x xi} dx.
-Closed forms exist for single Gaussian/chirp terms; everything else runs
-through certified adaptive quadrature, with an FFT-based cross check.
+Norms are exact where a closed form or a finite Gaussian sum exists
+(single Gaussian/chirp terms, mixtures at even integer exponents,
+Hermite expansions in L^2); everything else runs through certified
+adaptive quadrature, with an FFT-based cross check.
 """
 
 __version__ = "0.1.0"
@@ -55,6 +57,7 @@ from .functionals import (
     gc_lq_lower_bound_weak,
     gc_lq_upper_bound,
     interpolation_exponent,
+    norms,
 )
 from .verifier import (
     SUITE_NAMES,

@@ -34,7 +34,7 @@ VERIFY_SCHEMA = "uflab.verify/1"
 MINIMIZE_SCHEMA = "uflab.minimize/1"
 FTCHECK_SCHEMA = "uflab.ftcheck/1"
 
-_METHOD_MAP = {"closed": "closed-form", "quad": "quadrature", "both": "both"}
+_METHOD_MAP = {"auto": "auto", "closed": "closed-form", "quad": "quadrature", "both": "both"}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -68,7 +68,8 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--c", type=float, default=None,
                     help="twoscale scale c > 0, or gaussian width (default 1)")
     sp.add_argument("--method", choices=tuple(_METHOD_MAP), default="quad",
-                    help="evaluation route (default quad)")
+                    help="norm routes: auto (exact where one exists, else quadrature), "
+                         "closed, quad, or both (default quad)")
 
     sp = command("sweep", "sweep a family parameter", "--q", "--p", "--tol")
     sp.add_argument("--json", action="store_true", help="write JSON instead of CSV")

@@ -4,8 +4,10 @@ minimization of the uncertainty ratios.
 Sweeps over the chirp family run in the squared parameter t = a*a (the
 natural variable of the closed forms) and are evaluated in closed form
 with periodic quadrature spot checks; sweeps over the two-scale family
-are pure quadrature.  Results serialize to CSV with 17 significant
-digits, enough to round-trip doubles exactly, and to JSON.
+let each norm take its own route (method "auto": the exact Gaussian sum
+at even integer exponents, quadrature otherwise).  Results serialize to
+CSV with 17 significant digits, enough to round-trip doubles exactly,
+and to JSON.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import re
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
-from scipy.optimize import minimize as _nm_minimize
 
 from . import verifier
 from .functionals import _check_exponent, beckner_constant, eval_Fq, eval_Fqp
@@ -127,7 +128,7 @@ class SweepResult:
 
 def _row(family: str, param: float, f, q, p, method, tol) -> SweepRow:
     """One sweep row from the evaluator's report.  The error estimate is
-    the closed-form/quadrature discrepancy when both routes ran, else the
+    the exact/quadrature discrepancy when both routes ran, else the
     value times the summed relative error estimates of the four norms."""
     if p is None:
         rep = eval_Fq(f, q, method, tol)
@@ -146,7 +147,7 @@ def _chirp_row(t: float, q: float, p: float | None, tol: float, spot: bool) -> S
 
 
 def _twoscale_row(c: float, q: float, p: float | None, tol: float) -> SweepRow:
-    return _row("twoscale", c, TwoScaleParams(c), q, p, "quadrature", tol)
+    return _row("twoscale", c, TwoScaleParams(c), q, p, "auto", tol)
 
 
 def sweep(
@@ -159,8 +160,10 @@ def sweep(
     """Evaluate the ratio along a parameter grid.
 
     family 'chirp' sweeps t = a*a (closed form, quadrature spot checks
-    on every ``_SPOT_CHECK_EVERY``-th row); family 'twoscale' sweeps c by
-    quadrature.  Rows come back ordered by the swept parameter.
+    on every ``_SPOT_CHECK_EVERY``-th row); family 'twoscale' sweeps c
+    with method "auto", so even integer exponents are summed exactly and
+    the others integrated.  Rows come back ordered by the swept
+    parameter.
     """
     if isinstance(grid, str):
         grid = GridSpec.parse(grid)
@@ -323,6 +326,9 @@ def minimize_Fq(
     never exceeds sqrt(2)*q**(-1/q) beyond quadrature noise; for q < 2
     the proved floor 1/B_q is reported alongside for comparison.
     """
+    # Imported here: scipy.optimize is a third of the package's import time.
+    from scipy.optimize import minimize as nelder_mead
+
     _check_exponent(q)
     rng = np.random.default_rng(config.seed)
     dim = family.dimension
@@ -331,7 +337,7 @@ def minimize_Fq(
     def objective(x):
         try:
             return eval_Fq(_mixture_from_vector(np.asarray(x, float), family.terms),
-                           q, "quadrature", 1e-10).value
+                           q, "auto", 1e-10).value
         except (ValueError, ToleranceNotAchieved):
             return math.inf
 
@@ -351,7 +357,7 @@ def minimize_Fq(
     converged = False
     for x0 in starts:
         simplex = np.vstack([x0] + [x0 + _SIMPLEX_SCALE * e for e in np.eye(dim)])
-        res = _nm_minimize(
+        res = nelder_mead(
             objective,
             x0,
             method="Nelder-Mead",

@@ -5,15 +5,20 @@ The central quantity is the scale-invariant ratio
     F_q(f)   = ||f||_q * ||fhat||_q / (||f||_2 * ||fhat||_2),
     F_qp(f)  = ||f||_q * ||fhat||_q / (||f||_p * ||fhat||_p),
 
-evaluated either from single-term closed forms (chirps and plain
-Gaussians) or by the quadrature engine, with both routes cross-checked
-when requested.  Alongside the evaluators live the elementary bounds
-for the two-scale family g_c and the sharp Hausdorff-Young constant.
+Every norm comes from :func:`norms`, which takes an exact route where
+one exists (the closed form of a single Gaussian/chirp term, the finite
+Gaussian sum of ``|f|**q`` for a mixture at even integer q, and
+``sum |c_n|**2`` for a Hermite expansion at q = 2) and certified
+quadrature everywhere else; ``method`` can also force either route or
+cross-check the two.  Alongside the evaluators live the elementary
+bounds for the two-scale family g_c and the sharp Hausdorff-Young
+constant.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .gaussian import (
@@ -34,14 +39,15 @@ from .numerics import NormEstimate, lq_norm_quad
 EXPONENT_MIN = 1.0 + 1e-3
 EXPONENT_MAX = 64.0
 
-_METHODS = ("closed-form", "quadrature", "both")
+_METHODS = ("auto", "closed-form", "quadrature", "both")
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
 class FunctionalReport:
     """One evaluated ratio: the four norms behind it, the value (always
     the exact product ratio of the reported norms), and the relative
-    closed-form/quadrature discrepancy when both routes ran."""
+    exact/quadrature discrepancy when both routes ran."""
 
     q: float
     p: float
@@ -86,18 +92,27 @@ def interpolation_exponent(q: float, p: float) -> float:
     return (1.0 / p - 0.5) / (1.0 / q - 0.5)
 
 
+def _gc_cross(c: float) -> float:
+    """2c/sqrt(c**4+1), as 2c/hypot(c*c, 1): c*c is finite for every
+    accepted c, so nothing overflows at either end."""
+    return 2.0 * c / math.hypot(c * c, 1.0)
+
+
 def gc_l2_norm_sq(c: float) -> float:
     """||g_c||_2**2 = sqrt(2) + 2c/sqrt(c**4+1); maximal (2*sqrt(2))
     at c = 1 and -> sqrt(2) at both ends."""
     TwoScaleParams(c)
-    return math.sqrt(2.0) + 2.0 * c / math.sqrt(c ** 4 + 1.0)
+    return math.sqrt(2.0) + _gc_cross(c)
 
 
-def _gc_braced_sum(c: float, q: float) -> float:
-    return (
-        c ** (1.0 - 0.5 * q) + c ** (0.5 * q - 1.0)
-        + 2.0 ** (0.5 * (q + 1.0)) * c / math.sqrt(c ** 4 + 1.0)
-    ) / math.sqrt(q)
+def _gc_braced_power(c: float, q: float) -> float:
+    """The braced sum (c**(1-q/2) + c**(q/2-1) + 2**((q-1)/2) *
+    2c/sqrt(c**4+1)) / sqrt(q), raised to 2/q.  The larger power
+    s**e, s = max(c, 1/c) and e = |q/2-1|, is factored out, so no
+    intermediate overflows."""
+    s, e = max(c, 1.0 / c), abs(0.5 * q - 1.0)
+    rest = 1.0 + s ** (-2.0 * e) + 2.0 ** (0.5 * (q - 1.0)) * _gc_cross(c) * s ** -e
+    return s ** (2.0 * e / q) * (rest / math.sqrt(q)) ** (2.0 / q)
 
 
 def gc_lq_lower_bound(c: float, q: float) -> float:
@@ -106,7 +121,7 @@ def gc_lq_lower_bound(c: float, q: float) -> float:
     TwoScaleParams(c)
     if not (math.isfinite(q) and q > 2.0):
         raise ValueError(f"lower bound stated for q > 2, got {q}")
-    return _gc_braced_sum(c, q) ** (2.0 / q)
+    return _gc_braced_power(c, q)
 
 
 def gc_lq_lower_bound_weak(c: float, q: float) -> float:
@@ -127,11 +142,10 @@ def gc_lq_upper_bound(c: float, q: float) -> float:
         raise ValueError(f"upper bound stated for q > 1, got {q}")
     if q == 2.0:
         return 4.0
-    braced = _gc_braced_sum(c, q)
     if q < 2.0:
-        return braced ** (2.0 / q)
+        return _gc_braced_power(c, q)
     factor = max(1.0, 3.0 ** (0.5 * q - 1.0)) ** (2.0 / q)
-    return factor * braced ** (2.0 / q)
+    return factor * _gc_braced_power(c, q)
 
 
 def fq_gc_lower_bound(c: float, q: float) -> float:
@@ -155,13 +169,52 @@ def _resolve(f):
     return obj, obj.ft()
 
 
-def _four_norms(obj, obj_hat, q, p, norm):
-    """||f||_q, ||fhat||_q, ||f||_p, ||fhat||_p, in report order."""
-    return tuple(norm(g, e) for e in (q, p) for g in (obj, obj_hat))
+def _exact_norm(g, q: float, tol: float) -> NormEstimate | None:
+    """||g||_q by an exact route, or None where there is none.
+
+    A single term has its closed form at every q.  At an even integer
+    q = 2m the parts of ``g.power_parts(m)`` are summed, but only when
+    the sum is finite and positive and its rounding bound
+    rel = k*eps*sum|part|/sum(part), k = number of parts + q, is at most
+    tol/2; the norm then reports value*rel/q as its error.
+    """
+    if isinstance(g, GaussianMixture) and len(g.terms) == 1:
+        return NormEstimate(term_lq_norm(g.terms[0], q), "closed-form", 0.0, q)
+    if not (q >= 2.0 and q % 2.0 == 0.0 and hasattr(g, "power_parts")):
+        return None
+    parts = g.power_parts(int(q) // 2)
+    if parts is None:
+        return None
+    total = sum(part.real for part in parts)
+    magnitude = sum(abs(part) for part in parts)
+    if not (math.isfinite(magnitude) and total > 0.0):
+        return None
+    rel = (len(parts) + q) * _EPS * magnitude / total
+    if rel > 0.5 * tol:
+        return None
+    value = total ** (1.0 / q)
+    return NormEstimate(value, "closed-form", value * rel / q, q)
 
 
-def _closed_norm(mix, e):
-    return NormEstimate(term_lq_norm(mix.terms[0], e), "closed-form", 0.0, e)
+def norms(g, exponents, tol: float, method: str = "auto") -> tuple[NormEstimate, ...]:
+    """||g||_q for each q in ``exponents``, in order.
+
+    ``method`` "auto" takes the exact route of :func:`_exact_norm` where
+    it exists and passes its guard, and ``lq_norm_quad`` otherwise;
+    "closed-form" takes only exact routes and raises ValueError naming
+    every exponent without one; "quadrature" takes only quadrature.
+    """
+    if method not in ("auto", "closed-form", "quadrature"):
+        raise ValueError(f"norm method must be auto, closed-form or quadrature, got {method!r}")
+    exact = [None if method == "quadrature" else _exact_norm(g, q, tol) for q in exponents]
+    if method == "closed-form" and None in exact:
+        missing = [q for q, est in zip(exponents, exact) if est is None]
+        raise ValueError(
+            f"no exact route for the L^q norm of this {type(g).__name__} at "
+            f"q = {', '.join(f'{q:g}' for q in missing)} (tolerance {tol:g}); "
+            "use method 'auto' or 'quadrature'"
+        )
+    return tuple(est or lq_norm_quad(g, q, tol) for q, est in zip(exponents, exact))
 
 
 def _ratio(norms) -> float:
@@ -174,36 +227,36 @@ def _eval_ratio(f, q, p, method, tol) -> FunctionalReport:
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     obj, obj_hat = _resolve(f)
-    closed_ok = isinstance(obj, GaussianMixture) and len(obj.terms) == 1
-    if method in ("closed-form", "both") and not closed_ok:
-        raise ValueError(
-            "closed-form evaluation needs a single Gaussian/chirp term; "
-            "use method='quadrature' for this input"
-        )
-    closed = quad = None
-    if method != "quadrature":
-        closed = _four_norms(obj, obj_hat, q, p, _closed_norm)
-    if method != "closed-form":
-        quad = _four_norms(obj, obj_hat, q, p, lambda g, e: lq_norm_quad(g, e, tol))
-    norms = closed or quad
-    value = _ratio(norms)
-    discrepancy = abs(value - _ratio(quad)) / value if method == "both" else None
-    return FunctionalReport(q, p, norms, value, method, discrepancy)
+
+    def four(route):
+        """||f||_q, ||fhat||_q, ||f||_p, ||fhat||_p, in report order."""
+        (fq, fp), (hq, hp) = (norms(g, (q, p), tol, route) for g in (obj, obj_hat))
+        return fq, hq, fp, hp
+
+    found = four("closed-form" if method == "both" else method)
+    value = _ratio(found)
+    discrepancy = None
+    if method == "both":
+        discrepancy = abs(value - _ratio(four("quadrature"))) / value
+    return FunctionalReport(q, p, found, value, method, discrepancy)
 
 
-def eval_Fq(f, q: float, method: str = "quadrature", tol: float = 1e-10) -> FunctionalReport:
+def eval_Fq(f, q: float, method: str = "auto", tol: float = 1e-10) -> FunctionalReport:
     """F_q(f) with the L^2 pair in the denominator.
 
     ``f`` may be chirp/two-scale parameters, a term, a mixture, or a
-    Hermite expansion; ``method`` picks closed forms (single terms
-    only), quadrature, or both with a recorded discrepancy.
+    Hermite expansion.  ``method`` "auto" lets :func:`norms` pick each
+    norm's route; "closed-form" requires an exact route for all four
+    (ValueError otherwise); "quadrature" integrates all four; "both"
+    evaluates exactly and records the relative discrepancy from
+    quadrature.
     """
     _check_exponent(q)
     return _eval_ratio(f, q, 2.0, method, tol)
 
 
 def eval_Fqp(
-    f, q: float, p: float, method: str = "quadrature", tol: float = 1e-10
+    f, q: float, p: float, method: str = "auto", tol: float = 1e-10
 ) -> FunctionalReport:
     """F_qp(f) with the L^p pair in the denominator; requires q < p."""
     _check_exponent(q)

@@ -28,6 +28,12 @@ import numpy as np
 # Re z = a*a - 1 collapses and every L^q norm of the term blows up.
 MIN_CHIRP_MARGIN = 1e-6
 
+# Most terms GaussianMixture.power_parts expands into, so that the
+# expansion stays cheaper than quadrature: g_c at q = 64 has 561 (0.15 ms
+# against 0.7 ms), a four-term complex mixture has 136 at q = 4 and
+# 490,314 at q = 16.
+MAX_POWER_PARTS = 1000
+
 
 @dataclass(frozen=True)
 class ComplexGaussianTerm:
@@ -106,14 +112,42 @@ class GaussianMixture:
         even input exactly."""
         return GaussianMixture(tuple(t.ft() for t in self.terms))
 
-    def l2_norm(self) -> float:
-        """Exact L^2 norm from pairwise Gaussian integrals."""
-        acc = 0.0 + 0.0j
+    def power_parts(self, m: int) -> tuple[complex, ...] | None:
+        """Integrals of the terms of ``(f * conj(f))**m``; they sum to the
+        integral of ``|f|**(2m)``.
+
+        The pairwise products ``A_j * conj(A_k) * exp(-pi*(z_j +
+        conj(z_k))*x**2)`` are merged by width.  The m-th power of their
+        sum has one term per multiset of m merged widths, with the
+        multinomial count of its orderings, and each term
+        ``B * exp(-pi*w*x**2)`` integrates to ``B/sqrt(w)``.  None when
+        there would be more than ``MAX_POWER_PARTS`` terms or a sum of m
+        widths could overflow; an overflowing amplitude shows up as a
+        non-finite part, never as an exception.
+        """
+        merged: dict[complex, complex] = {}
         for tj in self.terms:
             for tk in self.terms:
                 w = tj.width + tk.width.conjugate()
-                acc += tj.amplitude * tk.amplitude.conjugate() / cmath.sqrt(w)
-        return math.sqrt(max(acc.real, 0.0))
+                merged[w] = merged.get(w, 0j) + tj.amplitude * tk.amplitude.conjugate()
+        if (math.comb(len(merged) + m - 1, m) > MAX_POWER_PARTS
+                or not all(cmath.isfinite(m * w) for w in merged)):
+            return None
+        widths, amps = tuple(merged), tuple(merged.values())
+        # Each multiset is a nondecreasing index tuple, grown once from
+        # its prefix; appending index i multiplies the multinomial count
+        # by (length + 1) / (multiplicity of i + 1).
+        power = {(): 1.0 + 0.0j}
+        for _ in range(m):
+            power = {key + (i,): amp * amps[i] * (len(key) + 1) / (key.count(i) + 1)
+                     for key, amp in power.items()
+                     for i in range(key[-1] if key else 0, len(widths))}
+        return tuple(amp / cmath.sqrt(sum(widths[i] for i in key))
+                     for key, amp in power.items())
+
+    def l2_norm(self) -> float:
+        """Exact L^2 norm: the m = 1 case of :meth:`power_parts`."""
+        return math.sqrt(max(sum(self.power_parts(1)).real, 0.0))
 
 
 @dataclass(frozen=True)

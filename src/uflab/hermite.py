@@ -92,9 +92,15 @@ class HermiteExpansion:
     def ft(self) -> "HermiteExpansion":
         return HermiteExpansion(hermite_ft_coeffs(self.coefficients))
 
+    def power_parts(self, m: int) -> tuple[float, ...] | None:
+        """Parts summing to the integral of ``|f|**(2m)``: ``|c_n|**2`` for
+        m = 1, by orthonormality of the basis; None for m > 1, which has
+        no expansion here."""
+        return tuple(abs(c) ** 2 for c in self.coefficients) if m == 1 else None
+
     def l2_norm(self) -> float:
-        """Exact by orthonormality of the basis."""
-        return math.sqrt(sum(abs(c) ** 2 for c in self.coefficients))
+        """Exact: the m = 1 case of :meth:`power_parts`."""
+        return math.sqrt(sum(self.power_parts(1)))
 
     def envelope(self):
         amp = _ENVELOPE_SAFETY * _SUP_BOUND * sum(abs(c) for c in self.coefficients)

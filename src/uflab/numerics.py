@@ -27,6 +27,9 @@ import numpy as np
 from scipy.special import erfcinv, erfcx
 
 MAX_PANELS = 100_000
+# lq_norm_quad divides f by its envelope amplitude S when q*log(S)
+# exceeds this, so that neither |f|**2 nor |f|**q can overflow.
+_LOG_SCALE_ABOVE = 300.0
 TOL_FLOOR = 1e-13
 TOL_CEIL = 1e-2
 
@@ -265,14 +268,19 @@ def lq_norm_quad(f, q: float, tol: float) -> NormEstimate:
     amp_sum, width_floor, shift = f.envelope()
     if amp_sum == 0.0:
         return NormEstimate(0.0, "quadrature", 0.0, q)
+    # The integrand is |f/scale|**q with envelope amplitude amp; scale is
+    # 1.0, and the integrand |f|**q bit for bit, unless |f|**q could
+    # overflow.
+    scale = amp_sum if q * math.log(amp_sum) > _LOG_SCALE_ABOVE else 1.0
+    amp = amp_sum / scale
 
     def integrand(x):
-        v = np.asarray(f.eval(x))
+        v = np.asarray(f.eval(x)) / scale
         mag2 = v.real * v.real + v.imag * v.imag
         return np.power(mag2, 0.5 * q)
 
     alpha = math.pi * q * width_floor
-    log_coef = q * math.log(amp_sum) + 0.5 * math.log(math.pi / alpha)
+    log_coef = q * math.log(amp) + 0.5 * math.log(math.pi / alpha)
     # Initial radius assumes the integral could undershoot the envelope
     # scale by six orders (cancellation); the loop below tightens R
     # against the actually computed integral.
@@ -286,7 +294,7 @@ def lq_norm_quad(f, q: float, tol: float) -> NormEstimate:
         )
         if total <= 0.0:
             break
-        log_trunc = _log_tail_bound(amp_sum, width_floor, q, radius, shift)
+        log_trunc = _log_tail_bound(amp, width_floor, q, radius, shift)
         if log_trunc <= math.log(0.5 * tol * total):
             break
         radius = _radius_from_log_u(
@@ -294,9 +302,9 @@ def lq_norm_quad(f, q: float, tol: float) -> NormEstimate:
         )
     if total <= 0.0:
         return NormEstimate(0.0, "quadrature", 0.0, q)
-    trunc = math.exp(_log_tail_bound(amp_sum, width_floor, q, radius, shift))
+    trunc = math.exp(_log_tail_bound(amp, width_floor, q, radius, shift))
     rel_err = (err + trunc) / total
-    value = total ** (1.0 / q)
+    value = scale * total ** (1.0 / q)
     estimate = NormEstimate(value, "quadrature", value * rel_err / q, q)
     if not converged or rel_err > tol:
         raise ToleranceNotAchieved(

@@ -24,15 +24,15 @@ from .functionals import (
     fq_gc_lower_bound,
     gc_l2_norm_sq,
     interpolation_exponent,
+    norms,
 )
 from .functionals import _in_range  # shared public-exponent cap
 from .gaussian import ChirpParams, TwoScaleParams, closed_form_Fq_chirp, make_two_scale
 from .hermite import TestFunctionSpec, random_schwartz
-from .numerics import lq_norm_quad
 
-# Quadrature tolerance used inside verification checks; one-sided
-# inequality slacks then only dip below zero by rounding, never by
-# integration error.
+# Norm tolerance used inside verification checks; one-sided inequality
+# slacks then only dip below zero by rounding, never by integration
+# error.
 QUAD_TOL = 1e-10
 
 
@@ -133,12 +133,15 @@ def _sample_functions(samples: int, seed: int):
     return out
 
 
-def _norm(f, q: float) -> float:
-    return lq_norm_quad(f, q, QUAD_TOL).value
+def _norms(f, *exponents) -> tuple[float, ...]:
+    """||f||_e for each exponent, each by the route ``norms`` picks."""
+    return tuple(n.value for n in norms(f, exponents, QUAD_TOL))
 
 
 def verify_closed_forms() -> CheckResult:
-    """Chirp ratios and the two-scale L^2 identity against quadrature."""
+    """Chirp ratios and the two-scale L^2 identity against quadrature;
+    both sides stay independent, so no exact route stands in for the
+    quadrature."""
     a_grid = (1.01, 1.1, 2.0, 10.0, 100.0)
     q_grid = (1.2, 1.5, 2.0, 3.0, 4.0, 8.0)
     worst = math.inf
@@ -151,7 +154,8 @@ def verify_closed_forms() -> CheckResult:
             count += 1
     for c in (0.1, 1.0, 2.0, 10.0, 100.0):
         closed = gc_l2_norm_sq(c)
-        quad = _norm(make_two_scale(TwoScaleParams(c)), 2.0) ** 2
+        g = make_two_scale(TwoScaleParams(c))
+        quad = norms(g, (2.0,), QUAD_TOL, "quadrature")[0].value ** 2
         worst = min(worst, -abs(closed - quad) / closed)
         count += 1
     return _result("closed-forms", {"a_grid": list(a_grid), "q_grid": list(q_grid)},
@@ -167,7 +171,7 @@ def verify_fq_lower_bound(
     floor = 1.0 / beckner_constant(q)
     vmin = math.inf
     for f in _sample_functions(samples, seed):
-        vmin = min(vmin, eval_Fq(f, q, "quadrature", QUAD_TOL).value)
+        vmin = min(vmin, eval_Fq(f, q, "auto", QUAD_TOL).value)
     return _result("fq-lower", {"q": q}, samples, vmin - 1.0, seed,
                    {"min_value": vmin, "beckner_floor": floor, "beckner_slack": vmin - floor})
 
@@ -183,9 +187,8 @@ def verify_hausdorff_young(
     worst = math.inf
     worst_sharp = math.inf
     for f in _sample_functions(samples, seed):
-        fhat = f.ft()
-        nf_q, nf_qc = _norm(f, q), _norm(f, qc)
-        nh_q, nh_qc = _norm(fhat, q), _norm(fhat, qc)
+        nf_q, nf_qc = _norms(f, q, qc)
+        nh_q, nh_qc = _norms(f.ft(), q, qc)
         worst = min(worst, nf_q - nh_qc, nh_q - nf_qc)
         worst_sharp = min(worst_sharp, sharp * nf_q - nh_qc, sharp * nh_q - nf_qc)
     return _result("hausdorff-young", {"q": q, "q_conjugate": qc, "sharp_constant": sharp},
@@ -205,9 +208,8 @@ def verify_interpolation(
     expo = (1.0 / q - 1.0 / p) / (1.0 / q - 0.5)
     worst = math.inf
     for f in _sample_functions(samples, seed):
-        fhat = f.ft()
-        nf = {e: _norm(f, e) for e in (q, p, 2.0)}
-        nh = {e: _norm(fhat, e) for e in (q, p, 2.0)}
+        nf = dict(zip((q, p, 2.0), _norms(f, q, p, 2.0)))
+        nh = dict(zip((q, p, 2.0), _norms(f.ft(), q, p, 2.0)))
         worst = min(
             worst,
             nf[q] ** theta * nf[2.0] ** (1.0 - theta) - nf[p],
@@ -232,15 +234,10 @@ def verify_reduction_q_lt_2_le_p(
     boundary = abs(pc - q) <= 1e-12
     worst = math.inf
     for f in _sample_functions(samples, seed):
-        fhat = f.ft()
-        nf_q, nh_q = _norm(f, q), _norm(fhat, q)
-        nf_p, nh_p = _norm(f, p), _norm(fhat, p)
-        f_qp = nf_q * nh_q / (nf_p * nh_p)
-        if boundary:
-            rhs = 1.0
-        else:
-            nf_pc, nh_pc = _norm(f, pc), _norm(fhat, pc)
-            rhs = nf_q * nh_q / (nf_pc * nh_pc)
+        exponents = (q, p) if boundary else (q, p, pc)
+        nf, nh = _norms(f, *exponents), _norms(f.ft(), *exponents)
+        f_qp = nf[0] * nh[0] / (nf[1] * nh[1])
+        rhs = 1.0 if boundary else nf[0] * nh[0] / (nf[2] * nh[2])
         worst = min(worst, f_qp - rhs)
     return _result("reduction", {"q": q, "p": p, "p_conjugate": pc}, samples, worst, seed, {})
 
@@ -258,7 +255,7 @@ def verify_asymptotics(q: float, p: float | None = None) -> CheckResult:
         _require_domain("asymptotics-divergence", q)
         grid = np.geomspace(10.0, 1e4, 9)
         values = [
-            eval_Fq(TwoScaleParams(c), q, "quadrature", QUAD_TOL).value for c in grid
+            eval_Fq(TwoScaleParams(c), q, "auto", QUAD_TOL).value for c in grid
         ]
         bounds = [float(fq_gc_lower_bound(float(c), q)) for c in grid]
         slacks = [v - b for v, b in zip(values, bounds)]
@@ -273,7 +270,7 @@ def verify_asymptotics(q: float, p: float | None = None) -> CheckResult:
     _require_domain("asymptotics-vanishing", q, p)
     grid = np.geomspace(10.0, 1e6, 9)
     values = [
-        eval_Fqp(TwoScaleParams(c), q, p, "quadrature", QUAD_TOL).value for c in grid
+        eval_Fqp(TwoScaleParams(c), q, p, "auto", QUAD_TOL).value for c in grid
     ]
     target = 2.0 * (1.0 / q + 1.0 / p - 1.0) if q <= 2.0 else 2.0 * (1.0 / p - 1.0 / q)
     slope = float(

@@ -110,6 +110,20 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(1.0, rel=1e-8)
 
+    def test_auto_method_tags_each_norm(self, capsys):
+        code, out, _ = run(capsys, "eval", "--family", "twoscale", "--c", "3",
+                           "--q", "3", "--p", "6", "--method", "auto")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["method"] == "auto"
+        assert [n["method"] for n in doc["norms"]] == ["quadrature"] * 2 + ["closed-form"] * 2
+
+    def test_closed_without_exact_route_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "eval", "--family", "twoscale", "--c", "3",
+                             "--q", "3", "--method", "closed")
+        assert code == 2 and out == ""
+        assert "no exact route" in err and "q = 3" in err
+
     def test_gaussian_family(self, capsys):
         code, out, _ = run(capsys, "eval", "--family", "gaussian", "--q", "4",
                            "--method", "closed")

@@ -69,7 +69,7 @@ class TestSweep:
         res = sweep("twoscale", 4.0, grid="10:10000:9log", tol=1e-8)
         assert len(res.rows) == 9
         assert res.rows[-1].value >= 50.0
-        assert all(r.method == "quadrature" for r in res.rows)
+        assert all(r.method == "auto" for r in res.rows)
 
     def test_fqp_sweep(self):
         res = sweep("chirp", 3.0, 6.0, grid="2:50:5log")

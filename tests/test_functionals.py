@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uflab import functionals
 from uflab.functionals import (
     EXPONENT_MAX,
     EXPONENT_MIN,
@@ -21,6 +22,7 @@ from uflab.functionals import (
     gc_lq_lower_bound_weak,
     gc_lq_upper_bound,
     interpolation_exponent,
+    norms,
 )
 from uflab.gaussian import (
     ChirpParams,
@@ -31,7 +33,7 @@ from uflab.gaussian import (
     make_two_scale,
 )
 from uflab.hermite import HermiteExpansion
-from uflab.numerics import lq_norm_quad
+from uflab.numerics import NormEstimate, lq_norm_quad
 
 
 class TestExponentHelpers:
@@ -142,6 +144,23 @@ class TestGcBounds:
             49.992929932046735, rel=1e-13
         )
 
+    @pytest.mark.parametrize("c", [1e80, 1e150, 1e-80, 1e-150])
+    def test_extreme_c_reaches_limits(self, c):
+        # g_c = g_{1/c}, so every bound depends on s = max(c, 1/c) alone;
+        # the braced sum tends to (s + 1/s)/2 at q = 4.
+        s = max(c, 1.0 / c)
+        assert gc_l2_norm_sq(c) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert gc_lq_lower_bound(c, 4.0) == pytest.approx(math.sqrt(s / 2.0), rel=1e-14)
+        assert gc_lq_upper_bound(c, 4.0) == pytest.approx(
+            math.sqrt(3.0 * s / 2.0), rel=1e-14)
+        if c > 1.0:
+            assert fq_gc_lower_bound(c, 4.0) == pytest.approx(
+                0.25 ** 0.25 * math.sqrt(c) / math.sqrt(2.0), rel=1e-14)
+        # the bracketing powers stay finite at the top of the exponent range
+        lower, upper = gc_lq_lower_bound(c, 64.0), gc_lq_upper_bound(c, 64.0)
+        assert lower == pytest.approx(64.0 ** (-1.0 / 64.0) * s ** (31.0 / 32.0), rel=1e-13)
+        assert upper == pytest.approx(3.0 ** (31.0 / 32.0) * lower, rel=1e-13)
+
     @pytest.mark.parametrize("c,q", [(10.0, 3.0), (1e3, 4.0), (1e2, 8.0)])
     def test_eval_fq_dominates_bound(self, c, q):
         value = eval_Fq(TwoScaleParams(c), q, "quadrature", 1e-9).value
@@ -171,6 +190,11 @@ class TestEvalFq:
                 1.0, rel=1e-9
             )
 
+    def test_default_method_is_auto(self):
+        rep = eval_Fq(HermiteExpansion((0.4, -0.2j, 0.6)), 3.0)
+        assert rep.method == "auto"
+        assert [n.method for n in rep.norms] == ["quadrature"] * 2 + ["closed-form"] * 2
+
     def test_single_gaussian_value(self):
         for q in (1.5, 4.0):
             rep = eval_Fq(ComplexGaussianTerm(1.0, 2.5), q, "closed-form")
@@ -179,8 +203,9 @@ class TestEvalFq:
             )
 
     def test_closed_form_rejects_mixtures(self):
-        with pytest.raises(ValueError, match="single Gaussian/chirp term"):
-            eval_Fq(TwoScaleParams(2.0), 4.0, "closed-form")
+        # g_c has an exact route at q = 4 (an even integer), not at q = 3
+        with pytest.raises(ValueError, match=r"no exact route .* q = 3 "):
+            eval_Fq(TwoScaleParams(2.0), 3.0, "closed-form")
 
     def test_scalar_scale_invariance(self):
         f = make_two_scale(TwoScaleParams(3.0))
@@ -252,3 +277,115 @@ class TestEvalFqp:
         a = eval_Fqp(f, 1.5, 2.0, "quadrature", 1e-10).value
         b = eval_Fq(f, 1.5, "quadrature", 1e-10).value
         assert a == pytest.approx(b, rel=1e-12)
+
+
+def _counting_quadrature(monkeypatch):
+    """Route every quadrature norm of ``functionals`` through a recorder;
+    returns the list of (function, exponent) calls."""
+    calls = []
+
+    def counted(g, q, tol):
+        calls.append((g, q))
+        return lq_norm_quad(g, q, tol)
+
+    monkeypatch.setattr(functionals, "lq_norm_quad", counted)
+    return calls
+
+
+class TestNorms:
+    """The route each norm takes: exact where a guarded exact sum exists,
+    quadrature otherwise."""
+
+    def test_routes_per_exponent(self):
+        g = make_two_scale(TwoScaleParams(3.0))
+        got = norms(g, (2.0, 3.0, 4.0, 4.000000000000001), 1e-10)
+        assert [n.method for n in got] == ["closed-form", "quadrature",
+                                           "closed-form", "quadrature"]
+        assert [n.q for n in got] == [2.0, 3.0, 4.0, 4.000000000000001]
+        assert got[0].value == pytest.approx(math.sqrt(gc_l2_norm_sq(3.0)), rel=1e-15)
+        assert got[2].value == pytest.approx(got[3].value, rel=1e-10)
+        hermite = HermiteExpansion((0.4, -0.2j, 0.6))
+        assert [n.method for n in norms(hermite, (2.0, 4.0), 1e-10)] == [
+            "closed-form", "quadrature"]
+        chirp = GaussianMixture((ComplexGaussianTerm(1.0, 3.0 + 4.0j),))
+        assert [n.method for n in norms(chirp, (1.5, 3.0), 1e-10)] == ["closed-form"] * 2
+
+    def test_part_cap_falls_back(self):
+        # 16 distinct pairwise widths: 136 parts at q = 4, 3876 at q = 8
+        f = GaussianMixture(tuple(ComplexGaussianTerm(a, z) for a, z in (
+            (1.0, 1 + 1j), (0.5j, 2 - 1j), (-0.3, 0.5 + 2j), (0.2 + 0.1j, 3 + 0.5j))))
+        assert len(f.power_parts(2)) == 136 and f.power_parts(4) is None
+        assert [n.method for n in norms(f, (4.0, 8.0), 1e-10)] == [
+            "closed-form", "quadrature"]
+
+    def test_exact_routes_report_positive_error(self):
+        for g, q in ((make_two_scale(TwoScaleParams(2.0)), 6.0),
+                     (HermiteExpansion((1.0, 0.5j)), 2.0)):
+            (est,) = norms(g, (q,), 1e-10)
+            assert est.method == "closed-form"
+            assert 0.0 < est.abs_error_estimate <= 1e-14 * est.value
+
+    @pytest.mark.parametrize("q", [2.0, 4.0])
+    def test_near_cancellation_falls_back(self, q):
+        # |f| is about 1e-9 of its terms, so the exact sum would cancel
+        # about 18 digits; tol 1e-6 keeps the noisy quadrature achievable
+        f = GaussianMixture((ComplexGaussianTerm(1.0, 1.0),
+                             ComplexGaussianTerm(-1.0 + 1e-9, 1.0 + 1e-9)))
+        (est,) = norms(f, (q,), 1e-6)
+        assert est.method == "quadrature"
+        assert 0.0 < est.value < 1e-8
+
+    def test_overflowing_sum_falls_back(self, monkeypatch):
+        # c**32 overflows, so the q = 64 sum of g_c has an infinite part;
+        # the route goes to quadrature (stubbed here: at c = 1e150 the
+        # tail radius needs an erfc argument below the smallest float)
+        calls = []
+
+        def quadrature(g, q, tol):
+            calls.append(q)
+            return NormEstimate(1.0, "quadrature", 0.0, q)
+
+        monkeypatch.setattr(functionals, "lq_norm_quad", quadrature)
+        g = make_two_scale(TwoScaleParams(1e150))
+        assert [n.method for n in norms(g, (64.0, 2.0), 1e-10)] == [
+            "quadrature", "closed-form"]
+        assert calls == [64.0]
+
+    def test_overflow_fallback_quadrature_is_finite(self):
+        # At c = 1e10 the q = 64 sum overflows but |g_c|**64 is integrated
+        # scaled by its envelope amplitude; the exact sum of g_c / S agrees.
+        g = make_two_scale(TwoScaleParams(1e10))
+        (quad,) = norms(g, (64.0,), 1e-10)
+        assert quad.method == "quadrature"
+        scale = g.envelope()[0]
+        scaled = GaussianMixture(tuple(
+            ComplexGaussianTerm(t.amplitude / scale, t.width) for t in g.terms))
+        (exact,) = norms(scaled, (64.0,), 1e-10)
+        assert exact.method == "closed-form"
+        assert abs(quad.value - scale * exact.value) <= (
+            quad.abs_error_estimate + scale * exact.abs_error_estimate)
+
+    def test_quadrature_method_integrates_all_four(self, monkeypatch):
+        calls = _counting_quadrature(monkeypatch)
+        rep = eval_Fq(TwoScaleParams(2.0), 4.0, "quadrature")
+        assert len(calls) == 4
+        assert all(n.method == "quadrature" for n in rep.norms)
+
+    def test_auto_integrates_only_without_exact_route(self, monkeypatch):
+        calls = _counting_quadrature(monkeypatch)
+        assert eval_Fq(TwoScaleParams(2.0), 4.0).method == "auto"
+        assert calls == []
+        eval_Fqp(TwoScaleParams(2.0), 3.0, 6.0)
+        assert [q for _, q in calls] == [3.0, 3.0]
+
+    def test_both_on_even_pair(self):
+        rep = eval_Fqp(TwoScaleParams(3.0), 4.0, 6.0, "both")
+        assert all(n.method == "closed-form" for n in rep.norms)
+        assert rep.discrepancy <= 1e-12
+
+    def test_closed_form_names_every_missing_exponent(self):
+        with pytest.raises(ValueError, match=r"q = 3, 5 "):
+            norms(make_two_scale(TwoScaleParams(2.0)), (3.0, 4.0, 5.0), 1e-10,
+                  "closed-form")
+        with pytest.raises(ValueError, match="norm method"):
+            norms(make_two_scale(TwoScaleParams(2.0)), (3.0,), 1e-10, "both")

@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from uflab import numerics
+from uflab.functionals import norms
 from uflab.gaussian import (
     ChirpParams,
     ComplexGaussianTerm,
@@ -183,19 +184,26 @@ class TestLqNormQuad:
         assert all(b <= a for a, b in zip(errs, errs[1:]))
 
 
+def _mp_hermite_rows(x, n):
+    """h_0(x)..h_n(x) by the normalized recurrence, in mpmath."""
+    y = mpmath.sqrt(2 * mpmath.pi) * x
+    rows = [mpmath.mpf(2) ** 0.25 * mpmath.exp(-y * y / 2)]
+    prev = mpmath.mpf(0)
+    for k in range(n):
+        prev, cur = rows[-1], (
+            mpmath.sqrt(mpmath.mpf(2) / (k + 1)) * y * rows[-1]
+            - mpmath.sqrt(mpmath.mpf(k) / (k + 1)) * prev
+        )
+        rows.append(cur)
+    return rows
+
+
 def _h32_lq_reference(q):
     """30-digit ||h_32||_q: the normalized recurrence in mpmath, integrated
     between the 32 zeros so every cusp of |h_32|**q sits at a panel end."""
     with mpmath.workdps(30):
         def h32(x):
-            y = mpmath.sqrt(2 * mpmath.pi) * x
-            prev, cur = mpmath.mpf(0), mpmath.mpf(2) ** 0.25 * mpmath.exp(-y * y / 2)
-            for k in range(32):
-                prev, cur = cur, (
-                    mpmath.sqrt(mpmath.mpf(2) / (k + 1)) * y * cur
-                    - mpmath.sqrt(mpmath.mpf(k) / (k + 1)) * prev
-                )
-            return cur
+            return _mp_hermite_rows(x, 32)[-1]
 
         nodes, _ = np.polynomial.hermite.hermgauss(32)
         zeros = [mpmath.findroot(h32, z / mpmath.sqrt(2 * mpmath.pi))
@@ -267,15 +275,57 @@ _HARD_CASES = [
 ]
 
 
+def _hermite_l2_reference(coefficients):
+    """30-digit ||f||_2 of an expansion, by mpmath.quad of |f|**2 built
+    from the mpmath recurrence (not from the coefficient sum)."""
+    with mpmath.workdps(30):
+        cs = [mpmath.mpc(c) for c in coefficients]
+
+        def mod2(x):
+            return abs(mpmath.fsum(c * h for c, h in
+                                   zip(cs, _mp_hermite_rows(x, len(cs) - 1)))) ** 2
+
+        # |f|**2 is not even when both parities occur: the whole line
+        edges = [-mpmath.inf, -5, -3, -2, -1, 0, 1, 2, 3, 5, mpmath.inf]
+        return float(mpmath.sqrt(mpmath.quad(mod2, edges)))
+
+
+_DEGREE_8 = HermiteExpansion(tuple(complex(0.9 - 0.1 * n, 0.05 * n * (-1) ** n)
+                                   for n in range(9)))
+
+# Norms with an exact route: the Gaussian sum of |f|**q at even q and the
+# coefficient sum of a Hermite expansion at q = 2.
+_EXACT_CASES = [
+    *(pytest.param(make_two_scale(TwoScaleParams(c)), q,
+                   lambda c=c, q=q: _gc_lq_reference(c, q), id=f"gc-{c:g}-q{q:g}")
+      for c in (1.0, 1e3, 1e6) for q in (4.0, 6.0)),
+    *(pytest.param(g, q, lambda g=g, q=q: _mixture_lq_reference(g, q),
+                   id=f"chirpmix-q{q:g}-{tag}")
+      for tag, g in (("f", _FAST_CHIRP_MIX), ("ft", _FAST_CHIRP_MIX.ft()))
+      for q in (2.0, 4.0)),
+    pytest.param(_DEGREE_8, 2.0, lambda: _hermite_l2_reference(_DEGREE_8.coefficients),
+                 id="hermite-deg8-q2"),
+]
+
+
 class TestErrorEstimateHonesty:
     """The reported abs_error_estimate bounds the true error against an
-    exact closed form or a 30-digit mpmath reference."""
+    exact closed form or a 20- to 30-digit mpmath reference."""
 
     @pytest.mark.parametrize("f, q, reference", _HARD_CASES)
     def test_estimate_bounds_true_error(self, f, q, reference):
         exact = reference()
         for tol in (1e-6, 1e-10):
             est = lq_norm_quad(f, q, tol)
+            assert abs(est.value - exact) <= est.abs_error_estimate
+
+    @pytest.mark.parametrize("f, q, reference", _EXACT_CASES)
+    def test_exact_route_estimate_bounds_true_error(self, f, q, reference):
+        exact = reference()
+        for tol in (1e-6, 1e-10):
+            (est,) = norms(f, (q,), tol)
+            assert est.method == "closed-form"
+            assert 0.0 < est.abs_error_estimate
             assert abs(est.value - exact) <= est.abs_error_estimate
 
 
