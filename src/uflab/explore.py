@@ -136,7 +136,7 @@ def _row(family: str, param: float, f, q, p, method, tol) -> SweepRow:
         rep = eval_Fqp(f, q, p, method, tol)
     err = rep.discrepancy
     if err is None:
-        err = rep.value * sum(n.abs_error_estimate / n.value for n in rep.norms if n.value > 0)
+        err = rep.value * sum(n.abs_error_estimate / n.value for n in rep.norms)
     return SweepRow(family, param, q, rep.p, *(n.value for n in rep.norms), rep.value,
                     rep.method, err)
 

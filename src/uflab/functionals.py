@@ -46,7 +46,7 @@ _EPS = sys.float_info.epsilon
 @dataclass(frozen=True)
 class FunctionalReport:
     """One evaluated ratio: the four norms behind it, the value (always
-    the exact product ratio of the reported norms), and the relative
+    :func:`_ratio` of the reported norms), and the relative
     exact/quadrature discrepancy when both routes ran."""
 
     q: float
@@ -218,9 +218,12 @@ def norms(g, exponents, tol: float, method: str = "auto") -> tuple[NormEstimate,
 
 
 def _ratio(norms) -> float:
+    """(||f||_q/||f||_p) * (||fhat||_q/||fhat||_p): each quotient is of
+    norms of one function, so tiny norms cannot underflow the product."""
     if any(n.value == 0.0 for n in norms):
-        raise ValueError("zero function has no uncertainty ratio (a norm is 0 or underflows)")
-    return norms[0].value * norms[1].value / (norms[2].value * norms[3].value)
+        raise ValueError("zero function has no uncertainty ratio (a norm is 0)")
+    fq, hq, fp, hp = (n.value for n in norms)
+    return (fq / fp) * (hq / hp)
 
 
 def _eval_ratio(f, q, p, method, tol) -> FunctionalReport:

@@ -91,17 +91,10 @@ class GaussianMixture:
             acc = acc + term.eval(x)
         return acc
 
-    @property
-    def amp_abs_sum(self) -> float:
-        return sum(abs(t.amplitude) for t in self.terms)
-
-    @property
-    def width_floor(self) -> float:
-        return min(t.width.real for t in self.terms)
-
     def envelope(self):
         """(amplitude sum, width floor, center shift) majorizing |f|."""
-        return (self.amp_abs_sum, self.width_floor, 0.0)
+        return (sum(abs(t.amplitude) for t in self.terms),
+                min(t.width.real for t in self.terms), 0.0)
 
     def scales(self):
         """Decay length 1/sqrt(Re z) of each term, ascending."""

@@ -1,20 +1,21 @@
 """Real-line quadrature and a sampled Fourier oracle.
 
-Every integrand here is ``|f|**q`` for a test function f carrying an
-explicit Gaussian envelope ``S * exp(-pi*w*(|x|-shift)**2)``, so the
-integral is truncated to ``[-R, R]`` with a certified erfc tail bound
-rather than a heuristic cutoff.  The finite interval is then handled by
-adaptive bisection with an embedded Gauss7/Kronrod15 pair per panel,
-refined in rounds: each round bisects every panel it selects and
-evaluates all of their nodes in a single ``f.eval`` call (Shampine,
-"Vectorized adaptive quadrature in MATLAB", 2008).  The reported error
-estimate is the sum of the achieved panel estimates and the truncation
-bound, never the requested tolerance.
+Every integrand here is ``|f/S|**q`` for a test function f carrying an
+explicit Gaussian envelope ``S * exp(-pi*w*(|x|-shift)**2)``, so no
+amplitude of f overflows or underflows it, and the integral is truncated
+to ``[-R, R]`` with a certified erfc tail bound, computed and inverted
+in log space, rather than a heuristic cutoff.  The finite interval is
+then handled by adaptive bisection with an embedded Gauss7/Kronrod15
+pair per panel, refined in rounds: each round bisects every panel it
+selects and evaluates all of their nodes in a single ``f.eval`` call
+(Shampine, "Vectorized adaptive quadrature in MATLAB", 2008).  The
+reported error estimate is the sum of the achieved panel estimates and
+the truncation bound, never the requested tolerance.
 
 Test functions plug in through three duck-typed hooks:
 
 * ``f.eval(x)``            pointwise (complex) values at an array x of any shape,
-* ``f.envelope()``         ``(amp_sum, width_floor, shift)`` as above,
+* ``f.envelope()``         ``(S, w, shift)`` as above,
 * ``f.scales()``           ascending decay lengths used to seed panels.
 """
 
@@ -24,12 +25,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfcinv, erfcx
+from scipy.special import log_ndtr, ndtri_exp
 
 MAX_PANELS = 100_000
-# lq_norm_quad divides f by its envelope amplitude S when q*log(S)
-# exceeds this, so that neither |f|**2 nor |f|**q can overflow.
-_LOG_SCALE_ABOVE = 300.0
 TOL_FLOOR = 1e-13
 TOL_CEIL = 1e-2
 
@@ -193,28 +191,23 @@ def integrate_adaptive(fn, lo, hi, rel_tol, breakpoints=()):
     return total, err_total, converged, int(los.size)
 
 
-def _radius_from_log_u(log_u, alpha, shift):
-    """Invert erfc for the tail radius; log_u = log of the erfc argument
-    target, alpha = pi*q*w.  Floors the radius at one decay length."""
-    u = math.exp(min(log_u, 0.0))
-    u = max(u, 1e-300)
-    r = float(erfcinv(u)) / math.sqrt(alpha)
-    return shift + max(r, 1.0 / math.sqrt(alpha))
+def _log_tail(alpha, shift, radius):
+    """log of sqrt(pi/alpha) * erfc(sqrt(alpha)*(radius-shift)), which
+    bounds the integral of exp(-alpha*(|x|-shift)**2) over |x| > radius;
+    erfc(t) = 2*ndtr(-sqrt(2)*t) keeps it finite at any radius."""
+    z = math.sqrt(2.0 * alpha) * (radius - shift)
+    return 0.5 * (math.log(4.0 * math.pi) - math.log(alpha)) + float(log_ndtr(-z))
 
 
-def _log_tail_bound(amp_sum, width_floor, q, radius, shift):
-    """log of  S**q * sqrt(pi/alpha) * erfc(sqrt(alpha)*(R-shift)),
-    the two-sided tail of the envelope integral beyond |x| = R."""
-    alpha = math.pi * q * width_floor
-    z = math.sqrt(alpha) * (radius - shift)
-    if z <= 0.0:
-        return math.inf
-    return (
-        q * math.log(amp_sum)
-        + 0.5 * math.log(math.pi / alpha)
-        + math.log(float(erfcx(z)))
-        - z * z
-    )
+def _tail_radius(alpha, shift, log_target):
+    """Inverse of :func:`_log_tail`, floored at one decay length
+    1/sqrt(alpha) past shift; a Newton step on log_ndtr mends ndtri_exp's
+    drift of about 1e-12 relative at log targets near -1e5."""
+    y = min(log_target - 0.5 * (math.log(4.0 * math.pi) - math.log(alpha)), -math.log(2.0))
+    z = float(ndtri_exp(y))
+    log_cdf = float(log_ndtr(z))
+    z -= (log_cdf - y) * math.exp(log_cdf + 0.5 * (z * z + math.log(2.0 * math.pi)))
+    return shift + max(-z / math.sqrt(2.0), 1.0) / math.sqrt(alpha)
 
 
 def truncation_radius(f, q: float, tol: float) -> float:
@@ -229,19 +222,16 @@ def truncation_radius(f, q: float, tol: float) -> float:
     amp_sum, width_floor, shift = f.envelope()
     if amp_sum <= 0.0:
         return shift + 1.0
-    alpha = math.pi * q * width_floor
-    log_coef = q * math.log(amp_sum) + 0.5 * math.log(math.pi / alpha)
-    return _radius_from_log_u(math.log(0.5 * tol) - log_coef, alpha, shift)
+    log_target = math.log(0.5 * tol) - q * math.log(amp_sum)
+    return _tail_radius(math.pi * q * width_floor, shift, log_target)
 
 
-def _seed_breakpoints(f, q, radius):
+def _seed_breakpoints(f, q, shift, radius):
     """Initial panel edges: a geometric ladder from the finest decay
     length up to the truncation radius, so widely separated scales are
     resolved before any adaptive refinement happens."""
-    _, _, shift = f.envelope()
-    finest = min(f.scales()) / math.sqrt(q)
     pts = {0.0}
-    v = finest
+    v = min(f.scales()) / math.sqrt(q)
     while v < radius and len(pts) < 80:
         pts.add(v)
         pts.add(-v)
@@ -265,44 +255,31 @@ def lq_norm_quad(f, q: float, tol: float) -> NormEstimate:
         raise ValueError(f"norm exponent must be finite and >= 1, got {q}")
     if not (TOL_FLOOR <= tol <= TOL_CEIL):
         raise ValueError(f"tolerance must lie in [{TOL_FLOOR}, {TOL_CEIL}], got {tol}")
-    amp_sum, width_floor, shift = f.envelope()
-    if amp_sum == 0.0:
+    scale, width_floor, shift = f.envelope()
+    if scale == 0.0:
         return NormEstimate(0.0, "quadrature", 0.0, q)
-    # The integrand is |f/scale|**q with envelope amplitude amp; scale is
-    # 1.0, and the integrand |f|**q bit for bit, unless |f|**q could
-    # overflow.
-    scale = amp_sum if q * math.log(amp_sum) > _LOG_SCALE_ABOVE else 1.0
-    amp = amp_sum / scale
 
     def integrand(x):
         v = np.asarray(f.eval(x)) / scale
         mag2 = v.real * v.real + v.imag * v.imag
         return np.power(mag2, 0.5 * q)
 
+    # |f/scale|**q lies below exp(-alpha*(|x|-shift)**2), whose tails
+    # _log_tail bounds.  The initial radius assumes the integral could
+    # undershoot the envelope's own integral beyond shift by six orders
+    # (cancellation); the loop tightens R against the computed integral.
     alpha = math.pi * q * width_floor
-    log_coef = q * math.log(amp) + 0.5 * math.log(math.pi / alpha)
-    # Initial radius assumes the integral could undershoot the envelope
-    # scale by six orders (cancellation); the loop below tightens R
-    # against the actually computed integral.
-    radius = _radius_from_log_u(math.log(0.25e-6 * tol), alpha, shift)
-    total = err = 0.0
-    converged = True
-    panels = 0
+    radius = _tail_radius(alpha, shift, math.log(0.25e-6 * tol) + _log_tail(alpha, shift, shift))
     for _ in range(4):
         total, err, converged, panels = integrate_adaptive(
-            integrand, -radius, radius, 0.5 * tol, _seed_breakpoints(f, q, radius)
+            integrand, -radius, radius, 0.5 * tol, _seed_breakpoints(f, q, shift, radius)
         )
-        if total <= 0.0:
+        if total <= 0.0 or _log_tail(alpha, shift, radius) <= math.log(0.5 * tol * total):
             break
-        log_trunc = _log_tail_bound(amp, width_floor, q, radius, shift)
-        if log_trunc <= math.log(0.5 * tol * total):
-            break
-        radius = _radius_from_log_u(
-            math.log(0.25 * tol * total) - log_coef, alpha, shift
-        )
+        radius = _tail_radius(alpha, shift, math.log(0.25 * tol * total))
     if total <= 0.0:
         return NormEstimate(0.0, "quadrature", 0.0, q)
-    trunc = math.exp(_log_tail_bound(amp, width_floor, q, radius, shift))
+    trunc = math.exp(_log_tail(alpha, shift, radius))
     rel_err = (err + trunc) / total
     value = scale * total ** (1.0 / q)
     estimate = NormEstimate(value, "quadrature", value * rel_err / q, q)
@@ -340,11 +317,14 @@ def norm_from_samples(s: SampledFunction, q: float) -> NormEstimate:
     """Riemann-sum L^q norm of a sampled function (method tag 'dft').
 
     The error estimate compares against the stride-2 subgrid, which is
-    crude but honest for smooth decaying samples.
+    crude but honest for smooth decaying samples.  The sums run over
+    ``|samples| / max|samples|``, so no amplitude underflows them.
     """
     if not (math.isfinite(q) and q >= 1.0):
         raise ValueError(f"norm exponent must be finite and >= 1, got {q}")
     mag = np.abs(s.samples)
-    full = float((s.dx * np.sum(mag ** q)) ** (1.0 / q))
-    half = float((2.0 * s.dx * np.sum(mag[::2] ** q)) ** (1.0 / q))
+    scale = float(mag.max()) or 1.0
+    mag = mag / scale
+    full = scale * float((s.dx * np.sum(mag ** q)) ** (1.0 / q))
+    half = scale * float((2.0 * s.dx * np.sum(mag[::2] ** q)) ** (1.0 / q))
     return NormEstimate(full, "dft", abs(full - half), q)

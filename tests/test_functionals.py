@@ -33,7 +33,7 @@ from uflab.gaussian import (
     make_two_scale,
 )
 from uflab.hermite import HermiteExpansion
-from uflab.numerics import NormEstimate, lq_norm_quad
+from uflab.numerics import lq_norm_quad
 
 
 class TestExponentHelpers:
@@ -177,7 +177,7 @@ class TestEvalFq:
     def test_report_value_is_norm_ratio(self):
         rep = eval_Fq(ChirpParams(2.0), 4.0, "quadrature", 1e-9)
         n = [e.value for e in rep.norms]
-        assert rep.value == n[0] * n[1] / (n[2] * n[3])
+        assert rep.value == (n[0] / n[2]) * (n[1] / n[3])
         assert [e.q for e in rep.norms] == [4.0, 4.0, 2.0, 2.0]
 
     def test_plancherel_identity(self):
@@ -237,14 +237,17 @@ class TestEvalFq:
     @pytest.mark.parametrize("f, q", [
         # nonzero coefficients, identically zero sum
         (GaussianMixture((ComplexGaussianTerm(1, 1), ComplexGaussianTerm(-1, 1))), 3.0),
-        # every norm underflows
-        (HermiteExpansion((1e-300,)), 3.0),
-        # the q-norms underflow though F_64(h_0) = 1.3252...
-        (HermiteExpansion((1e-10,)), 64.0),
     ])
     def test_vanishing_norm_rejected(self, f, q):
         with pytest.raises(ValueError, match="zero function"):
             eval_Fq(f, q)
+
+    @pytest.mark.parametrize("amp, q", [(1e-300, 3.0), (1e-10, 64.0)])
+    def test_tiny_amplitude_is_scale_free(self, amp, q):
+        # |f|**q underflows unless integrated as |f/S|**q; F_q(h_0) is the
+        # Gaussian value sqrt(2) * q**(-1/q) at every amplitude
+        rep = eval_Fq(HermiteExpansion((amp,)), q)
+        assert rep.value == pytest.approx(math.sqrt(2.0) * q ** (-1.0 / q), rel=1e-12)
 
     def test_exponent_domain(self):
         f = ChirpParams(2.0)
@@ -337,19 +340,14 @@ class TestNorms:
 
     def test_overflowing_sum_falls_back(self, monkeypatch):
         # c**32 overflows, so the q = 64 sum of g_c has an infinite part;
-        # the route goes to quadrature (stubbed here: at c = 1e150 the
-        # tail radius needs an erfc argument below the smallest float)
-        calls = []
-
-        def quadrature(g, q, tol):
-            calls.append(q)
-            return NormEstimate(1.0, "quadrature", 0.0, q)
-
-        monkeypatch.setattr(functionals, "lq_norm_quad", quadrature)
-        g = make_two_scale(TwoScaleParams(1e150))
-        assert [n.method for n in norms(g, (64.0, 2.0), 1e-10)] == [
-            "quadrature", "closed-form"]
-        assert calls == [64.0]
+        # the route goes to quadrature, which returns the norm: the spike
+        # c**0.5 * exp(-pi*c*c*x*x) carries all but about 1/c of it
+        calls = _counting_quadrature(monkeypatch)
+        c = 1e150
+        high, l2 = norms(make_two_scale(TwoScaleParams(c)), (64.0, 2.0), 1e-10)
+        assert (high.method, l2.method) == ("quadrature", "closed-form")
+        assert [q for _, q in calls] == [64.0]
+        assert high.value == pytest.approx(c ** (31 / 64) * 8.0 ** (-1 / 64), rel=1e-9)
 
     def test_overflow_fallback_quadrature_is_finite(self):
         # At c = 1e10 the q = 64 sum overflows but |g_c|**64 is integrated

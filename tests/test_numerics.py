@@ -123,6 +123,41 @@ class TestTruncationRadius:
             truncation_radius(single(1.0, 1.0), 2.0, 0.0)
 
 
+_LOG_TARGETS = (0.0, -1.0, -10.0, -100.0, -745.0, -1e4, -1e5, -1e6)
+
+
+class TestTailPair:
+    """numerics._log_tail and its inverse numerics._tail_radius."""
+
+    @pytest.mark.parametrize("shift", [0.0, 3.0])
+    @pytest.mark.parametrize("alpha", [2.2250738585072014e-308, 1e-300, 1e-150, 1e-20,
+                                       1e-3, 1.0, 1e3])
+    def test_inverse_meets_target(self, alpha, shift):
+        radii = []
+        for target in _LOG_TARGETS:
+            r = numerics._tail_radius(alpha, shift, target)
+            floor = shift + 1.0 / math.sqrt(alpha)
+            assert math.isfinite(r) and r >= floor
+            bound = numerics._log_tail(alpha, shift, r)
+            if r == floor:
+                assert bound <= target
+            else:
+                assert abs(bound - target) <= 1e-12 * max(1.0, abs(target))
+            radii.append(r)
+        # a tighter target never gives a smaller radius
+        assert radii == sorted(radii)
+
+    @pytest.mark.parametrize("t", [1.0, 2.5, 10.0, 27.0, 100.0, 1e3, 1e4])
+    def test_log_bound_matches_mpmath(self, t):
+        # alpha = 1/2 makes the code's erfc argument radius/sqrt(2) exact
+        # in the reference, whose prefactor is sqrt(pi/alpha) = sqrt(2*pi)
+        radius = math.sqrt(2.0) * t
+        with mpmath.workdps(40):
+            ref = mpmath.log(mpmath.sqrt(2 * mpmath.pi)
+                             * mpmath.erfc(mpmath.mpf(radius) / mpmath.sqrt(2)))
+        assert numerics._log_tail(0.5, 0.0, radius) == pytest.approx(float(ref), rel=1e-13)
+
+
 class TestLqNormQuad:
     def test_unit_gaussian_l2(self):
         est = lq_norm_quad(single(1.0, 1.0), 2.0, 1e-12)
@@ -177,6 +212,14 @@ class TestLqNormQuad:
             str(exc.value),
         )
 
+    @pytest.mark.parametrize("c", [7.57e153, 1.3e154])
+    def test_two_scale_width_overflow_raises(self, c):
+        # above sqrt(DBL_MAX/pi) ~ 7.56e153, pi*c*c overflows in the narrow
+        # term's exponent and eval yields nan; the norm raises rather than
+        # returning a degraded value
+        with pytest.raises(ToleranceNotAchieved):
+            lq_norm_quad(make_two_scale(TwoScaleParams(c)), 3.0, 1e-10)
+
     def test_halving_tol_never_raises_error_estimate(self):
         f = make_two_scale(TwoScaleParams(3.0))
         tols = [1e-4, 5e-5, 2.5e-5, 1.25e-5, 6.25e-6]
@@ -223,6 +266,19 @@ def _gc_lq_reference(c, q):
         return float(total ** (1 / qm))
 
 
+def _gc_binomial_reference(c, q):
+    """40-digit ||g_c||_q at integer q: the binomial expansion of
+    (c**-0.5*exp(-pi*x*x/c**2) + c**0.5*exp(-pi*c*c*x*x))**q, integrated
+    term by term as Gaussians."""
+    with mpmath.workdps(40):
+        cm = mpmath.mpf(c)
+        total = mpmath.fsum(
+            mpmath.binomial(q, k) * cm ** ((q - 2 * k) / mpmath.mpf(2))
+            / mpmath.sqrt(k / cm ** 2 + (q - k) * cm ** 2)
+            for k in range(q + 1))
+        return float(total ** (mpmath.mpf(1) / q))
+
+
 def _mixture_lq_reference(f, q):
     """20-digit ||f||_q of a centered mixture, integrated over [0, 320]
     between breakpoints that follow |f|**q: every 5, every eight periods
@@ -264,6 +320,10 @@ _HARD_CASES = [
     *(pytest.param(make_two_scale(TwoScaleParams(c)), 3.0,
                    lambda c=c: _gc_lq_reference(c, 3.0), id=f"gc-{c:g}-q3")
       for c in (1.0, 1e3, 1e6)),
+    # the far end of the two-scale range: widths 1e-306 to 1e306
+    *(pytest.param(make_two_scale(TwoScaleParams(c)), float(q),
+                   lambda c=c, q=q: _gc_binomial_reference(c, q), id=f"gc-{c:g}-q{q}")
+      for c in (1e145, 1e150, 1e153) for q in (2, 3, 4, 6)),
     pytest.param(HermiteExpansion((0.0,) * 32 + (1.0,)), 1.001,
                  lambda: _h32_lq_reference(1.001), id="h32-q1.001"),
     # A fast chirp over a slow Gaussian: |f| oscillates and nearly vanishes
@@ -411,6 +471,11 @@ class TestNormFromSamples:
         est = norm_from_samples(s, 2.0)
         assert est.method == "dft"
         assert est.value == pytest.approx(2.0 ** -0.25, rel=1e-10)
+
+    def test_tiny_amplitude_does_not_underflow(self):
+        unit = norm_from_samples(sample(HermiteExpansion((1.0,)), 256, 0.05), 3.0)
+        tiny = norm_from_samples(sample(HermiteExpansion((1e-300,)), 256, 0.05), 3.0)
+        assert tiny.value == pytest.approx(1e-300 * unit.value, rel=1e-12)
 
     def test_rejects_bad_exponent(self):
         s = sample(single(1.0, 1.0), 16, 0.5)
