@@ -326,7 +326,8 @@ def minimize_Fq(
     never exceeds sqrt(2)*q**(-1/q) beyond quadrature noise; for q < 2
     the proved floor 1/B_q is reported alongside for comparison.
     """
-    # Imported here: scipy.optimize is a third of the package's import time.
+    # Imported here, the package's one such import: loaded with the
+    # package, it would more than double its import time.
     from scipy.optimize import minimize as nelder_mead
 
     _check_exponent(q)

@@ -173,10 +173,12 @@ def _exact_norm(g, q: float, tol: float) -> NormEstimate | None:
     """||g||_q by an exact route, or None where there is none.
 
     A single term has its closed form at every q.  At an even integer
-    q = 2m the parts of ``g.power_parts(m)`` are summed, but only when
-    the sum is finite and positive and its rounding bound
+    q = 2m the parts of ``g.power_parts(m)``, which state ``|g/S|**q``
+    with S the envelope amplitude, are summed, but only when the sum is
+    finite and positive and its rounding bound
     rel = k*eps*sum|part|/sum(part), k = number of parts + q, is at most
-    tol/2; the norm then reports value*rel/q as its error.
+    tol/2; the norm is then S times the sum's q-th root and reports
+    value*rel/q as its error.
     """
     if isinstance(g, GaussianMixture) and len(g.terms) == 1:
         return NormEstimate(term_lq_norm(g.terms[0], q), "closed-form", 0.0, q)
@@ -192,7 +194,7 @@ def _exact_norm(g, q: float, tol: float) -> NormEstimate | None:
     rel = (len(parts) + q) * _EPS * magnitude / total
     if rel > 0.5 * tol:
         return None
-    value = total ** (1.0 / q)
+    value = g.envelope()[0] * total ** (1.0 / q)
     return NormEstimate(value, "closed-form", value * rel / q, q)
 
 

@@ -106,23 +106,25 @@ class GaussianMixture:
         return GaussianMixture(tuple(t.ft() for t in self.terms))
 
     def power_parts(self, m: int) -> tuple[complex, ...] | None:
-        """Integrals of the terms of ``(f * conj(f))**m``; they sum to the
-        integral of ``|f|**(2m)``.
+        """Integrals of the terms of ``(g * conj(g))**m`` for ``g = f/S``,
+        ``S = envelope()[0]``; they sum to the integral of ``|f/S|**(2m)``,
+        which no common factor of f's amplitudes can overflow or underflow.
 
-        The pairwise products ``A_j * conj(A_k) * exp(-pi*(z_j +
-        conj(z_k))*x**2)`` are merged by width.  The m-th power of their
-        sum has one term per multiset of m merged widths, with the
-        multinomial count of its orderings, and each term
+        The pairwise products ``a_j * conj(a_k) * exp(-pi*(z_j +
+        conj(z_k))*x**2)``, ``a = A/S``, are merged by width.  The m-th
+        power of their sum has one term per multiset of m merged widths,
+        with the multinomial count of its orderings, and each term
         ``B * exp(-pi*w*x**2)`` integrates to ``B/sqrt(w)``.  None when
         there would be more than ``MAX_POWER_PARTS`` terms or a sum of m
-        widths could overflow; an overflowing amplitude shows up as a
-        non-finite part, never as an exception.
+        widths could overflow.
         """
+        scale = self.envelope()[0] or 1.0
+        amps = [t.amplitude / scale for t in self.terms]
         merged: dict[complex, complex] = {}
-        for tj in self.terms:
-            for tk in self.terms:
+        for tj, aj in zip(self.terms, amps):
+            for tk, ak in zip(self.terms, amps):
                 w = tj.width + tk.width.conjugate()
-                merged[w] = merged.get(w, 0j) + tj.amplitude * tk.amplitude.conjugate()
+                merged[w] = merged.get(w, 0j) + aj * ak.conjugate()
         if (math.comb(len(merged) + m - 1, m) > MAX_POWER_PARTS
                 or not all(cmath.isfinite(m * w) for w in merged)):
             return None
@@ -139,8 +141,9 @@ class GaussianMixture:
                      for key, amp in power.items())
 
     def l2_norm(self) -> float:
-        """Exact L^2 norm: the m = 1 case of :meth:`power_parts`."""
-        return math.sqrt(max(sum(self.power_parts(1)).real, 0.0))
+        """Exact L^2 norm: S times the root of the m = 1 case of
+        :meth:`power_parts`."""
+        return self.envelope()[0] * math.sqrt(max(sum(self.power_parts(1)).real, 0.0))
 
 
 @dataclass(frozen=True)
@@ -171,15 +174,17 @@ class ChirpParams:
 @dataclass(frozen=True)
 class TwoScaleParams:
     """Parameter of the self-dual two-scale family: any ``c > 0`` whose
-    widths ``c*c`` and ``1/(c*c)`` are both finite positive floats."""
+    widths times pi, ``pi*c*c`` and ``pi/(c*c)``, are both finite, so
+    that no term's exponent overflows; about [1.33e-154, 7.56e153]."""
 
     c: float
 
     def __post_init__(self):
         w = self.c * self.c
-        if not (self.c > 0.0 and 0.0 < w < math.inf and 1.0 / w < math.inf):
-            raise ValueError(f"two-scale parameter needs c > 0 with finite positive "
-                             f"c*c and 1/(c*c), got {self.c}")
+        if not (self.c > 0.0 and w > 0.0 and math.pi * w < math.inf
+                and math.pi / w < math.inf):
+            raise ValueError(f"two-scale parameter needs c > 0 with finite "
+                             f"pi*c*c and pi/(c*c), got {self.c}")
 
 
 def make_chirp(params: ChirpParams) -> ComplexGaussianTerm:

@@ -93,14 +93,17 @@ class HermiteExpansion:
         return HermiteExpansion(hermite_ft_coeffs(self.coefficients))
 
     def power_parts(self, m: int) -> tuple[float, ...] | None:
-        """Parts summing to the integral of ``|f|**(2m)``: ``|c_n|**2`` for
-        m = 1, by orthonormality of the basis; None for m > 1, which has
-        no expansion here."""
-        return tuple(abs(c) ** 2 for c in self.coefficients) if m == 1 else None
+        """Parts summing to the integral of ``|f/S|**(2m)``, ``S =
+        envelope()[0]``: ``|c_n/S|**2`` for m = 1, by orthonormality of
+        the basis; None for m > 1, which has no expansion here."""
+        if m != 1:
+            return None
+        scale = self.envelope()[0] or 1.0
+        return tuple(abs(c / scale) ** 2 for c in self.coefficients)
 
     def l2_norm(self) -> float:
-        """Exact: the m = 1 case of :meth:`power_parts`."""
-        return math.sqrt(sum(self.power_parts(1)))
+        """Exact: S times the root of the m = 1 case of :meth:`power_parts`."""
+        return self.envelope()[0] * math.sqrt(sum(self.power_parts(1)))
 
     def envelope(self):
         amp = _ENVELOPE_SAFETY * _SUP_BOUND * sum(abs(c) for c in self.coefficients)

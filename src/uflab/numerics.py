@@ -4,7 +4,10 @@ Every integrand here is ``|f/S|**q`` for a test function f carrying an
 explicit Gaussian envelope ``S * exp(-pi*w*(|x|-shift)**2)``, so no
 amplitude of f overflows or underflows it, and the integral is truncated
 to ``[-R, R]`` with a certified erfc tail bound, computed and inverted
-in log space, rather than a heuristic cutoff.  The finite interval is
+in log space, rather than a heuristic cutoff: ``math.erfc`` where erfc
+is a normal float and the continued fraction of ``1/erfcx`` beyond
+(Cody, "Rational Chebyshev approximations for the error function",
+Math. Comp. 23, 1969), inverted by Newton steps.  The finite interval is
 then handled by adaptive bisection with an embedded Gauss7/Kronrod15
 pair per panel, refined in rounds: each round bisects every panel it
 selects and evaluates all of their nodes in a single ``f.eval`` call
@@ -25,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri_exp
 
 MAX_PANELS = 100_000
 TOL_FLOOR = 1e-13
@@ -191,23 +193,60 @@ def integrate_adaptive(fn, lo, hi, rel_tol, breakpoints=()):
     return total, err_total, converged, int(los.size)
 
 
+# math.erfc(t) stays a normal float up to t of about 26.5; from here on
+# the continued fraction states log erfc instead.
+_ERFC_CF_FROM = 25.0
+_SQRT_PI = math.sqrt(math.pi)
+_LOG_ERFC_1 = math.log(math.erfc(1.0))
+
+
+def _log_erfc_slope(t):
+    """log erfc(t) and its derivative -2*exp(-t*t)/(sqrt(pi)*erfc(t)).
+
+    From ``_ERFC_CF_FROM`` on, erfc(t) = exp(-t*t)/(sqrt(pi)*K(t)) with
+    the continued fraction K(t) = t + (1/2)/(t + 1/(t + (3/2)/(t + ...)))
+    of 1/erfcx; six levels reach rounding for every t >= 20, and the
+    derivative is -2*K(t)."""
+    if t < _ERFC_CF_FROM:
+        erfc = math.erfc(t)
+        return math.log(erfc), -2.0 * math.exp(-t * t) / (_SQRT_PI * erfc)
+    k = t
+    for half_n in (3.0, 2.5, 2.0, 1.5, 1.0, 0.5):
+        k = t + half_n / k
+    return -t * t - math.log(_SQRT_PI * k), -2.0 * k
+
+
 def _log_tail(alpha, shift, radius):
     """log of sqrt(pi/alpha) * erfc(sqrt(alpha)*(radius-shift)), which
     bounds the integral of exp(-alpha*(|x|-shift)**2) over |x| > radius;
-    erfc(t) = 2*ndtr(-sqrt(2)*t) keeps it finite at any radius."""
-    z = math.sqrt(2.0 * alpha) * (radius - shift)
-    return 0.5 * (math.log(4.0 * math.pi) - math.log(alpha)) + float(log_ndtr(-z))
+    finite at any radius and for alpha down to the smallest normal."""
+    log_erfc, _ = _log_erfc_slope(math.sqrt(alpha) * (radius - shift))
+    return 0.5 * (math.log(math.pi) - math.log(alpha)) + log_erfc
 
 
 def _tail_radius(alpha, shift, log_target):
     """Inverse of :func:`_log_tail`, floored at one decay length
-    1/sqrt(alpha) past shift; a Newton step on log_ndtr mends ndtri_exp's
-    drift of about 1e-12 relative at log targets near -1e5."""
-    y = min(log_target - 0.5 * (math.log(4.0 * math.pi) - math.log(alpha)), -math.log(2.0))
-    z = float(ndtri_exp(y))
-    log_cdf = float(log_ndtr(z))
-    z -= (log_cdf - y) * math.exp(log_cdf + 0.5 * (z * z + math.log(2.0 * math.pi)))
-    return shift + max(-z / math.sqrt(2.0), 1.0) / math.sqrt(alpha)
+    1/sqrt(alpha) past shift.
+
+    log erfc is concave, so Newton's method on it approaches the root
+    from above after at most one step, and the bound at the returned
+    radius meets the target up to rounding.  It starts from the
+    asymptotic root s = t*t of s + log(sqrt(pi*s)) + 1/(2s) = -y, one
+    fixed-point step from s = -y - log(sqrt(-pi*y)), and stops once a
+    step moves t by at most 1e-8 relative, after which quadratic
+    convergence leaves rounding alone."""
+    y = log_target - 0.5 * (math.log(math.pi) - math.log(alpha))
+    t = 1.0
+    if y < _LOG_ERFC_1:
+        s = -y - 0.5 * math.log(-math.pi * y)
+        t = math.sqrt(-y - 0.5 * math.log(math.pi * s) - 0.5 / s)
+        for _ in range(20):
+            log_erfc, slope = _log_erfc_slope(t)
+            step = (log_erfc - y) / slope
+            t -= step
+            if abs(step) <= 1e-8 * t:
+                break
+    return shift + max(t, 1.0) / math.sqrt(alpha)
 
 
 def truncation_radius(f, q: float, tol: float) -> float:

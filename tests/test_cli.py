@@ -82,6 +82,7 @@ class TestUsageErrors:
         ("minimize", "--q", "1.5", "--restarts", "-3"),
         ("minimize", "--q", "1.5", "--max-iter", "0"),
         ("eval", "--family", "twoscale", "--c", "1e-300", "--q", "3"),
+        ("eval", "--family", "twoscale", "--c", "1e154", "--q", "3"),
         ("ftcheck", "--family", "gaussian", "--c", "-1", "--grid-n", "16"),
         ("ftcheck", "--family", "gaussian", "--grid-n", "16", "--dx", "0"),
         ("ftcheck", "--family", "gaussian", "--grid-n", "16", "--dx", "nan"),

@@ -249,6 +249,24 @@ class TestEvalFq:
         rep = eval_Fq(HermiteExpansion((amp,)), q)
         assert rep.value == pytest.approx(math.sqrt(2.0) * q ** (-1.0 / q), rel=1e-12)
 
+    @pytest.mark.parametrize("a", [1e-200, 1e200])
+    @pytest.mark.parametrize("f", [
+        GaussianMixture((ComplexGaussianTerm(0.7 + 0.2j, 1.3),
+                         ComplexGaussianTerm(-0.4, 0.5 + 1.1j))),
+        HermiteExpansion((0.3, 0.2j, -0.5, 0.1 + 0.1j)),
+    ], ids=["mixture", "hermite"])
+    def test_exact_sums_are_scale_free(self, f, a):
+        # the exact sums work on f/S as quadrature does: unscaled, a*f's
+        # squared amplitudes underflow to 0 or overflow to nan/OverflowError
+        if isinstance(f, GaussianMixture):
+            scaled = GaussianMixture(tuple(
+                ComplexGaussianTerm(a * t.amplitude, t.width) for t in f.terms))
+        else:
+            scaled = HermiteExpansion(tuple(a * c for c in f.coefficients))
+        assert scaled.l2_norm() == pytest.approx(a * f.l2_norm(), rel=1e-14)
+        for q in (3.0, 4.0):
+            assert eval_Fq(scaled, q).value == pytest.approx(eval_Fq(f, q).value, rel=1e-12)
+
     def test_exponent_domain(self):
         f = ChirpParams(2.0)
         with pytest.raises(ValueError):
@@ -339,29 +357,27 @@ class TestNorms:
         assert 0.0 < est.value < 1e-8
 
     def test_overflowing_sum_falls_back(self, monkeypatch):
-        # c**32 overflows, so the q = 64 sum of g_c has an infinite part;
-        # the route goes to quadrature, which returns the norm: the spike
-        # c**0.5 * exp(-pi*c*c*x*x) carries all but about 1/c of it
+        # 32 times the width 2*c*c overflows, so the q = 64 sum of g_c has
+        # no exact route; the route goes to quadrature, which returns the
+        # norm: the spike c**0.5 * exp(-pi*c*c*x*x) carries all but about
+        # 1/c of it
         calls = _counting_quadrature(monkeypatch)
-        c = 1e150
+        c = 5e153
         high, l2 = norms(make_two_scale(TwoScaleParams(c)), (64.0, 2.0), 1e-10)
         assert (high.method, l2.method) == ("quadrature", "closed-form")
         assert [q for _, q in calls] == [64.0]
         assert high.value == pytest.approx(c ** (31 / 64) * 8.0 ** (-1 / 64), rel=1e-9)
 
     def test_overflow_fallback_quadrature_is_finite(self):
-        # At c = 1e10 the q = 64 sum overflows but |g_c|**64 is integrated
-        # scaled by its envelope amplitude; the exact sum of g_c / S agrees.
-        g = make_two_scale(TwoScaleParams(1e10))
-        (quad,) = norms(g, (64.0,), 1e-10)
-        assert quad.method == "quadrature"
-        scale = g.envelope()[0]
-        scaled = GaussianMixture(tuple(
-            ComplexGaussianTerm(t.amplitude / scale, t.width) for t in g.terms))
-        (exact,) = norms(scaled, (64.0,), 1e-10)
-        assert exact.method == "closed-form"
-        assert abs(quad.value - scale * exact.value) <= (
-            quad.abs_error_estimate + scale * exact.abs_error_estimate)
+        # c**32 would overflow an unscaled q = 64 sum of g_c; both routes
+        # work on g_c / S, S its envelope amplitude, and agree
+        for c in (1e10, 1e150):
+            g = make_two_scale(TwoScaleParams(c))
+            (quad,) = norms(g, (64.0,), 1e-10, "quadrature")
+            (exact,) = norms(g, (64.0,), 1e-10)
+            assert exact.method == "closed-form"
+            assert abs(quad.value - exact.value) <= (
+                quad.abs_error_estimate + exact.abs_error_estimate)
 
     def test_quadrature_method_integrates_all_four(self, monkeypatch):
         calls = _counting_quadrature(monkeypatch)

@@ -72,11 +72,12 @@ class TestConstruction:
             TwoScaleParams(0.0)
         with pytest.raises(ValueError):
             TwoScaleParams(-2.0)
-        # c*c or 1/(c*c) underflows or overflows
-        for c in (1e-160, 1e-300, 1e160, 1e300):
+        # pi*c*c or pi/(c*c) overflows
+        for c in (1e-154, 1e-160, 1e-300, 1e160, 1e300):
             with pytest.raises(ValueError):
                 TwoScaleParams(c)
-        TwoScaleParams(1e-154)  # both widths still finite and positive
+        TwoScaleParams(1.33e-154)  # both widths times pi still finite
+        TwoScaleParams(7.56e153)
 
     def test_g1_is_doubled_gaussian(self):
         mix = make_two_scale(TwoScaleParams(1.0))

@@ -147,7 +147,7 @@ class TestTailPair:
         # a tighter target never gives a smaller radius
         assert radii == sorted(radii)
 
-    @pytest.mark.parametrize("t", [1.0, 2.5, 10.0, 27.0, 100.0, 1e3, 1e4])
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.5, 10.0, 27.0, 100.0, 1e3, 1e4])
     def test_log_bound_matches_mpmath(self, t):
         # alpha = 1/2 makes the code's erfc argument radius/sqrt(2) exact
         # in the reference, whose prefactor is sqrt(pi/alpha) = sqrt(2*pi)
@@ -156,6 +156,20 @@ class TestTailPair:
             ref = mpmath.log(mpmath.sqrt(2 * mpmath.pi)
                              * mpmath.erfc(mpmath.mpf(radius) / mpmath.sqrt(2)))
         assert numerics._log_tail(0.5, 0.0, radius) == pytest.approx(float(ref), rel=1e-13)
+
+    def test_log_bound_across_cf_switch(self):
+        # alpha = 1 makes the erfc argument the radius itself; the grid
+        # crosses _ERFC_CF_FROM, where math.erfc hands over to the
+        # continued fraction, and includes the floats on either side of it
+        switch = numerics._ERFC_CF_FROM
+        grid = sorted({20.0 + k / 64 for k in range(641)}
+                      | {math.nextafter(switch, 0.0), switch, math.nextafter(switch, 30.0)})
+        bounds = [numerics._log_tail(1.0, 0.0, t) for t in grid]
+        with mpmath.workdps(40):
+            for t, bound in zip(grid, bounds):
+                ref = mpmath.log(mpmath.sqrt(mpmath.pi) * mpmath.erfc(mpmath.mpf(t)))
+                assert bound == pytest.approx(float(ref), rel=1e-13), t
+        assert all(b < a for a, b in zip(bounds, bounds[1:]))
 
 
 class TestLqNormQuad:
@@ -212,13 +226,13 @@ class TestLqNormQuad:
             str(exc.value),
         )
 
-    @pytest.mark.parametrize("c", [7.57e153, 1.3e154])
+    @pytest.mark.parametrize("c", [7.57e153, 1.3e154, 1 / 7.57e153, 1 / 1.3e154])
     def test_two_scale_width_overflow_raises(self, c):
-        # above sqrt(DBL_MAX/pi) ~ 7.56e153, pi*c*c overflows in the narrow
-        # term's exponent and eval yields nan; the norm raises rather than
-        # returning a degraded value
-        with pytest.raises(ToleranceNotAchieved):
-            lq_norm_quad(make_two_scale(TwoScaleParams(c)), 3.0, 1e-10)
+        # above sqrt(DBL_MAX/pi) ~ 7.56e153, pi*c*c would overflow in the
+        # narrow term's exponent (pi/(c*c) in the wide one below its
+        # reciprocal), so no such g_c is built and no norm can turn nan
+        with pytest.raises(ValueError, match="two-scale parameter"):
+            TwoScaleParams(c)
 
     def test_halving_tol_never_raises_error_estimate(self):
         f = make_two_scale(TwoScaleParams(3.0))

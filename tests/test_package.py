@@ -31,16 +31,34 @@ def test_removed_free_functions_absent():
         assert not hasattr(uflab, name)
 
 
+_SCIPY_BLOCKED = """
+import os, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import uflab
+from uflab.cli import run_cli
+loaded = [m for m, mod in sys.modules.items() if m.startswith("scipy") and mod is not None]
+print(loaded)
+for argv in (
+    ["eval", "--family", "twoscale", "--c", "3", "--q", "3", "--p", "6"],
+    ["sweep", "--family", "chirp", "--q", "3", "--grid", "2:10:3log"],
+    ["verify", "--suite", "all", "--samples", "5"],
+    ["ftcheck", "--family", "gaussian", "--grid-n", "256"],
+):
+    print(argv[0], run_cli(argv + ["--out", os.devnull]))
+"""
+
+
 def test_import_leaves_optimizer_out():
-    # scipy.optimize is imported by minimize_Fq alone; it is about a third
-    # of the package's import time.
+    # scipy is imported by minimize_Fq alone (scipy.optimize); importing
+    # it would more than double the package's import time.  With scipy
+    # blocked, the package imports and every other subcommand runs.
     src = str(Path(uflab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, uflab; print('scipy.optimize' in sys.modules)"],
+        [sys.executable, "-c", _SCIPY_BLOCKED],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split("\n") == [
+        "[]", "eval 0", "sweep 0", "verify 0", "ftcheck 0", ""], proc.stderr
