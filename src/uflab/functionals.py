@@ -31,7 +31,7 @@ from .gaussian import (
     term_lq_norm,
 )
 from .hermite import HermiteExpansion
-from .numerics import NormEstimate, lq_norm_quad
+from .numerics import NormEstimate, check_tolerance, lq_norm_quad
 
 # Exponents accepted by the evaluators.  Closed forms stay finite well
 # beyond this range, but quadrature conditioning does not, so the public
@@ -201,22 +201,27 @@ def _exact_norm(g, q: float, tol: float) -> NormEstimate | None:
 def norms(g, exponents, tol: float, method: str = "auto") -> tuple[NormEstimate, ...]:
     """||g||_q for each q in ``exponents``, in order.
 
+    ``tol`` must lie in numerics [TOL_FLOOR, TOL_CEIL] whatever the route.
     ``method`` "auto" takes the exact route of :func:`_exact_norm` where
-    it exists and passes its guard, and ``lq_norm_quad`` otherwise;
+    it exists and passes its guard, and quadrature otherwise;
     "closed-form" takes only exact routes and raises ValueError naming
     every exponent without one; "quadrature" takes only quadrature.
+    Every exponent left to quadrature goes to one ``lq_norm_quad`` call,
+    which integrates them all on one mesh.
     """
+    check_tolerance(tol)
     if method not in ("auto", "closed-form", "quadrature"):
         raise ValueError(f"norm method must be auto, closed-form or quadrature, got {method!r}")
     exact = [None if method == "quadrature" else _exact_norm(g, q, tol) for q in exponents]
-    if method == "closed-form" and None in exact:
-        missing = [q for q, est in zip(exponents, exact) if est is None]
+    missing = tuple(q for q, est in zip(exponents, exact) if est is None)
+    if method == "closed-form" and missing:
         raise ValueError(
             f"no exact route for the L^q norm of this {type(g).__name__} at "
             f"q = {', '.join(f'{q:g}' for q in missing)} (tolerance {tol:g}); "
             "use method 'auto' or 'quadrature'"
         )
-    return tuple(est or lq_norm_quad(g, q, tol) for q, est in zip(exponents, exact))
+    quad = iter(lq_norm_quad(g, missing, tol) if missing else ())
+    return tuple(est or next(quad) for est in exact)
 
 
 def _ratio(norms) -> float:

@@ -1,19 +1,22 @@
 """Real-line quadrature and a sampled Fourier oracle.
 
-Every integrand here is ``|f/S|**q`` for a test function f carrying an
-explicit Gaussian envelope ``S * exp(-pi*w*(|x|-shift)**2)``, so no
-amplitude of f overflows or underflows it, and the integral is truncated
-to ``[-R, R]`` with a certified erfc tail bound, computed and inverted
-in log space, rather than a heuristic cutoff: ``math.erfc`` where erfc
-is a normal float and the continued fraction of ``1/erfcx`` beyond
-(Cody, "Rational Chebyshev approximations for the error function",
-Math. Comp. 23, 1969), inverted by Newton steps.  The finite interval is
-then handled by adaptive bisection with an embedded Gauss7/Kronrod15
-pair per panel, refined in rounds: each round bisects every panel it
-selects and evaluates all of their nodes in a single ``f.eval`` call
-(Shampine, "Vectorized adaptive quadrature in MATLAB", 2008).  The
-reported error estimate is the sum of the achieved panel estimates and
-the truncation bound, never the requested tolerance.
+Every integrand here is ``(|f|/M)**q`` for a test function f carrying an
+explicit Gaussian envelope ``S * exp(-pi*w*(|x|-shift)**2)``, M the
+largest sampled |f|, so no amplitude of f overflows or underflows it, and
+the integral is truncated to ``[-R, R]`` with a certified erfc tail bound,
+computed and inverted in log space, rather than a heuristic cutoff:
+``math.erfc`` where erfc is a normal float and the continued fraction of
+``1/erfcx`` beyond (Cody, "Rational Chebyshev approximations for the
+error function", Math. Comp. 23, 1969), inverted by Newton steps.  The
+finite interval is then handled by adaptive bisection with an embedded
+Gauss7/Kronrod15 pair per panel, refined in rounds: each round bisects
+every panel it selects and evaluates all of their nodes in a single
+``f.eval`` call.  The integrand is array-valued, one component per
+exponent of a norm request, all on one shared mesh (Shampine,
+"Vectorized adaptive quadrature in MATLAB", 2008), so ``lq_norm_quad``
+computes ||f||_q for a tuple of exponents in one pass.  The reported
+error estimate is the sum of the achieved panel estimates and the
+truncation bound, never the requested tolerance.
 
 Test functions plug in through three duck-typed hooks:
 
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -117,80 +121,105 @@ _K15_WEIGHTS = np.array(_GK_WK[:7] + [_GK_WK[7]] + list(reversed(_GK_WK[:7])))
 _G7_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 _G7_WEIGHTS = np.array(_GK_WG[:3] + [_GK_WG[3]] + list(reversed(_GK_WG[:3])))
 
+# Columns: the Kronrod weights, and Kronrod minus Gauss, whose sum is
+# ik - ig without cancellation.
+_KD_WEIGHTS = np.stack((_K15_WEIGHTS, _K15_WEIGHTS), axis=1)
+_KD_WEIGHTS[_G7_IDX, 1] -= _G7_WEIGHTS
+
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 def _gk_panels(fn, lo, hi):
-    """Kronrod values and QUADPACK-style error estimates on the panels
+    """Kronrod values (rows 0..k-1) over QUADPACK-style error estimates
+    (rows k..2k-1) of the k components of ``fn`` on the panels
     ``[lo[i], hi[i]]``, from one ``fn`` call on an (npanels, 15) array."""
-    half = 0.5 * (hi - lo)
-    xs = (0.5 * (hi + lo))[:, None] + half[:, None] * _K15_NODES
-    fx = np.asarray(fn(xs), dtype=float)
-    ik = half * (fx @ _K15_WEIGHTS)
-    ig = half * (fx[:, _G7_IDX] @ _G7_WEIGHTS)
-    mean = ik / (hi - lo)
-    resasc = half * (np.abs(fx - mean[:, None]) @ _K15_WEIGHTS)
-    delta = np.abs(ik - ig)
-    scaled = resasc > 0.0
-    ratio = np.divide(200.0 * delta, resasc, out=np.zeros_like(delta), where=scaled)
-    err = np.where(scaled, resasc * np.minimum(1.0, ratio ** 1.5), delta)
-    return ik, np.maximum(err, 50.0 * _EPS * np.abs(ik))
+    half = 0.5 * (hi - lo)[:, None]
+    xs = 0.5 * (hi + lo)[:, None] + half * _K15_NODES
+    # Values times the half-width: each row's weighted sum is an integral.
+    fx = np.asarray(fn(xs), dtype=float).reshape(-1, *xs.shape) * half
+    kd = fx @ _KD_WEIGHTS
+    ik = kd[..., 0]
+    resasc = np.abs(fx - 0.5 * ik[:, :, None]) @ _K15_WEIGHTS
+    # A constant panel has resasc 0 and ratio 0 here: its |ik - ig| is
+    # rounding (the two weight sums differ by about 16 eps), which the
+    # 50 eps floor covers.
+    ratio = np.divide(200.0 * np.abs(kd[..., 1]), resasc, out=np.zeros_like(ik),
+                      where=resasc > 0.0)
+    err = resasc * np.minimum(1.0, ratio ** 1.5)
+    return np.concatenate((ik, np.maximum(err, 50.0 * _EPS * np.abs(ik))))
 
 
 def integrate_adaptive(fn, lo, hi, rel_tol, breakpoints=()):
-    """Adaptively integrate ``fn`` over [lo, hi].
+    """Adaptively integrate the k components of ``fn`` over [lo, hi] on
+    one shared mesh.
 
-    Returns ``(value, err_estimate, converged, panels)``.  ``fn`` takes
-    an array of any shape.  Each round sorts the panels by error estimate
-    (stable, largest first), takes the shortest prefix whose summed
-    estimate covers the excess over ``rel_tol * |value|``, and bisects
-    all of it with one ``fn`` call.  Panels within a few float spacings
-    of their width limit keep their error and are never bisected;
-    refinement gives up once their error alone exceeds the target, and
+    ``fn`` maps an array x to values of shape ``(k, *x.shape)``, or of
+    x's own shape when k = 1.  Returns ``(values, err_estimates,
+    converged, panels)``, the first three arrays of shape (k,);
+    component i has converged when its estimate is at most
+    ``rel_tol * |values[i]|``.  Each round ranks the panels by their
+    largest error relative to that component's target (stable sort,
+    largest first), takes the shortest prefix whose summed estimates
+    cover every component's excess over its target, and bisects all of
+    it with one ``fn`` call.  Panels within a few float spacings of their
+    width limit keep their error and are never bisected; refinement
+    gives up once their error alone exceeds a component's target, and
     bisection stops before the panel count would exceed ``MAX_PANELS``
-    (read at call time).  Sums run in panel position order, so results
-    are reproducible run to run.
+    (read at call time).  A left half takes its parent's place and the
+    right halves are appended, so every sum runs in a fixed order and
+    results are reproducible run to run.
     """
     inner = (float(b) for b in breakpoints if lo < b < hi)
     pts = np.array(sorted({float(lo), float(hi), *inner}))
     los, his = pts[:-1], pts[1:]
-    vals, errs = _gk_panels(fn, los, his)
-    total, err_total = float(vals.sum()), float(errs.sum())
-    while err_total > rel_tol * abs(total) and los.size < MAX_PANELS:
-        mids = 0.5 * (los + his)
-        # A panel one float spacing wide rounds all 15 nodes to one value
-        # and would report zero error, so only panels whose halves can
-        # be bisected again are split.
-        left, right = 0.5 * (los + mids), 0.5 * (mids + his)
-        splittable = (los < left) & (left < mids) & (mids < right) & (right < his)
-        order = np.argsort(-errs, kind="stable")
-        order = order[splittable[order]]
-        # Refinement moves the total by at most err_total and never lowers
-        # the error of panels that cannot be split; once that error alone
-        # exceeds the target at the largest total refinement could reach,
-        # no further round can converge.
-        if order.size == 0 or (
-            order.size < los.size
-            and float(errs[~splittable].sum()) > rel_tol * (abs(total) + err_total)
-        ):
-            break
-        covered = np.cumsum(errs[order])
-        take = int(np.searchsorted(covered, err_total - rel_tol * abs(total))) + 1
+    # Midpoints and quarter points are off by at most half a float
+    # spacing of the largest |x|, so a panel wider than 8 such spacings
+    # always has distinct quarter points.
+    narrow = 8.0 * np.spacing(max(-pts[0], pts[-1]))
+    ve = _gk_panels(fn, los, his)  # k rows of panel values, k of errors
+    k = ve.shape[0] // 2
+    # Per-component totals, targets and excesses are Python floats: k is
+    # a handful, and numpy calls on k-vectors cost more than loops.
+    sums = ve.sum(1).tolist()
+    excess = [e - rel_tol * abs(t) for t, e in zip(sums, sums[k:])]
+    while los.size < MAX_PANELS and max(excess) > 0.0:
+        errs = ve[k:]
+        rank = reduce(np.minimum, [e * (-1.0 / max(rel_tol * abs(t), _TINY))
+                                   for e, t in zip(errs, sums)])
+        order = np.argsort(rank, kind="stable")
+        if (his - los).min() <= narrow:
+            # A panel one float spacing wide rounds all 15 nodes to one
+            # value and would report zero error, so only panels whose
+            # halves can be bisected again are split.
+            mids = 0.5 * (los + his)
+            left, right = 0.5 * (los + mids), 0.5 * (mids + his)
+            splittable = (los < left) & (left < mids) & (mids < right) & (right < his)
+            order = order[splittable[order]]
+            # Refinement moves a total by at most its error and never
+            # lowers the error of panels that cannot be split; once that
+            # error alone exceeds a component's target at the largest
+            # total refinement could reach, no further round can converge.
+            if order.size == 0 or (order.size < los.size and any(
+                stuck > rel_tol * (abs(t) + e)
+                for stuck, t, e in zip(errs[:, ~splittable].sum(1).tolist(), sums, sums[k:])
+            )):
+                break
+        take = 1 + max([int(np.searchsorted(np.cumsum(e[order]), x))
+                        for e, x in zip(errs, excess)])
         split = order[: min(take, MAX_PANELS - los.size)]
-        new_lo = np.concatenate((los[split], mids[split]))
-        new_hi = np.concatenate((mids[split], his[split]))
-        new_vals, new_errs = _gk_panels(fn, new_lo, new_hi)
-        keep = np.ones(los.size, dtype=bool)
-        keep[split] = False
-        los = np.concatenate((los[keep], new_lo))
-        by_position = np.argsort(los, kind="stable")
-        los = los[by_position]
-        his = np.concatenate((his[keep], new_hi))[by_position]
-        vals = np.concatenate((vals[keep], new_vals))[by_position]
-        errs = np.concatenate((errs[keep], new_errs))[by_position]
-        total, err_total = float(vals.sum()), float(errs.sum())
-    converged = err_total <= rel_tol * abs(total)
-    return total, err_total, converged, int(los.size)
+        lo_s, hi_s = los[split], his[split]
+        mid_s = 0.5 * (lo_s + hi_s)
+        new_ve = _gk_panels(fn, np.concatenate((lo_s, mid_s)), np.concatenate((mid_s, hi_s)))
+        n = split.size
+        los, his = np.concatenate((los, mid_s)), np.concatenate((his, hi_s))
+        his[split] = mid_s
+        ve = np.concatenate((ve, new_ve[:, n:]), 1)
+        ve[:, split] = new_ve[:, :n]
+        sums = ve.sum(1).tolist()
+        excess = [e - rel_tol * abs(t) for t, e in zip(sums, sums[k:])]
+    return (np.array(sums[:k]), np.array(sums[k:]), np.array(excess) <= 0.0,
+            int(los.size))
 
 
 # math.erfc(t) stays a normal float up to t of about 26.5; from here on
@@ -281,54 +310,96 @@ def _seed_breakpoints(f, q, shift, radius):
     return sorted(pts)
 
 
-def lq_norm_quad(f, q: float, tol: float) -> NormEstimate:
-    """L^q norm of ``f`` by certified truncation plus adaptive panels.
-
-    The requested tolerance is relative and is split evenly between the
-    truncation bound and the quadrature estimate; the returned estimate
-    reports what was actually achieved.  Raises
-    :class:`ToleranceNotAchieved` (carrying the best estimate) if the
-    panel budget runs out first.
-    """
-    if not (math.isfinite(q) and q >= 1.0):
-        raise ValueError(f"norm exponent must be finite and >= 1, got {q}")
+def check_tolerance(tol: float) -> None:
+    """Reject a relative norm tolerance outside [TOL_FLOOR, TOL_CEIL],
+    nan included."""
     if not (TOL_FLOOR <= tol <= TOL_CEIL):
         raise ValueError(f"tolerance must lie in [{TOL_FLOOR}, {TOL_CEIL}], got {tol}")
+
+
+def lq_norm_quad(f, q, tol: float):
+    """L^q norm of ``f`` by certified truncation plus adaptive panels.
+
+    ``q`` is one exponent, for which one :class:`NormEstimate` is
+    returned, or a tuple of exponents, for which one estimate per
+    exponent is returned in order.  All exponents share one pass: one
+    radius, the largest any of them needs, and one mesh, refined until
+    every exponent converges, with one ``f.eval`` per round.  The
+    integrand is ``(|f|/M)**q`` with M the largest |f| on the first
+    round's nodes, so it stays representable however far |f| lies below
+    its envelope amplitude S; each exponent's tail bound carries the
+    factor (S/M)**q in log space.  The requested tolerance is relative
+    and is split evenly between the truncation bound and the quadrature
+    estimate; the returned estimates report what was actually achieved.
+    Raises :class:`ToleranceNotAchieved`, naming every exponent that
+    missed and carrying the best estimate (the tuple of them for a
+    tuple), if the panel budget runs out first.
+    """
+    exponents = tuple(map(float, q)) if isinstance(q, tuple) else (float(q),)
+    if not exponents:
+        raise ValueError("no norm exponent given")
+    for e in exponents:
+        if not (math.isfinite(e) and e >= 1.0):
+            raise ValueError(f"norm exponent must be finite and >= 1, got {e}")
+    check_tolerance(tol)
     scale, width_floor, shift = f.envelope()
     if scale == 0.0:
-        return NormEstimate(0.0, "quadrature", 0.0, q)
+        zeros = tuple(NormEstimate(0.0, "quadrature", 0.0, e) for e in exponents)
+        return zeros if isinstance(q, tuple) else zeros[0]
+
+    powers = np.array(exponents)[:, None, None]
+    peak = 0.0
 
     def integrand(x):
-        v = np.asarray(f.eval(x)) / scale
-        mag2 = v.real * v.real + v.imag * v.imag
-        return np.power(mag2, 0.5 * q)
+        nonlocal peak
+        mag = np.abs(f.eval(x))
+        if not peak:
+            peak = float(mag.max()) or scale
+        return np.power(mag / peak, powers)
 
-    # |f/scale|**q lies below exp(-alpha*(|x|-shift)**2), whose tails
+    # |f/S|**q lies below exp(-alpha*(|x|-shift)**2), whose tails
     # _log_tail bounds.  The initial radius assumes the integral could
     # undershoot the envelope's own integral beyond shift by six orders
-    # (cancellation); the loop tightens R against the computed integral.
-    alpha = math.pi * q * width_floor
-    radius = _tail_radius(alpha, shift, math.log(0.25e-6 * tol) + _log_tail(alpha, shift, shift))
+    # (cancellation); the loop tightens R against the computed integrals.
+    alphas = [math.pi * e * width_floor for e in exponents]
+    radius = max(_tail_radius(a, shift, math.log(0.25e-6 * tol) + _log_tail(a, shift, shift))
+                 for a in alphas)
     for _ in range(4):
-        total, err, converged, panels = integrate_adaptive(
-            integrand, -radius, radius, 0.5 * tol, _seed_breakpoints(f, q, shift, radius)
+        totals, errs, converged, panels = integrate_adaptive(
+            integrand, -radius, radius, 0.5 * tol,
+            _seed_breakpoints(f, max(exponents), shift, radius),
         )
-        if total <= 0.0 or _log_tail(alpha, shift, radius) <= math.log(0.5 * tol * total):
+        totals = totals.tolist()
+        log_ratio = math.log(scale) - math.log(peak)
+        log_tails = [_log_tail(a, shift, radius) + e * log_ratio
+                     for a, e in zip(alphas, exponents)]
+        if not min(totals) > 0.0 or all(
+            t <= math.log(0.5 * tol * total) for t, total in zip(log_tails, totals)
+        ):
             break
-        radius = _tail_radius(alpha, shift, math.log(0.25 * tol * total))
-    if total <= 0.0:
-        return NormEstimate(0.0, "quadrature", 0.0, q)
-    trunc = math.exp(_log_tail(alpha, shift, radius))
-    rel_err = (err + trunc) / total
-    value = scale * total ** (1.0 / q)
-    estimate = NormEstimate(value, "quadrature", value * rel_err / q, q)
-    if not converged or rel_err > tol:
+        radius = max(_tail_radius(a, shift, math.log(0.25 * tol * total) - e * log_ratio)
+                     for a, e, total in zip(alphas, exponents, totals))
+    found, missed = [], []
+    for e, log_tail, total, err, ok in zip(exponents, log_tails, totals, errs.tolist(),
+                                           converged.tolist()):
+        if total <= 0.0:
+            found.append(NormEstimate(0.0, "quadrature", 0.0, e))
+            continue
+        rel_err = err / total + math.exp(min(log_tail - math.log(total), 700.0))
+        value = peak * total ** (1.0 / e)
+        found.append(NormEstimate(value, "quadrature", value * rel_err / e, e))
+        if not (ok and rel_err <= tol):
+            missed.append((e, rel_err))
+    found = tuple(found) if isinstance(q, tuple) else found[0]
+    if missed:
         raise ToleranceNotAchieved(
-            f"{type(f).__name__} L^{q:g} norm: tolerance {tol:g} not achieved "
-            f"(relative error {rel_err:.3g}, radius {radius:.6g}, {panels} panels)",
-            estimate,
+            f"{type(f).__name__} {', '.join(f'L^{e:g}' for e, _ in missed)} "
+            f"norm{'s' if len(missed) > 1 else ''}: tolerance {tol:g} not achieved "
+            f"(relative error {', '.join(f'{r:.3g}' for _, r in missed)}, "
+            f"radius {radius:.6g}, {panels} panels)",
+            found,
         )
-    return estimate
+    return found
 
 
 def sample(f, n: int, dx: float) -> SampledFunction:

@@ -93,6 +93,17 @@ class TestUsageErrors:
         assert out == ""
         assert "usage" in err and "error" in err
 
+    # A norm tolerance outside [1e-13, 1e-2], nan included, is rejected
+    # whichever route the norms take.
+    @pytest.mark.parametrize("method", ["auto", "closed", "quad", "both"])
+    @pytest.mark.parametrize("tol", ["nan", "0", "0.5", "1e-15"])
+    def test_rejected_tolerance_is_usage_error(self, capsys, method, tol):
+        code, out, err = run(capsys, "eval", "--family", "chirp", "--a", "2", "--q", "3",
+                             "--tol", tol, "--method", method)
+        assert code == 2
+        assert out == ""
+        assert "tolerance must lie" in err
+
 
 class TestEval:
     def test_chirp_both_methods(self, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uflab import functionals
+from uflab import functionals, verifier
 from uflab.functionals import (
     EXPONENT_MAX,
     EXPONENT_MIN,
@@ -302,12 +302,12 @@ class TestEvalFqp:
 
 def _counting_quadrature(monkeypatch):
     """Route every quadrature norm of ``functionals`` through a recorder;
-    returns the list of (function, exponent) calls."""
+    returns the list of (function, exponents) calls."""
     calls = []
 
-    def counted(g, q, tol):
-        calls.append((g, q))
-        return lq_norm_quad(g, q, tol)
+    def counted(g, exponents, tol):
+        calls.append((g, exponents))
+        return lq_norm_quad(g, exponents, tol)
 
     monkeypatch.setattr(functionals, "lq_norm_quad", counted)
     return calls
@@ -365,7 +365,7 @@ class TestNorms:
         c = 5e153
         high, l2 = norms(make_two_scale(TwoScaleParams(c)), (64.0, 2.0), 1e-10)
         assert (high.method, l2.method) == ("quadrature", "closed-form")
-        assert [q for _, q in calls] == [64.0]
+        assert [qs for _, qs in calls] == [(64.0,)]
         assert high.value == pytest.approx(c ** (31 / 64) * 8.0 ** (-1 / 64), rel=1e-9)
 
     def test_overflow_fallback_quadrature_is_finite(self):
@@ -382,7 +382,7 @@ class TestNorms:
     def test_quadrature_method_integrates_all_four(self, monkeypatch):
         calls = _counting_quadrature(monkeypatch)
         rep = eval_Fq(TwoScaleParams(2.0), 4.0, "quadrature")
-        assert len(calls) == 4
+        assert [qs for _, qs in calls] == [(4.0, 2.0), (4.0, 2.0)]
         assert all(n.method == "quadrature" for n in rep.norms)
 
     def test_auto_integrates_only_without_exact_route(self, monkeypatch):
@@ -390,12 +390,40 @@ class TestNorms:
         assert eval_Fq(TwoScaleParams(2.0), 4.0).method == "auto"
         assert calls == []
         eval_Fqp(TwoScaleParams(2.0), 3.0, 6.0)
-        assert [q for _, q in calls] == [3.0, 3.0]
+        assert [qs for _, qs in calls] == [(3.0,), (3.0,)]
 
     def test_both_on_even_pair(self):
         rep = eval_Fqp(TwoScaleParams(3.0), 4.0, 6.0, "both")
         assert all(n.method == "closed-form" for n in rep.norms)
         assert rep.discrepancy <= 1e-12
+
+    def test_one_quadrature_call_per_function(self, monkeypatch):
+        # |f| is about 1e-4 of its terms, so the guard rejects the L^2
+        # and L^4 sums and every exponent goes to the one shared pass
+        calls = _counting_quadrature(monkeypatch)
+        f = GaussianMixture((ComplexGaussianTerm(1.0, 1.0),
+                             ComplexGaussianTerm(-1.0 + 1e-4, 1.0 + 1e-4)))
+        got = norms(f, (1.3, 3.0, 2.0, 1.5, 4.0), 1e-10)
+        assert [qs for _, qs in calls] == [(1.3, 3.0, 2.0, 1.5, 4.0)]
+        assert [n.q for n in got] == [1.3, 3.0, 2.0, 1.5, 4.0]
+        calls.clear()
+        verifier.verify_reduction_q_lt_2_le_p(1.3, 3.0, samples=6, seed=2)
+        # f and fhat of each sample at most once each, all three exponents
+        assert 0 < len(calls) <= 12
+        assert len({id(g) for g, _ in calls}) == len(calls)
+        assert all(qs == (1.3, 3.0, 1.5) for _, qs in calls)
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, 0.5, 1e-15])
+    def test_every_route_rejects_tolerance(self, tol):
+        # checked once on entry, so an exact route cannot pass a nan
+        f = GaussianMixture((ComplexGaussianTerm(1.0, 1.0),
+                             ComplexGaussianTerm(-1.0 + 1e-4, 1.0 + 1e-4)))
+        for method in ("auto", "closed-form", "quadrature"):
+            with pytest.raises(ValueError, match="tolerance must lie"):
+                norms(f, (4.0,), tol, method)
+        for method in ("auto", "closed-form", "quadrature", "both"):
+            with pytest.raises(ValueError, match="tolerance must lie"):
+                eval_Fq(ChirpParams(2.0), 4.0, method, tol)
 
     def test_closed_form_names_every_missing_exponent(self):
         with pytest.raises(ValueError, match=r"q = 3, 5 "):

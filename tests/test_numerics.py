@@ -19,7 +19,7 @@ from uflab.gaussian import (
     make_two_scale,
     term_lq_norm,
 )
-from uflab.hermite import HermiteExpansion
+from uflab.hermite import HermiteExpansion, TestFunctionSpec, random_schwartz
 from uflab.numerics import (
     NormEstimate,
     SampledFunction,
@@ -84,6 +84,29 @@ class TestIntegrateAdaptive:
         fn = lambda x: 1.0 / np.sqrt(np.abs(x))
         _, _, _, panels = integrate_adaptive(fn, 0.0, 1.0, 1e-12)
         assert panels <= max_panels
+
+    def test_components_share_one_mesh(self):
+        # two widths on one mesh: each converges to its own closed form,
+        # and the sharper one decides the panels
+        fn = lambda x: np.exp(-math.pi * np.array([1.0, 16.0])[:, None, None] * x * x)
+        vals, errs, converged, panels = integrate_adaptive(fn, -10.0, 10.0, 1e-12)
+        assert converged.tolist() == [True, True]
+        assert vals.tolist() == pytest.approx([1.0, 0.25], rel=1e-12)
+        assert all(errs <= 1e-12 * vals)
+        _, _, _, sharp_panels = integrate_adaptive(lambda x: fn(x)[1], -10.0, 10.0, 1e-12)
+        assert panels >= sharp_panels
+
+    def test_unsplittable_stop_is_per_component(self):
+        # the smooth component converges; the jump at float spacing
+        # cannot, and stops refinement for both instead of running on
+        # to MAX_PANELS
+        jump = 1e6 + math.sqrt(2.0)
+        fn = lambda x: np.array([np.ones_like(x), np.where(x > jump, 1.0, 0.0)])
+        vals, errs, converged, panels = integrate_adaptive(fn, 1e6, 1e6 + 2.0, 1e-13)
+        assert converged.tolist() == [True, False]
+        assert panels < 1000
+        assert vals[0] == pytest.approx(2.0, rel=1e-13)
+        assert errs[1] > 1e-13 * vals[1]
 
     def test_jump_at_float_spacing_reports_failure(self):
         # Near 1e6 the panel holding the jump reaches float spacing while
@@ -207,12 +230,60 @@ class TestLqNormQuad:
 
     def test_tolerance_domain(self):
         f = single(1.0, 1.0)
-        with pytest.raises(ValueError):
-            lq_norm_quad(f, 2.0, 1e-14)
-        with pytest.raises(ValueError):
-            lq_norm_quad(f, 2.0, 0.5)
+        for tol in (1e-14, 0.5, math.nan):
+            with pytest.raises(ValueError, match="tolerance must lie"):
+                lq_norm_quad(f, 2.0, tol)
         with pytest.raises(ValueError):
             lq_norm_quad(f, 0.9, 1e-8)
+        with pytest.raises(ValueError):
+            lq_norm_quad(f, (2.0, 0.9), 1e-8)
+        with pytest.raises(ValueError):
+            lq_norm_quad(f, (), 1e-8)
+
+    @pytest.mark.parametrize("exponents", [(1.2, 1.5), (1.3, 3.0, 1.5),
+                                           (4.0 / 3.0, 4.000000000000001)])
+    @pytest.mark.parametrize("spec", [TestFunctionSpec("gaussian-mixture", 3, 5),
+                                      TestFunctionSpec("gaussian-mixture", 4, 8),
+                                      TestFunctionSpec("hermite", 4, 6),
+                                      TestFunctionSpec("hermite", 8, 9)],
+                             ids=lambda s: f"{s.family}-{s.size}-{s.seed}")
+    def test_tuple_matches_single_exponents(self, spec, exponents):
+        f = random_schwartz(spec)
+        for g in (f, f.ft()):
+            shared = lq_norm_quad(g, exponents, 1e-10)
+            assert [est.q for est in shared] == list(exponents)
+            for q, est in zip(exponents, shared):
+                alone = lq_norm_quad(g, q, 1e-10)
+                assert abs(est.value - alone.value) <= (
+                    est.abs_error_estimate + alone.abs_error_estimate)
+
+    def test_fields_are_python_floats(self):
+        # numpy scalars would not serialise in the JSON reports
+        f = make_two_scale(TwoScaleParams(3.0))
+        for est in (lq_norm_quad(f, 3, 1e-10), *lq_norm_quad(f, (1.5, 3), 1e-10),
+                    lq_norm_quad(single(0.0, 1.0), 2, 1e-10)):
+            assert [type(v) for v in (est.value, est.abs_error_estimate, est.q)] == [float] * 3
+
+    @pytest.mark.parametrize("q", [8.0, 40.0, 64.0])
+    def test_far_below_envelope_stays_positive(self, q):
+        # |f| is about 5e-10 of its envelope amplitude 2, so |f/2|**q
+        # underflows for q >= 40; the integrand is scaled by the largest
+        # sampled |f| instead, and the result is honest or raises
+        f = GaussianMixture((ComplexGaussianTerm(1.0, 1.0),
+                             ComplexGaussianTerm(-1.0 + 1e-9, 1.0 + 1e-9)))
+        with mpmath.workdps(50):
+            a, w, qm = mpmath.mpf(-1.0 + 1e-9), mpmath.mpf(1.0 + 1e-9), mpmath.mpf(q)
+            g = lambda x: (mpmath.exp(-mpmath.pi * x * x) + a * mpmath.exp(-mpmath.pi * w * x * x)) ** qm
+            exact = float((2 * mpmath.quad(g, [0, 0.25, 0.5, 1, 2, 4, mpmath.inf])) ** (1 / qm))
+        try:
+            alone = lq_norm_quad(f, q, 1e-6)
+        except ToleranceNotAchieved as exc:
+            alone = exc.estimate
+        exponents = (8.0, 40.0, 64.0)
+        shared = lq_norm_quad(f, exponents, 1e-5)[exponents.index(q)]
+        for est in (alone, shared):
+            assert est.value > 0.0
+            assert abs(est.value - exact) <= est.abs_error_estimate
 
     def test_budget_failure_carries_estimate(self, monkeypatch):
         monkeypatch.setattr(numerics, "MAX_PANELS", 3)
@@ -223,6 +294,18 @@ class TestLqNormQuad:
         assert re.fullmatch(
             r"GaussianMixture L\^4 norm: tolerance 1e-10 not achieved "
             r"\(relative error \S+, radius \S+, \d+ panels\)",
+            str(exc.value),
+        )
+
+    def test_budget_failure_names_every_missed_exponent(self, monkeypatch):
+        monkeypatch.setattr(numerics, "MAX_PANELS", 3)
+        with pytest.raises(ToleranceNotAchieved) as exc:
+            numerics.lq_norm_quad(make_two_scale(TwoScaleParams(50.0)), (4.0, 3.0), 1e-10)
+        assert [est.q for est in exc.value.estimate] == [4.0, 3.0]
+        assert all(est.value > 0.0 for est in exc.value.estimate)
+        assert re.fullmatch(
+            r"GaussianMixture L\^4, L\^3 norms: tolerance 1e-10 not achieved "
+            r"\(relative error \S+, \S+, radius \S+, \d+ panels\)",
             str(exc.value),
         )
 
@@ -388,10 +471,13 @@ class TestErrorEstimateHonesty:
 
     @pytest.mark.parametrize("f, q, reference", _HARD_CASES)
     def test_estimate_bounds_true_error(self, f, q, reference):
+        # alone, and sharing its mesh and radius with a second exponent
         exact = reference()
+        partner = 2.0 if q > 2.0 else 3.0
         for tol in (1e-6, 1e-10):
-            est = lq_norm_quad(f, q, tol)
-            assert abs(est.value - exact) <= est.abs_error_estimate
+            for est in (lq_norm_quad(f, q, tol), lq_norm_quad(f, (partner, q), tol)[1]):
+                assert est.q == q
+                assert abs(est.value - exact) <= est.abs_error_estimate
 
     @pytest.mark.parametrize("f, q, reference", _EXACT_CASES)
     def test_exact_route_estimate_bounds_true_error(self, f, q, reference):
