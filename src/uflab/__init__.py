@@ -40,9 +40,7 @@ from .numerics import (
 from .hermite import (
     N_MAX,
     HermiteExpansion,
-    TestFunctionSpec,
     hermite_eval,
-    hermite_ft_coeffs,
     random_schwartz,
 )
 from .functionals import (

@@ -17,15 +17,8 @@ import numpy as np
 
 from . import __version__
 from .explore import GridSpec, MinimizeFamilySpec, OptimizerConfig, minimize_Fq, sweep
-from .functionals import eval_Fq, eval_Fqp
-from .gaussian import (
-    ChirpParams,
-    ComplexGaussianTerm,
-    GaussianMixture,
-    TwoScaleParams,
-    make_chirp,
-    make_two_scale,
-)
+from .functionals import _resolve, eval_Fq, eval_Fqp
+from .gaussian import ChirpParams, ComplexGaussianTerm, TwoScaleParams
 from .numerics import ToleranceNotAchieved, dft_approx, sample, truncation_radius
 from .verifier import SUITE_NAMES, run_suite
 
@@ -105,18 +98,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _family_object(args):
-    """Build the function named by --family/--a/--c along with the swept
-    parameter value used in reports."""
-    if args.family == "chirp":
-        if args.a is None:
-            raise ValueError("--family chirp needs --a")
-        return GaussianMixture((make_chirp(ChirpParams(args.a)),)), args.a
-    if args.family == "twoscale":
-        if args.c is None:
-            raise ValueError("--family twoscale needs --c")
-        return make_two_scale(TwoScaleParams(args.c)), args.c
-    width = 1.0 if args.c is None else args.c
-    return GaussianMixture((ComplexGaussianTerm(1.0, complex(width)),)), width
+    """The parameters named by --family and the one flag it reads (the
+    chirp --a, the others --c), along with that value for reports."""
+    flag, unread = ("a", "c") if args.family == "chirp" else ("c", "a")
+    if getattr(args, unread) is not None:
+        raise ValueError(f"--family {args.family} takes no --{unread}")
+    value = getattr(args, flag)
+    if args.family == "gaussian":
+        width = 1.0 if value is None else value
+        return ComplexGaussianTerm(1.0, complex(width)), width
+    if value is None:
+        raise ValueError(f"--family {args.family} needs --{flag}")
+    return (ChirpParams if args.family == "chirp" else TwoScaleParams)(value), value
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -134,12 +127,12 @@ def _json_text(obj: dict) -> str:
 def _cmd_eval(args) -> int:
     if args.q is None:
         raise ValueError("eval needs --q")
-    obj, _ = _family_object(args)
+    params, _ = _family_object(args)
     method = _METHOD_MAP[args.method]
     if args.p is None:
-        report = eval_Fq(obj, args.q, method, args.tol)
+        report = eval_Fq(params, args.q, method, args.tol)
     else:
-        report = eval_Fqp(obj, args.q, args.p, method, args.tol)
+        report = eval_Fqp(params, args.q, args.p, method, args.tol)
     doc = {"schema": EVAL_SCHEMA, "family": args.family, **asdict(report)}
     _emit(_json_text(doc), args.out)
     return 0
@@ -200,8 +193,8 @@ def _cmd_ftcheck(args) -> int:
     n = args.grid_n
     if n < 16 or n & (n - 1):
         raise ValueError(f"--grid-n must be a power of two >= 16, got {n}")
-    obj, param = _family_object(args)
-    obj_hat = obj.ft()
+    params, param = _family_object(args)
+    obj, obj_hat = _resolve(params)
     dx = args.dx if args.dx is not None else _auto_dx(obj, obj_hat, n, args.tol)
     approx = dft_approx(sample(obj, n, dx))
     exact = obj_hat.eval(approx.x_grid())

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import check_exponent
+
 # Chirps closer to the degenerate width a = 1 than this are rejected:
 # Re z = a*a - 1 collapses and every L^q norm of the term blows up.
 MIN_CHIRP_MARGIN = 1e-6
@@ -140,11 +142,6 @@ class GaussianMixture:
         return tuple(amp / cmath.sqrt(sum(widths[i] for i in key))
                      for key, amp in power.items())
 
-    def l2_norm(self) -> float:
-        """Exact L^2 norm: S times the root of the m = 1 case of
-        :meth:`power_parts`."""
-        return self.envelope()[0] * math.sqrt(max(sum(self.power_parts(1)).real, 0.0))
-
 
 @dataclass(frozen=True)
 class ChirpParams:
@@ -201,8 +198,7 @@ def make_two_scale(params: TwoScaleParams) -> GaussianMixture:
 
 def term_lq_norm(term: ComplexGaussianTerm, q: float) -> float:
     """Closed-form L^q norm |A| * (q * Re z)**(-1/(2q)) of a single term."""
-    if not (math.isfinite(q) and q >= 1.0):
-        raise ValueError(f"norm exponent must be finite and >= 1, got {q}")
+    check_exponent(q)
     return abs(term.amplitude) * (q * term.width.real) ** (-0.5 / q)
 
 

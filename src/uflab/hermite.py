@@ -54,16 +54,6 @@ def hermite_eval(n: int, x):
     return row
 
 
-def hermite_ft_coeffs(coefficients) -> tuple[complex, ...]:
-    """Coefficients of the transform: c_n -> (-i)**n * c_n.
-
-    The factors cycle through 1, -i, -1, i, so four applications
-    reproduce the input exactly (sign flips and swaps only).
-    """
-    cycle = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
-    return tuple(cycle[n % 4] * complex(c) for n, c in enumerate(coefficients))
-
-
 @dataclass(frozen=True)
 class HermiteExpansion:
     """Finite expansion sum(c_n * h_n); degree at most N_MAX."""
@@ -90,7 +80,11 @@ class HermiteExpansion:
         return acc
 
     def ft(self) -> "HermiteExpansion":
-        return HermiteExpansion(hermite_ft_coeffs(self.coefficients))
+        """Exact transform c_n -> (-i)**n * c_n; the factors cycle through
+        1, -i, -1, i, so four applications reproduce the input exactly."""
+        cycle = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
+        return HermiteExpansion(tuple(cycle[n % 4] * c
+                                      for n, c in enumerate(self.coefficients)))
 
     def power_parts(self, m: int) -> tuple[float, ...] | None:
         """Parts summing to the integral of ``|f/S|**(2m)``, ``S =
@@ -101,10 +95,6 @@ class HermiteExpansion:
         scale = self.envelope()[0] or 1.0
         return tuple(abs(c / scale) ** 2 for c in self.coefficients)
 
-    def l2_norm(self) -> float:
-        """Exact: S times the root of the m = 1 case of :meth:`power_parts`."""
-        return self.envelope()[0] * math.sqrt(sum(self.power_parts(1)))
-
     def envelope(self):
         amp = _ENVELOPE_SAFETY * _SUP_BOUND * sum(abs(c) for c in self.coefficients)
         shift = math.sqrt((2 * self.degree + 1) / (2.0 * math.pi))
@@ -114,9 +104,13 @@ class HermiteExpansion:
         return (1.0,)
 
 
-@dataclass(frozen=True)
-class TestFunctionSpec:
-    """Recipe for one seeded random test function.
+_MIXTURE_WIDTHS = (0.2, 5.0)
+L2_REJECT_FLOOR = 1e-6
+_MAX_DRAWS = 1000
+
+
+def random_schwartz(family: str, size: int, seed: int):
+    """Seeded random test function; same arguments, same function.
 
     family 'gaussian-mixture': ``size`` terms with log-uniform real
     widths in ``_MIXTURE_WIDTHS``, amplitudes from the complex unit box, and
@@ -125,35 +119,18 @@ class TestFunctionSpec:
     family 'hermite': degree ``size`` with unit-box complex
     coefficients.  Draws with ||f||_2 < 1e-6 are rejected and redrawn.
     """
-
-    __test__ = False  # "Test" prefix is descriptive, not a pytest class
-
-    family: str
-    size: int
-    seed: int
-
-    def __post_init__(self):
-        if self.family not in ("gaussian-mixture", "hermite"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.size < 1:
-            raise ValueError(f"size must be >= 1, got {self.size}")
-        if self.family == "hermite" and self.size > N_MAX:
-            raise ValueError(f"hermite size capped at {N_MAX}, got {self.size}")
-
-
-_MIXTURE_WIDTHS = (0.2, 5.0)
-L2_REJECT_FLOOR = 1e-6
-_MAX_DRAWS = 1000
-
-
-def random_schwartz(spec: TestFunctionSpec):
-    """Deterministic draw for ``spec``; same spec, same function."""
-    rng = np.random.default_rng(spec.seed)
+    if family not in ("gaussian-mixture", "hermite"):
+        raise ValueError(f"unknown family {family!r}")
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
+    if family == "hermite" and size > N_MAX:
+        raise ValueError(f"hermite size capped at {N_MAX}, got {size}")
+    rng = np.random.default_rng(seed)
     lo, hi = _MIXTURE_WIDTHS
     for _ in range(_MAX_DRAWS):
-        if spec.family == "gaussian-mixture":
+        if family == "gaussian-mixture":
             terms = []
-            for _k in range(spec.size):
+            for _k in range(size):
                 w = math.exp(rng.uniform(math.log(lo), math.log(hi)))
                 im = rng.uniform(-4.0 * w, 4.0 * w) if rng.random() < 0.5 else 0.0
                 amp = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
@@ -162,9 +139,10 @@ def random_schwartz(spec: TestFunctionSpec):
         else:
             coeffs = tuple(
                 complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-                for _ in range(spec.size + 1)
+                for _ in range(size + 1)
             )
             f = HermiteExpansion(coeffs)
-        if f.l2_norm() >= L2_REJECT_FLOOR:
+        # ||f||_2 from the m = 1 sum of power_parts, S times its root
+        if f.envelope()[0] * math.sqrt(max(sum(f.power_parts(1)).real, 0.0)) >= L2_REJECT_FLOOR:
             return f
-    raise RuntimeError(f"rejection sampling failed for {spec}")
+    raise RuntimeError(f"rejection sampling failed for {family} size {size} seed {seed}")

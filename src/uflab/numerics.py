@@ -39,7 +39,7 @@ TOL_CEIL = 1e-2
 
 
 class ToleranceNotAchieved(RuntimeError):
-    """Raised when the panel budget runs out; carries the best estimate."""
+    """Raised when the panel budget runs out; carries the best estimates."""
 
     def __init__(self, message, estimate):
         super().__init__(message)
@@ -283,8 +283,7 @@ def truncation_radius(f, q: float, tol: float) -> float:
 
     Monotone: loosening tol never increases R.
     """
-    if not (math.isfinite(q) and q >= 1.0):
-        raise ValueError(f"exponent must be finite and >= 1, got {q}")
+    check_exponent(q)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be positive, got {tol}")
     amp_sum, width_floor, shift = f.envelope()
@@ -310,6 +309,12 @@ def _seed_breakpoints(f, q, shift, radius):
     return sorted(pts)
 
 
+def check_exponent(q: float) -> None:
+    """Reject a norm exponent that is not finite and >= 1, nan included."""
+    if not (math.isfinite(q) and q >= 1.0):
+        raise ValueError(f"norm exponent must be finite and >= 1, got {q}")
+
+
 def check_tolerance(tol: float) -> None:
     """Reject a relative norm tolerance outside [TOL_FLOOR, TOL_CEIL],
     nan included."""
@@ -317,14 +322,13 @@ def check_tolerance(tol: float) -> None:
         raise ValueError(f"tolerance must lie in [{TOL_FLOOR}, {TOL_CEIL}], got {tol}")
 
 
-def lq_norm_quad(f, q, tol: float):
-    """L^q norm of ``f`` by certified truncation plus adaptive panels.
+def lq_norm_quad(f, exponents: tuple, tol: float) -> tuple[NormEstimate, ...]:
+    """L^q norms of ``f`` by certified truncation plus adaptive panels.
 
-    ``q`` is one exponent, for which one :class:`NormEstimate` is
-    returned, or a tuple of exponents, for which one estimate per
-    exponent is returned in order.  All exponents share one pass: one
-    radius, the largest any of them needs, and one mesh, refined until
-    every exponent converges, with one ``f.eval`` per round.  The
+    ``exponents`` is a tuple, and one :class:`NormEstimate` per exponent
+    is returned in order.  All exponents share one pass: one radius, the
+    largest any of them needs, and one mesh, refined until every
+    exponent converges, with one ``f.eval`` per round.  The
     integrand is ``(|f|/M)**q`` with M the largest |f| on the first
     round's nodes, so it stays representable however far |f| lies below
     its envelope amplitude S; each exponent's tail bound carries the
@@ -332,20 +336,18 @@ def lq_norm_quad(f, q, tol: float):
     and is split evenly between the truncation bound and the quadrature
     estimate; the returned estimates report what was actually achieved.
     Raises :class:`ToleranceNotAchieved`, naming every exponent that
-    missed and carrying the best estimate (the tuple of them for a
-    tuple), if the panel budget runs out first.
+    missed and carrying the tuple of best estimates, if the panel budget
+    runs out first.
     """
-    exponents = tuple(map(float, q)) if isinstance(q, tuple) else (float(q),)
+    exponents = tuple(map(float, exponents))
     if not exponents:
         raise ValueError("no norm exponent given")
     for e in exponents:
-        if not (math.isfinite(e) and e >= 1.0):
-            raise ValueError(f"norm exponent must be finite and >= 1, got {e}")
+        check_exponent(e)
     check_tolerance(tol)
     scale, width_floor, shift = f.envelope()
     if scale == 0.0:
-        zeros = tuple(NormEstimate(0.0, "quadrature", 0.0, e) for e in exponents)
-        return zeros if isinstance(q, tuple) else zeros[0]
+        return tuple(NormEstimate(0.0, "quadrature", 0.0, e) for e in exponents)
 
     powers = np.array(exponents)[:, None, None]
     peak = 0.0
@@ -390,16 +392,15 @@ def lq_norm_quad(f, q, tol: float):
         found.append(NormEstimate(value, "quadrature", value * rel_err / e, e))
         if not (ok and rel_err <= tol):
             missed.append((e, rel_err))
-    found = tuple(found) if isinstance(q, tuple) else found[0]
     if missed:
         raise ToleranceNotAchieved(
             f"{type(f).__name__} {', '.join(f'L^{e:g}' for e, _ in missed)} "
             f"norm{'s' if len(missed) > 1 else ''}: tolerance {tol:g} not achieved "
             f"(relative error {', '.join(f'{r:.3g}' for _, r in missed)}, "
             f"radius {radius:.6g}, {panels} panels)",
-            found,
+            tuple(found),
         )
-    return found
+    return tuple(found)
 
 
 def sample(f, n: int, dx: float) -> SampledFunction:
@@ -430,8 +431,7 @@ def norm_from_samples(s: SampledFunction, q: float) -> NormEstimate:
     crude but honest for smooth decaying samples.  The sums run over
     ``|samples| / max|samples|``, so no amplitude underflows them.
     """
-    if not (math.isfinite(q) and q >= 1.0):
-        raise ValueError(f"norm exponent must be finite and >= 1, got {q}")
+    check_exponent(q)
     mag = np.abs(s.samples)
     scale = float(mag.max()) or 1.0
     mag = mag / scale

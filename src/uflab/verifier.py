@@ -28,7 +28,7 @@ from .functionals import (
 )
 from .functionals import _in_range  # shared public-exponent cap
 from .gaussian import ChirpParams, TwoScaleParams, closed_form_Fq_chirp, make_two_scale
-from .hermite import TestFunctionSpec, random_schwartz
+from .hermite import random_schwartz
 
 # Norm tolerance used inside verification checks; one-sided inequality
 # slacks then only dip below zero by rounding, never by integration
@@ -123,13 +123,8 @@ def _sample_functions(samples: int, seed: int):
     out = []
     for i in range(samples):
         child = int(rng.integers(0, 2 ** 63 - 1))
-        if i % 2 == 0:
-            size = int(rng.integers(1, 5))
-            spec = TestFunctionSpec("gaussian-mixture", size, child)
-        else:
-            size = int(rng.integers(1, 9))
-            spec = TestFunctionSpec("hermite", size, child)
-        out.append(random_schwartz(spec))
+        family, top = ("gaussian-mixture", 5) if i % 2 == 0 else ("hermite", 9)
+        out.append(random_schwartz(family, int(rng.integers(1, top)), child))
     return out
 
 
@@ -322,13 +317,13 @@ def run_suite(
 ) -> list[CheckResult]:
     """Run the named checks and return results sorted by check name.
 
-    An exponent override ``q``/``p`` reaches every check whose domain
-    contains the resulting (q, p); the other checks run with both of
-    their defaults.  An override that no selected check accepts is a
-    ValueError, and so is a ``samples`` count when every selected check
-    runs a fixed grid.
+    An exponent override ``q``/``p`` reaches every check that takes that
+    exponent and whose domain contains the resulting (q, p); the other
+    checks run with both of their defaults.  An override that no
+    selected check reads is a ValueError, and so is a ``samples`` count
+    when every selected check runs a fixed grid.
     """
-    jobs = []
+    jobs, read = [], set()
     for name in names:
         rows = [row for row in _SUITE if row.suite == name]
         if not rows:
@@ -336,17 +331,20 @@ def run_suite(
         for row in rows:
             eq = row.q if q is None or row.q is None else q
             ep = row.p if p is None or row.p is None else p
-            accepted = row.domain is None or row.domain(eq, ep)
-            jobs.append((row, (eq, ep) if accepted else (row.q, row.p), accepted))
-    if jobs and not any(accepted for *_, accepted in jobs):
-        raise ValueError(
-            f"exponent override q={q}, p={p} lies outside the domain of "
-            f"{', '.join(names)}"
-        )
+            # A row without exponents has no domain and reads no override.
+            if row.domain is None or not row.domain(eq, ep):
+                eq, ep = row.q, row.p
+            else:
+                read |= {k for k in ("q", "p") if getattr(row, k) is not None}
+            jobs.append((row, eq, ep))
+    unread = [f"{k}={v}" for k, v in (("q", q), ("p", p)) if v is not None and k not in read]
+    if unread:
+        raise ValueError(f"exponent override {', '.join(unread)} is read by no check "
+                         f"of {', '.join(names)} (not taken or outside its domain)")
     if samples is not None and jobs and all(row.samples is None for row, *_ in jobs):
         raise ValueError(f"{', '.join(names)} takes no sample count")
     results = [
         row.run(eq, ep, row.samples if samples is None else samples, seed)
-        for row, (eq, ep), _ in jobs
+        for row, eq, ep in jobs
     ]
     return sorted(results, key=lambda r: r.check_name)

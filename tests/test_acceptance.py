@@ -73,8 +73,8 @@ def test_criterion_01_closed_form_reproduction():
 def test_criterion_02_two_scale_l2_identity():
     with Budget("02 two-scale L2 identity", 5.0):
         for c in (0.1, 1.0, 2.0, 10.0, 100.0):
-            quad_sq = lq_norm_quad(make_two_scale(TwoScaleParams(c)), 2.0,
-                                   1e-10).value ** 2
+            quad_sq = lq_norm_quad(make_two_scale(TwoScaleParams(c)), (2.0,),
+                                   1e-10)[0].value ** 2
             assert quad_sq == pytest.approx(gc_l2_norm_sq(c), rel=1e-8)
         assert gc_l2_norm_sq(1.0) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
 
@@ -107,8 +107,8 @@ def test_criterion_06_beckner_sharp_constant():
         q = 4.0 / 3.0
         gaussian = GaussianMixture((ComplexGaussianTerm(1.0, 1.0),))
         ratio = (
-            lq_norm_quad(gaussian, conjugate_exponent(q), 1e-10).value
-            / lq_norm_quad(gaussian, q, 1e-10).value
+            lq_norm_quad(gaussian, (conjugate_exponent(q),), 1e-10)[0].value
+            / lq_norm_quad(gaussian, (q,), 1e-10)[0].value
         )
         assert ratio == pytest.approx(beckner_constant(q), abs=1e-6)
         r = verify_hausdorff_young(q, samples=200, seed=42)

@@ -73,8 +73,9 @@ class TestUsageErrors:
         assert out == ""
         assert f"unrecognized arguments: {' '.join(flag)}" in err
 
-    # Values the library rejects reach the user as usage errors, not
-    # tracebacks or silently clamped reports.
+    # Values the library rejects, and family flags the family does not
+    # read (the chirp reads --a, the others --c), reach the user as usage
+    # errors, not tracebacks, silently clamped reports or ignored flags.
     @pytest.mark.parametrize("argv", [
         ("minimize", "--q", "0.5"),
         ("minimize", "--q", "100"),
@@ -86,6 +87,10 @@ class TestUsageErrors:
         ("ftcheck", "--family", "gaussian", "--c", "-1", "--grid-n", "16"),
         ("ftcheck", "--family", "gaussian", "--grid-n", "16", "--dx", "0"),
         ("ftcheck", "--family", "gaussian", "--grid-n", "16", "--dx", "nan"),
+        ("eval", "--family", "chirp", "--a", "2", "--c", "5", "--q", "3"),
+        ("eval", "--family", "twoscale", "--c", "3", "--a", "7", "--q", "3"),
+        ("ftcheck", "--family", "gaussian", "--a", "3"),
+        ("ftcheck", "--family", "chirp", "--a", "2", "--c", "3"),
     ])
     def test_rejected_value_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -227,6 +232,10 @@ class TestVerify:
         ("--suite", "interp", "--q", "1.0000001", "--p", "1.5", "--samples", "2"),
         ("--suite", "hy", "--samples", "0"),
         ("--suite", "superadd", "--samples", "1"),  # two rows are fixed
+        # an exponent override that no selected check takes
+        ("--suite", "closed-forms", "--q", "3", "--p", "9"),
+        ("--suite", "superadd", "--q", "1.5"),
+        ("--suite", "hy", "--p", "9"),
     ])
     def test_unrunnable_check_is_usage_error(self, capsys, flags):
         code, _, err = run(capsys, "verify", *flags)

@@ -3,6 +3,7 @@ bound family."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,8 +68,8 @@ class TestExponentHelpers:
         f = GaussianMixture((ComplexGaussianTerm(1.0, 1.0),))
         p = 4.0 / 3.0
         ratio = (
-            lq_norm_quad(f, conjugate_exponent(p), 1e-10).value
-            / lq_norm_quad(f, p, 1e-10).value
+            lq_norm_quad(f, (conjugate_exponent(p),), 1e-10)[0].value
+            / lq_norm_quad(f, (p,), 1e-10)[0].value
         )
         assert ratio == pytest.approx(beckner_constant(p), rel=1e-9)
 
@@ -109,7 +110,7 @@ class TestGcBounds:
 
     @pytest.mark.parametrize("c,q", [(5.0, 4.0), (50.0, 3.0), (0.2, 6.0)])
     def test_lower_bound_below_quadrature(self, c, q):
-        norm_sq = lq_norm_quad(make_two_scale(TwoScaleParams(c)), q, 1e-10).value ** 2
+        norm_sq = lq_norm_quad(make_two_scale(TwoScaleParams(c)), (q,), 1e-10)[0].value ** 2
         assert norm_sq >= gc_lq_lower_bound(c, q) - 1e-9
 
     def test_lower_bound_dominates_weak_form(self):
@@ -125,7 +126,7 @@ class TestGcBounds:
 
     @pytest.mark.parametrize("c,q", [(10.0, 4.0), (3.0, 1.5), (7.0, 2.0), (0.3, 6.0)])
     def test_upper_bound_above_quadrature(self, c, q):
-        norm_sq = lq_norm_quad(make_two_scale(TwoScaleParams(c)), q, 1e-10).value ** 2
+        norm_sq = lq_norm_quad(make_two_scale(TwoScaleParams(c)), (q,), 1e-10)[0].value ** 2
         assert norm_sq <= gc_lq_upper_bound(c, q) + 1e-9
 
     def test_upper_bound_growth_exponent_q_lt_2(self):
@@ -263,7 +264,8 @@ class TestEvalFq:
                 ComplexGaussianTerm(a * t.amplitude, t.width) for t in f.terms))
         else:
             scaled = HermiteExpansion(tuple(a * c for c in f.coefficients))
-        assert scaled.l2_norm() == pytest.approx(a * f.l2_norm(), rel=1e-14)
+        (scaled_l2,), (l2,) = norms(scaled, (2.0,), 1e-10), norms(f, (2.0,), 1e-10)
+        assert scaled_l2.value == pytest.approx(a * l2.value, rel=1e-14)
         for q in (3.0, 4.0):
             assert eval_Fq(scaled, q).value == pytest.approx(eval_Fq(f, q).value, rel=1e-12)
 
@@ -355,6 +357,20 @@ class TestNorms:
         (est,) = norms(f, (q,), 1e-6)
         assert est.method == "quadrature"
         assert 0.0 < est.value < 1e-8
+
+    def test_near_cancelling_l2_matches_mpmath(self):
+        # ||f||_2**2 = 1/sqrt(2) + 2a/sqrt(1+w) + a*a/sqrt(2w) in 40
+        # digits: three terms near 0.7 cancel to 1.2e-18, below their
+        # rounding, so their sum in doubles is noise (9.6 times the norm)
+        f = GaussianMixture((ComplexGaussianTerm(1.0, 1.0),
+                             ComplexGaussianTerm(-1.0 + 1e-9, 1.0 + 1e-9)))
+        with mpmath.workdps(40):
+            a, w = mpmath.mpf(-1.0 + 1e-9), mpmath.mpf(1.0 + 1e-9)
+            exact = float(mpmath.sqrt(1 / mpmath.sqrt(2) + 2 * a / mpmath.sqrt(1 + w)
+                                      + a * a / mpmath.sqrt(2 * w)))
+        assert exact == pytest.approx(1.0923564859e-9, rel=1e-10)
+        (est,) = norms(f, (2.0,), 1e-6)
+        assert abs(est.value - exact) <= est.abs_error_estimate
 
     def test_overflowing_sum_falls_back(self, monkeypatch):
         # 32 times the width 2*c*c overflows, so the q = 64 sum of g_c has

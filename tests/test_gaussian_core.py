@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from uflab.functionals import norms
 from uflab.gaussian import (
     MIN_CHIRP_MARGIN,
     ChirpParams,
@@ -179,7 +180,7 @@ class TestNorms:
         # ||g_c||_2^2 = sqrt(2) + 2c/sqrt(c^4+1)
         mix = make_two_scale(TwoScaleParams(c))
         expected = math.sqrt(math.sqrt(2.0) + 2.0 * c / math.sqrt(c ** 4 + 1.0))
-        assert mix.l2_norm() == pytest.approx(expected, rel=1e-13)
+        assert norms(mix, (2.0,), 1e-13)[0].value == pytest.approx(expected, rel=1e-13)
 
     def test_mixture_l2_complex_cross_terms(self):
         mix = GaussianMixture(
@@ -191,7 +192,7 @@ class TestNorms:
         val, _ = quad(
             lambda x: abs(mix.eval(x)) ** 2, -np.inf, np.inf
         )
-        assert mix.l2_norm() == pytest.approx(math.sqrt(val), rel=1e-10)
+        assert norms(mix, (2.0,), 1e-13)[0].value == pytest.approx(math.sqrt(val), rel=1e-10)
 
 
 class TestClosedForms:

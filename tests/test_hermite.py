@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from uflab.functionals import norms
 from uflab.gaussian import GaussianMixture
 from uflab.hermite import (
     N_MAX,
     HermiteExpansion,
-    TestFunctionSpec,
     hermite_eval,
-    hermite_ft_coeffs,
     random_schwartz,
 )
 from uflab.numerics import dft_approx, lq_norm_quad, norm_from_samples, sample
@@ -64,11 +63,15 @@ class TestHermiteEval:
             assert np.max(np.abs(hermite_eval(n, x))) <= 2.0 ** 0.25 + 1e-12
 
 
+def ft_coeffs(coefficients):
+    return HermiteExpansion(coefficients).ft().coefficients
+
+
 class TestFtCoeffs:
     def test_eigenvalues_cycle(self):
-        assert hermite_ft_coeffs((1.0,)) == (1.0 + 0.0j,)
-        assert hermite_ft_coeffs((0.0, 1.0)) == (0.0j, -1.0j)
-        got = hermite_ft_coeffs((1.0, 1.0, 1.0, 1.0, 1.0))
+        assert ft_coeffs((1.0,)) == (1.0 + 0.0j,)
+        assert ft_coeffs((0.0, 1.0)) == (0.0j, -1.0j)
+        got = ft_coeffs((1.0, 1.0, 1.0, 1.0, 1.0))
         assert got == (1.0 + 0j, -1j, -1.0 + 0j, 1j, 1.0 + 0j)
 
     def test_fourth_power_is_identity(self):
@@ -76,15 +79,17 @@ class TestFtCoeffs:
         coeffs = tuple(complex(a, b) for a, b in rng.uniform(-1, 1, (6, 2)))
         out = coeffs
         for _ in range(4):
-            out = hermite_ft_coeffs(out)
+            out = ft_coeffs(out)
         np.testing.assert_allclose(np.asarray(out), np.asarray(coeffs), rtol=1e-15)
 
 
 class TestExpansion:
     def test_parseval(self):
         f = HermiteExpansion((1.0, 0.5j, -0.25))
-        quad_l2 = lq_norm_quad(f, 2.0, 1e-10).value
-        assert f.l2_norm() == pytest.approx(quad_l2, rel=1e-8)
+        (quad_l2,) = lq_norm_quad(f, (2.0,), 1e-10)
+        (l2,) = norms(f, (2.0,), 1e-10)
+        assert l2.method == "closed-form"
+        assert l2.value == pytest.approx(quad_l2.value, rel=1e-8)
 
     def test_degree_cap(self):
         HermiteExpansion(tuple([0.0] * N_MAX + [1.0]))
@@ -105,9 +110,9 @@ class TestExpansion:
         s = sample(f, 1024, 0.02)
         hat_grid = dft_approx(s)
         for q in (1.5, 2.0, 3.0):
-            analytic = lq_norm_quad(fhat, q, 1e-9).value
+            (analytic,) = lq_norm_quad(fhat, (q,), 1e-9)
             discrete = norm_from_samples(hat_grid, q).value
-            assert analytic == pytest.approx(discrete, rel=1e-6)
+            assert analytic.value == pytest.approx(discrete, rel=1e-6)
 
     def test_ft_pointwise_against_dft(self):
         f = HermiteExpansion((0.5, 0.25, -0.7, 0.0, 0.3))
@@ -117,14 +122,14 @@ class TestExpansion:
 
     def test_norm_oracles(self):
         h1 = HermiteExpansion((0.0, 1.0))
-        assert lq_norm_quad(h1, 4.0, 1e-10).value == pytest.approx(
+        assert lq_norm_quad(h1, (4.0,), 1e-10)[0].value == pytest.approx(
             0.9306048591020997, rel=1e-9
         )
-        assert lq_norm_quad(h1, 1.5, 1e-10).value == pytest.approx(
+        assert lq_norm_quad(h1, (1.5,), 1e-10)[0].value == pytest.approx(
             1.084864613886606, rel=1e-9
         )
         h3 = HermiteExpansion((0.0, 0.0, 0.0, 1.0))
-        assert lq_norm_quad(h3, 3.0, 1e-10).value == pytest.approx(
+        assert lq_norm_quad(h3, (3.0,), 1e-10)[0].value == pytest.approx(
             0.9034269160116104, rel=1e-9
         )
 
@@ -148,40 +153,40 @@ class TestExpansion:
 
 class TestRandomSchwartz:
     def test_deterministic(self):
-        spec = TestFunctionSpec("gaussian-mixture", 3, seed=42)
-        f1, f2 = random_schwartz(spec), random_schwartz(spec)
+        args = ("gaussian-mixture", 3, 42)
+        f1, f2 = random_schwartz(*args), random_schwartz(*args)
         assert f1 == f2
 
     def test_families(self):
-        f = random_schwartz(TestFunctionSpec("gaussian-mixture", 2, seed=0))
+        f = random_schwartz("gaussian-mixture", 2, seed=0)
         assert isinstance(f, GaussianMixture)
-        g = random_schwartz(TestFunctionSpec("hermite", 4, seed=0))
+        g = random_schwartz("hermite", 4, seed=0)
         assert isinstance(g, HermiteExpansion)
 
     def test_l2_floor(self):
         for seed in range(20):
-            f = random_schwartz(TestFunctionSpec("gaussian-mixture", 3, seed=seed))
-            assert lq_norm_quad(f, 2.0, 1e-8).value >= 1e-6
-            g = random_schwartz(TestFunctionSpec("hermite", 5, seed=seed))
-            assert g.l2_norm() >= 1e-6
+            f = random_schwartz("gaussian-mixture", 3, seed=seed)
+            assert lq_norm_quad(f, (2.0,), 1e-8)[0].value >= 1e-6
+            g = random_schwartz("hermite", 5, seed=seed)
+            assert norms(g, (2.0,), 1e-8)[0].value >= 1e-6
 
     def test_chirp_magnitude_bounded(self):
         # |Im z| <= 4 Re z keeps transformed widths off the axis
         for seed in range(30):
-            f = random_schwartz(TestFunctionSpec("gaussian-mixture", 4, seed=seed))
+            f = random_schwartz("gaussian-mixture", 4, seed=seed)
             for term in f.terms:
                 assert abs(term.width.imag) <= 4.0 * term.width.real + 1e-12
 
     def test_widths_in_scale_range(self):
         for seed in range(10):
-            f = random_schwartz(TestFunctionSpec("gaussian-mixture", 4, seed=seed))
+            f = random_schwartz("gaussian-mixture", 4, seed=seed)
             for term in f.terms:
                 assert 0.2 <= term.width.real <= 5.0
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            TestFunctionSpec("unknown", 2, seed=0)
+            random_schwartz("unknown", 2, seed=0)
         with pytest.raises(ValueError):
-            TestFunctionSpec("hermite", 0, seed=0)
+            random_schwartz("hermite", 0, seed=0)
         with pytest.raises(ValueError):
-            TestFunctionSpec("hermite", N_MAX + 1, seed=0)
+            random_schwartz("hermite", N_MAX + 1, seed=0)

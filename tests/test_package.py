@@ -26,9 +26,16 @@ def test_no_submodule_in_all():
 
 def test_removed_free_functions_absent():
     for name in ("fourier_transform", "eval_mixture", "mixture_l2_norm",
-                 "bound_report", "BoundReport"):
+                 "bound_report", "BoundReport", "TestFunctionSpec",
+                 "hermite_ft_coeffs"):
         assert name not in uflab.__all__
         assert not hasattr(uflab, name)
+
+
+def test_l2_norm_method_absent():
+    # an L^2 norm comes from functionals.norms, like every other norm
+    for cls in (uflab.GaussianMixture, uflab.HermiteExpansion):
+        assert not hasattr(cls, "l2_norm")
 
 
 _SCIPY_BLOCKED = """
