@@ -95,19 +95,16 @@ class SweepResult:
     schema: str
     rows: list[SweepRow] = field(default_factory=list)
 
-    def to_csv(self, stream) -> None:
+    def csv_text(self) -> str:
         """Floats with 17 significant digits, so they read back exactly."""
-        writer = csv.writer(stream, lineterminator="\n")
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for r in self.rows:
             writer.writerow(
                 [self.schema]
                 + [v if isinstance(v, str) else f"{v:.17g}" for v in astuple(r)]
             )
-
-    def csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
         return buf.getvalue()
 
     @classmethod
@@ -206,16 +203,21 @@ _INTERVAL_TOL = 1e-8
 def estimate_image_interval(q: float, p: float | None = None) -> IntervalReport:
     """Sweep both families and report the observed value envelope.
 
-    The divergence and vanishing flags are only raised when the
-    corresponding monotone trend test passes (the two-scale trend checks
-    from the verifier where stated, the chirp t -> 1+ trend otherwise).
+    Along the chirps the ratio is a constant times ((t+1)/(t-1))**r,
+    r = 1/q - 1/p (p = 2 for F_q), so as t -> 1+ it diverges for r > 0
+    and vanishes for r < 0.  That trend is flagged when the chirp values
+    are strictly monotone and their log-log slope against t - 1 over the
+    first four grid points lies within 1% of -r.  The two-scale trends
+    come from the verifier's asymptotics check: divergence of F_q for
+    q > 2, vanishing of F_qp for 1/p + 1/q < 1.
     The proved lower bound is 1/B_q for q < 2, 1 at q = 2, and 1 for the
     two-exponent case with 1/p + 1/q >= 1; otherwise none is known.
     """
     # Geometric in t - 1, not t, so the grid actually probes the guarded
     # corner above the a > 1 margin as well as the flat tail.
     t_min = (1.0 + 2.0 * MIN_CHIRP_MARGIN) ** 2
-    t_grid = 1.0 + np.geomspace(t_min - 1.0, 1e6, _INTERVAL_POINTS)
+    dt = np.geomspace(t_min - 1.0, 1e6, _INTERVAL_POINTS)
+    t_grid = 1.0 + dt
     chirp_rows = [_chirp_row(float(t), q, p, _INTERVAL_TOL, False) for t in t_grid]
     chirp_vals = [r.value for r in chirp_rows]
 
@@ -228,24 +230,19 @@ def estimate_image_interval(q: float, p: float | None = None) -> IntervalReport:
     ts_vals = [_twoscale_row(float(c), q, p, _INTERVAL_TOL).value for c in c_grid]
 
     all_vals = chirp_vals + ts_vals
-    if p is None:
-        gaussian = math.sqrt(2.0) * (1.0 / q) ** (1.0 / q)
-    else:
-        gaussian = (1.0 / q) ** (1.0 / q) / (1.0 / p) ** (1.0 / p)
-
-    divergence = False
-    vanishing = False
+    rate = 1.0 / q - 1.0 / (2.0 if p is None else p)
+    slope = float(np.polyfit(np.log(dt[:4]), np.log(chirp_vals[:4]), 1)[0])
+    chirp_trend = (rate != 0.0 and _strictly_monotone(chirp_vals, -1 if rate > 0.0 else +1)
+                   and abs(slope + rate) <= 0.01 * abs(rate))
+    divergence = chirp_trend and rate > 0.0
+    vanishing = chirp_trend and rate < 0.0
     if p is None:
         if q > 2.0:
-            divergence = verifier.verify_asymptotics(q).passed
-            vanishing = _strictly_monotone(chirp_vals, +1) and min(chirp_vals) <= gaussian / 5.0
-        elif q < 2.0:
-            divergence = _strictly_monotone(chirp_vals, -1) and max(chirp_vals) >= 5.0 * min(chirp_vals)
+            divergence = divergence or verifier.verify_asymptotics(q).passed
         proved = None if q > 2.0 else (1.0 if q == 2.0 else 1.0 / beckner_constant(q))
     else:
-        divergence = _strictly_monotone(chirp_vals, -1) and max(chirp_vals) >= 5.0 * min(chirp_vals)
         if 1.0 / q + 1.0 / p < 1.0:
-            vanishing = verifier.verify_asymptotics(q, p).passed
+            vanishing = vanishing or verifier.verify_asymptotics(q, p).passed
         proved = 1.0 if 1.0 / q + 1.0 / p >= 1.0 else None
 
     return IntervalReport(

@@ -45,15 +45,6 @@ def _basis_rows(nmax: int, y: np.ndarray):
             )
 
 
-def hermite_eval(n: int, x):
-    """Value(s) of the degree-n basis function at scalar or array x."""
-    if not (isinstance(n, (int, np.integer)) and 0 <= n <= N_MAX):
-        raise ValueError(f"degree must be an integer in [0, {N_MAX}], got {n}")
-    for row in _basis_rows(n, _SQRT_2PI * np.asarray(x, dtype=float)):
-        pass
-    return row
-
-
 @dataclass(frozen=True)
 class HermiteExpansion:
     """Finite expansion sum(c_n * h_n); degree at most N_MAX."""

@@ -52,7 +52,7 @@ class NormEstimate:
     estimate the method actually achieved (absolute, on the norm)."""
 
     value: float
-    method: str  # 'closed-form' | 'quadrature' | 'dft'
+    method: str  # 'closed-form' | 'quadrature'
     abs_error_estimate: float
     q: float
 
@@ -82,10 +82,6 @@ class SampledFunction:
 
     def x_grid(self) -> np.ndarray:
         return (np.arange(self.n) - self.n // 2) * self.dx
-
-    @property
-    def xi_spacing(self) -> float:
-        return 1.0 / (self.n * self.dx)
 
 
 # Gauss7/Kronrod15 pair on [-1, 1].  The odd Kronrod abscissae together
@@ -421,20 +417,4 @@ def dft_approx(s: SampledFunction) -> SampledFunction:
     k = np.arange(s.n)
     sign = np.where(k % 2 == 0, 1.0, -1.0)
     out = s.dx * sign * np.fft.fft(sign * s.samples)
-    return SampledFunction(s.n, s.xi_spacing, out)
-
-
-def norm_from_samples(s: SampledFunction, q: float) -> NormEstimate:
-    """Riemann-sum L^q norm of a sampled function (method tag 'dft').
-
-    The error estimate compares against the stride-2 subgrid, which is
-    crude but honest for smooth decaying samples.  The sums run over
-    ``|samples| / max|samples|``, so no amplitude underflows them.
-    """
-    check_exponent(q)
-    mag = np.abs(s.samples)
-    scale = float(mag.max()) or 1.0
-    mag = mag / scale
-    full = scale * float((s.dx * np.sum(mag ** q)) ** (1.0 / q))
-    half = scale * float((2.0 * s.dx * np.sum(mag[::2] ** q)) ** (1.0 / q))
-    return NormEstimate(full, "dft", abs(full - half), q)
+    return SampledFunction(s.n, 1.0 / (s.n * s.dx), out)

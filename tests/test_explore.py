@@ -141,6 +141,19 @@ class TestImageInterval:
         assert rep.proved_lower_bound == 1.0  # 1/q + 1/p = 1
         assert rep.observed_min >= 1.0 - 1e-6
 
+    @pytest.mark.parametrize("q, p, divergence, vanishing", [
+        (2.5, 3.0, True, True),   # chirps diverge, g_c vanishes (1/q + 1/p < 1)
+        (1.9, None, True, False),  # chirps diverge
+        (2.2, None, True, True),   # g_c diverges, chirps vanish
+        (2.5, None, True, True),
+    ])
+    def test_chirp_trend_at_slow_rates(self, q, p, divergence, vanishing):
+        # near t = 1 the chirp ratio moves as (t - 1)**-(1/q - 1/p), so
+        # over the whole grid only by (5e5)**|1/q - 1/p|, about 1.4x at
+        # q = 1.9; the slope test flags it all the same
+        rep = estimate_image_interval(q, p)
+        assert (rep.divergence_flag, rep.vanishing_flag) == (divergence, vanishing)
+
 
 class TestMinimize:
     def test_single_term_is_gaussian_constant(self):

@@ -8,42 +8,42 @@ from scipy.integrate import quad
 
 from uflab.functionals import norms
 from uflab.gaussian import GaussianMixture
-from uflab.hermite import (
-    N_MAX,
-    HermiteExpansion,
-    hermite_eval,
-    random_schwartz,
-)
-from uflab.numerics import dft_approx, lq_norm_quad, norm_from_samples, sample
+from uflab.hermite import N_MAX, HermiteExpansion, random_schwartz
+from uflab.numerics import dft_approx, lq_norm_quad, sample
+
+
+def basis(n, x):
+    """h_n at x: the expansion with unit coefficient vector e_n.  Its
+    values are real, and the real part is the recurrence row itself."""
+    return HermiteExpansion((0.0,) * n + (1.0,)).eval(x).real
 
 
 class TestHermiteEval:
     def test_h0_is_normalized_gaussian(self):
         # h_0(x) = 2^{1/4} e^{-pi x^2}
-        assert hermite_eval(0, 0.0) == pytest.approx(2.0 ** 0.25, rel=1e-12)
-        assert hermite_eval(0, 0.3) == pytest.approx(0.8963211143301847, rel=1e-12)
+        assert basis(0, 0.0) == pytest.approx(2.0 ** 0.25, rel=1e-12)
+        assert basis(0, 0.3) == pytest.approx(0.8963211143301847, rel=1e-12)
 
     def test_h1_odd(self):
-        assert hermite_eval(1, 0.0) == pytest.approx(0.0, abs=1e-14)
+        assert basis(1, 0.0) == pytest.approx(0.0, abs=1e-14)
         x = np.linspace(0.1, 2.0, 7)
         np.testing.assert_allclose(
-            hermite_eval(1, -x), -hermite_eval(1, x), rtol=1e-13
+            basis(1, -x), -basis(1, x), rtol=1e-13
         )
 
     def test_h2_value(self):
         # factorial-form oracle H_2(sqrt(2 pi) x) e^{-pi x^2} normalized
-        assert hermite_eval(2, 0.7) == pytest.approx(0.9303345362048063, rel=1e-11)
+        assert basis(2, 0.7) == pytest.approx(0.9303345362048063, rel=1e-11)
 
     def test_degree_cap(self):
-        hermite_eval(N_MAX, 0.5)
+        # the top row h_{N_MAX} is reachable and finite; one past it is not
+        assert np.isfinite(basis(N_MAX, 0.5))
         with pytest.raises(ValueError):
-            hermite_eval(N_MAX + 1, 0.5)
-        with pytest.raises(ValueError):
-            hermite_eval(-1, 0.5)
+            basis(N_MAX + 1, 0.5)
 
     @pytest.mark.parametrize("n", range(N_MAX + 1))
     def test_unit_l2_norm(self, n):
-        val, _ = quad(lambda x: hermite_eval(n, x) ** 2, -np.inf, np.inf, limit=200)
+        val, _ = quad(lambda x: basis(n, x) ** 2, -np.inf, np.inf, limit=200)
         assert val == pytest.approx(1.0, rel=1e-9)
 
     def test_orthogonality_gram_matrix(self):
@@ -52,7 +52,7 @@ class TestHermiteEval:
         lo, hi = -6.0, 6.0
         x = 0.5 * (hi - lo) * xs + 0.5 * (hi + lo)
         w = 0.5 * (hi - lo) * ws
-        rows = np.array([hermite_eval(n, x) for n in range(9)])
+        rows = np.array([basis(n, x) for n in range(9)])
         gram = (rows * w) @ rows.T
         np.testing.assert_allclose(gram, np.eye(9), atol=1e-8)
 
@@ -60,7 +60,7 @@ class TestHermiteEval:
         # classical uniform bound: |h_n| <= 2^{1/4}
         x = np.linspace(-8.0, 8.0, 4001)
         for n in (0, 3, 12, 32):
-            assert np.max(np.abs(hermite_eval(n, x))) <= 2.0 ** 0.25 + 1e-12
+            assert np.max(np.abs(basis(n, x))) <= 2.0 ** 0.25 + 1e-12
 
 
 def ft_coeffs(coefficients):
@@ -92,26 +92,29 @@ class TestExpansion:
         assert l2.value == pytest.approx(quad_l2.value, rel=1e-8)
 
     def test_degree_cap(self):
-        HermiteExpansion(tuple([0.0] * N_MAX + [1.0]))
+        HermiteExpansion(tuple([0.0] * N_MAX + [1.0])).eval(0.5)
         with pytest.raises(ValueError):
             HermiteExpansion(tuple([0.0] * (N_MAX + 1) + [1.0]))
+        with pytest.raises(ValueError):
+            HermiteExpansion(())  # no degree below 0
 
     def test_eval_linear_combination(self):
         f = HermiteExpansion((2.0, 0.0, -1.0))
         x = np.linspace(-2, 2, 9)
-        expected = 2.0 * hermite_eval(0, x) - hermite_eval(2, x)
+        expected = 2.0 * basis(0, x) - basis(2, x)
         np.testing.assert_allclose(f.eval(x), expected, rtol=1e-12)
 
     def test_ft_matches_dft_oracle(self):
         # quadrature L^q norms of the analytic transform agree with the
-        # discrete-Fourier route within 1e-6 relative, degree <= 8
+        # Riemann sum over the discrete-Fourier samples within 1e-6
+        # relative, degree <= 8
         f = HermiteExpansion((0.8, -0.3j, 0.0, 0.5, 0.0, 0.0, 0.0, 0.2, 0.1j))
         fhat = f.ft()
         s = sample(f, 1024, 0.02)
         hat_grid = dft_approx(s)
         for q in (1.5, 2.0, 3.0):
             (analytic,) = lq_norm_quad(fhat, (q,), 1e-9)
-            discrete = norm_from_samples(hat_grid, q).value
+            discrete = (hat_grid.dx * np.sum(np.abs(hat_grid.samples) ** q)) ** (1.0 / q)
             assert analytic.value == pytest.approx(discrete, rel=1e-6)
 
     def test_ft_pointwise_against_dft(self):

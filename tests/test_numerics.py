@@ -27,7 +27,6 @@ from uflab.numerics import (
     dft_approx,
     integrate_adaptive,
     lq_norm_quad,
-    norm_from_samples,
     sample,
     truncation_radius,
 )
@@ -505,7 +504,7 @@ class TestSampledFunction:
         s = SampledFunction(16, 0.5, np.zeros(16, dtype=complex))
         assert s.x_grid()[8] == 0.0
         assert s.x_grid()[0] == -4.0
-        assert s.xi_spacing == pytest.approx(1.0 / 8.0)
+        assert dft_approx(s).dx == pytest.approx(1.0 / 8.0)
 
     def test_sample_matches_eval(self):
         mix = make_two_scale(TwoScaleParams(1.0))
@@ -564,21 +563,3 @@ class TestDftApprox:
         lhs = s.dx * np.sum(np.abs(s.samples) ** 2)
         rhs = hat.dx * np.sum(np.abs(hat.samples) ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
-class TestNormFromSamples:
-    def test_gaussian_l2(self):
-        s = sample(single(1.0, 1.0), 1024, 0.05)
-        est = norm_from_samples(s, 2.0)
-        assert est.method == "dft"
-        assert est.value == pytest.approx(2.0 ** -0.25, rel=1e-10)
-
-    def test_tiny_amplitude_does_not_underflow(self):
-        unit = norm_from_samples(sample(HermiteExpansion((1.0,)), 256, 0.05), 3.0)
-        tiny = norm_from_samples(sample(HermiteExpansion((1e-300,)), 256, 0.05), 3.0)
-        assert tiny.value == pytest.approx(1e-300 * unit.value, rel=1e-12)
-
-    def test_rejects_bad_exponent(self):
-        s = sample(single(1.0, 1.0), 16, 0.5)
-        with pytest.raises(ValueError):
-            norm_from_samples(s, 0.0)
