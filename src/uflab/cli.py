@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -39,8 +40,13 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Flags shared by several subcommands; each subcommand declares only
-    # those its handler reads, so an unread flag is a usage error.
+    # those its handler reads, so an unread flag is a usage error, and
+    # marks those it cannot run without as required.
     shared = {
+        "--family": dict(choices=("chirp", "twoscale", "gaussian")),
+        "--a": dict(type=float, default=None, help="chirp parameter, a > 1"),
+        "--c": dict(type=float, default=None,
+                    help="twoscale scale c > 0, or gaussian width (default 1)"),
         "--q": dict(type=float, default=None, help="exponent q"),
         "--p": dict(type=float, default=None,
                     help="second exponent p; eval and sweep then use F_qp"),
@@ -49,22 +55,21 @@ def _parser() -> argparse.ArgumentParser:
         "--out": dict(type=str, default=None, help="write output to this file"),
     }
 
-    def command(name, help, *flags):
+    def command(name, help, *flags, required=()):
         sp = sub.add_parser(name, help=help)
         for flag in flags + ("--out",):
-            sp.add_argument(flag, **shared[flag])
+            sp.add_argument(flag, required=flag in required, **shared[flag])
         return sp
 
-    sp = command("eval", "evaluate one uncertainty ratio", "--q", "--p", "--tol")
-    sp.add_argument("--family", choices=("chirp", "twoscale", "gaussian"), required=True)
-    sp.add_argument("--a", type=float, default=None, help="chirp parameter, a > 1")
-    sp.add_argument("--c", type=float, default=None,
-                    help="twoscale scale c > 0, or gaussian width (default 1)")
+    sp = command("eval", "evaluate one uncertainty ratio",
+                 "--family", "--a", "--c", "--q", "--p", "--tol",
+                 required=("--family", "--q"))
     sp.add_argument("--method", choices=tuple(_METHOD_MAP), default="quad",
                     help="norm routes: auto (exact where one exists, else quadrature), "
                          "closed, quad, or both (default quad)")
 
-    sp = command("sweep", "sweep a family parameter", "--q", "--p", "--tol")
+    sp = command("sweep", "sweep a family parameter", "--q", "--p", "--tol",
+                 required=("--q",))
     sp.add_argument("--json", action="store_true", help="write JSON instead of CSV")
     sp.add_argument("--family", choices=("chirp", "twoscale"), required=True)
     sp.add_argument("--grid", type=str, required=True,
@@ -76,7 +81,8 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=None,
                     help="random test functions per randomized check")
 
-    sp = command("minimize", "search for small F_q values", "--q", "--seed")
+    sp = command("minimize", "search for small F_q values", "--q", "--seed",
+                 required=("--q",))
     sp.add_argument("--terms", type=int, default=2,
                     help="Gaussian terms in the mixture (default 2)")
     sp.add_argument("--restarts", type=int, default=8,
@@ -84,11 +90,8 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-iter", type=int, default=200,
                     help="iterations per restart (default 200)")
 
-    sp = command("ftcheck", "compare DFT against the analytic transform", "--tol")
-    sp.add_argument("--family", choices=("chirp", "twoscale", "gaussian"), required=True)
-    sp.add_argument("--a", type=float, default=None, help="chirp parameter, a > 1")
-    sp.add_argument("--c", type=float, default=None,
-                    help="twoscale scale c > 0, or gaussian width (default 1)")
+    sp = command("ftcheck", "compare DFT against the analytic transform",
+                 "--family", "--a", "--c", "--tol", required=("--family",))
     sp.add_argument("--grid-n", type=int, default=4096,
                     help="sample count, power of two >= 16 (default 4096)")
     sp.add_argument("--dx", type=float, default=None,
@@ -125,8 +128,6 @@ def _json_text(obj: dict) -> str:
 
 
 def _cmd_eval(args) -> int:
-    if args.q is None:
-        raise ValueError("eval needs --q")
     params, _ = _family_object(args)
     method = _METHOD_MAP[args.method]
     if args.p is None:
@@ -139,8 +140,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.q is None:
-        raise ValueError("sweep needs --q")
     result = sweep(args.family, args.q, args.p, GridSpec.parse(args.grid), args.tol)
     if args.json:
         _emit(_json_text(asdict(result)), args.out)
@@ -169,8 +168,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
-    if args.q is None:
-        raise ValueError("minimize needs --q")
     report = minimize_Fq(
         args.q,
         MinimizeFamilySpec(terms=args.terms),
@@ -193,6 +190,8 @@ def _cmd_ftcheck(args) -> int:
     n = args.grid_n
     if n < 16 or n & (n - 1):
         raise ValueError(f"--grid-n must be a power of two >= 16, got {n}")
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     params, param = _family_object(args)
     obj, obj_hat = _resolve(params)
     dx = args.dx if args.dx is not None else _auto_dx(obj, obj_hat, n, args.tol)

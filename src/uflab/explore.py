@@ -123,28 +123,19 @@ class SweepResult:
         return cls(schema or SWEEP_SCHEMA, rows)
 
 
-def _row(family: str, param: float, f, q, p, method, tol) -> SweepRow:
-    """One sweep row from the evaluator's report.  The error estimate is
-    the exact/quadrature discrepancy when both routes ran, else the
-    value times the summed relative error estimates of the four norms."""
-    if p is None:
-        rep = eval_Fq(f, q, method, tol)
-    else:
-        rep = eval_Fqp(f, q, p, method, tol)
+def _row(family: str, param: float, q, p, method, tol) -> SweepRow:
+    """One sweep row of the family's parameters, t = a*a for the chirp and
+    c for the two-scale family, from the evaluator's report.  The error
+    estimate is the exact/quadrature discrepancy when both routes ran,
+    else the value times the summed relative error estimates of the four
+    norms."""
+    f = ChirpParams.from_t(param) if family == "chirp" else TwoScaleParams(param)
+    rep = eval_Fq(f, q, method, tol) if p is None else eval_Fqp(f, q, p, method, tol)
     err = rep.discrepancy
     if err is None:
         err = rep.value * sum(n.abs_error_estimate / n.value for n in rep.norms)
     return SweepRow(family, param, q, rep.p, *(n.value for n in rep.norms), rep.value,
                     rep.method, err)
-
-
-def _chirp_row(t: float, q: float, p: float | None, tol: float, spot: bool) -> SweepRow:
-    method = "both" if spot else "closed-form"
-    return _row("chirp", t, ChirpParams.from_t(t), q, p, method, tol)
-
-
-def _twoscale_row(c: float, q: float, p: float | None, tol: float) -> SweepRow:
-    return _row("twoscale", c, TwoScaleParams(c), q, p, "auto", tol)
 
 
 def sweep(
@@ -164,17 +155,13 @@ def sweep(
     """
     if isinstance(grid, str):
         grid = GridSpec.parse(grid)
-    values = grid.values()
-    if family == "chirp":
-        rows = [
-            _chirp_row(float(t), q, p, tol, i % _SPOT_CHECK_EVERY == 0)
-            for i, t in enumerate(values)
-        ]
-    elif family == "twoscale":
-        rows = [_twoscale_row(float(c), q, p, tol) for c in values]
-    else:
+    if family not in ("chirp", "twoscale"):
         raise ValueError(f"unknown sweep family {family!r}")
-    return SweepResult(SWEEP_SCHEMA, rows)
+    return SweepResult(SWEEP_SCHEMA, [
+        _row(family, float(v), q, p, "auto" if family == "twoscale"
+             else "both" if i % _SPOT_CHECK_EVERY == 0 else "closed-form", tol)
+        for i, v in enumerate(grid.values())
+    ])
 
 
 @dataclass(frozen=True)
@@ -218,8 +205,8 @@ def estimate_image_interval(q: float, p: float | None = None) -> IntervalReport:
     t_min = (1.0 + 2.0 * MIN_CHIRP_MARGIN) ** 2
     dt = np.geomspace(t_min - 1.0, 1e6, _INTERVAL_POINTS)
     t_grid = 1.0 + dt
-    chirp_rows = [_chirp_row(float(t), q, p, _INTERVAL_TOL, False) for t in t_grid]
-    chirp_vals = [r.value for r in chirp_rows]
+    chirp_vals = [_row("chirp", float(t), q, p, "closed-form", _INTERVAL_TOL).value
+                  for t in t_grid]
 
     if p is None and q < 2.0:
         c_grid = np.geomspace(0.1, 10.0, 9)
@@ -227,7 +214,7 @@ def estimate_image_interval(q: float, p: float | None = None) -> IntervalReport:
         c_grid = np.concatenate([np.geomspace(0.1, 10.0, 5), np.geomspace(10.0, 1e4, 9)[1:]])
     else:
         c_grid = np.concatenate([np.geomspace(0.1, 10.0, 5), np.geomspace(10.0, 1e6, 9)[1:]])
-    ts_vals = [_twoscale_row(float(c), q, p, _INTERVAL_TOL).value for c in c_grid]
+    ts_vals = [_row("twoscale", float(c), q, p, "auto", _INTERVAL_TOL).value for c in c_grid]
 
     all_vals = chirp_vals + ts_vals
     rate = 1.0 / q - 1.0 / (2.0 if p is None else p)

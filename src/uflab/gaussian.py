@@ -39,7 +39,8 @@ MAX_POWER_PARTS = 1000
 
 @dataclass(frozen=True)
 class ComplexGaussianTerm:
-    """One term ``amplitude * exp(-pi * width * x**2)``, ``Re width > 0``."""
+    """One term ``amplitude * exp(-pi * width * x**2)``, ``Re width > 0``
+    and ``pi * Re width`` finite; the family parameters build theirs."""
 
     amplitude: complex
     width: complex
@@ -47,14 +48,10 @@ class ComplexGaussianTerm:
     def __post_init__(self):
         object.__setattr__(self, "amplitude", complex(self.amplitude))
         object.__setattr__(self, "width", complex(self.width))
-        if not (
-            math.isfinite(self.width.real)
-            and math.isfinite(self.width.imag)
-            and self.width.real > 0.0
-        ):
-            raise ValueError(
-                f"term width must be finite with positive real part, got {self.width}"
-            )
+        if not (math.isfinite(math.pi * self.width.real)
+                and math.isfinite(self.width.imag) and self.width.real > 0.0):
+            raise ValueError(f"term width needs Re width > 0 with pi*Re width and "
+                             f"Im width finite, got {self.width}")
         if not (
             math.isfinite(self.amplitude.real) and math.isfinite(self.amplitude.imag)
         ):
@@ -145,24 +142,20 @@ class GaussianMixture:
 
 @dataclass(frozen=True)
 class ChirpParams:
-    """Parameter of the chirp family; requires ``a > 1 + MIN_CHIRP_MARGIN``."""
+    """Parameter of the chirp family: ``a > 1 + MIN_CHIRP_MARGIN`` whose
+    term is valid, which holds up to about 7.56e153."""
 
     a: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and self.a > 1.0 + MIN_CHIRP_MARGIN):
-            raise ValueError(
-                f"chirp parameter must exceed 1 + {MIN_CHIRP_MARGIN:g} "
-                f"(degenerate width otherwise), got {self.a}"
-            )
-
-    @property
-    def t(self) -> float:
-        """Squared parameter; closed forms and sweeps are stated in t."""
-        return self.a * self.a
+        if not self.a > 1.0 + MIN_CHIRP_MARGIN:
+            raise ValueError(f"chirp parameter must exceed 1 + {MIN_CHIRP_MARGIN:g} "
+                             f"(degenerate width otherwise), got {self.a}")
+        make_chirp(self)
 
     @classmethod
     def from_t(cls, t: float) -> "ChirpParams":
+        """The chirp with a*a = t, the variable of closed forms and sweeps."""
         if not (math.isfinite(t) and t > 1.0):
             raise ValueError(f"t must be finite and > 1, got {t}")
         return cls(math.sqrt(t))
@@ -171,17 +164,21 @@ class ChirpParams:
 @dataclass(frozen=True)
 class TwoScaleParams:
     """Parameter of the self-dual two-scale family: any ``c > 0`` whose
-    widths times pi, ``pi*c*c`` and ``pi/(c*c)``, are both finite, so
-    that no term's exponent overflows; about [1.33e-154, 7.56e153]."""
+    two terms, of widths ``1/(c*c)`` and ``c*c``, are valid; about
+    [1.32e-154, 7.56e153]."""
 
     c: float
 
     def __post_init__(self):
-        w = self.c * self.c
-        if not (self.c > 0.0 and w > 0.0 and math.pi * w < math.inf
-                and math.pi / w < math.inf):
-            raise ValueError(f"two-scale parameter needs c > 0 with finite "
-                             f"pi*c*c and pi/(c*c), got {self.c}")
+        message = (f"two-scale parameter needs c > 0 with finite "
+                   f"pi*c*c and pi/(c*c), got {self.c}")
+        # c*c > 0 keeps 1/(c*c) in make_two_scale from dividing by zero
+        if not (self.c > 0.0 and self.c * self.c > 0.0):
+            raise ValueError(message)
+        try:
+            make_two_scale(self)
+        except ValueError as exc:
+            raise ValueError(message) from exc
 
 
 def make_chirp(params: ChirpParams) -> ComplexGaussianTerm:
@@ -197,9 +194,11 @@ def make_two_scale(params: TwoScaleParams) -> GaussianMixture:
 
 
 def term_lq_norm(term: ComplexGaussianTerm, q: float) -> float:
-    """Closed-form L^q norm |A| * (q * Re z)**(-1/(2q)) of a single term."""
+    """Closed-form L^q norm |A| * (q * Re z)**(-1/(2q)) of a single term;
+    the two factors are raised apart only where q * Re z overflows."""
     check_exponent(q)
-    return abs(term.amplitude) * (q * term.width.real) ** (-0.5 / q)
+    w, e = term.width.real, -0.5 / q
+    return abs(term.amplitude) * ((q * w) ** e if q * w < math.inf else q ** e * w ** e)
 
 
 def _check_fq_exponents(q: float, p: float | None = None):

@@ -114,8 +114,6 @@ def random_schwartz(family: str, size: int, seed: int):
         raise ValueError(f"unknown family {family!r}")
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    if family == "hermite" and size > N_MAX:
-        raise ValueError(f"hermite size capped at {N_MAX}, got {size}")
     rng = np.random.default_rng(seed)
     lo, hi = _MIXTURE_WIDTHS
     for _ in range(_MAX_DRAWS):

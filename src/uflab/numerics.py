@@ -274,6 +274,15 @@ def _tail_radius(alpha, shift, log_target):
     return shift + max(t, 1.0) / math.sqrt(alpha)
 
 
+def _decay_rate(q, width_floor):
+    """pi*q*w, the decay rate of the envelope of |f|**q, which no radius
+    or tail bound can be formed without; ValueError where it overflows."""
+    if math.pi * q * width_floor == math.inf:
+        raise ValueError(f"L^{q:g} quadrature needs a finite pi*q*width, "
+                         f"got width floor {width_floor:g}")
+    return math.pi * q * width_floor
+
+
 def truncation_radius(f, q: float, tol: float) -> float:
     """Radius R with the envelope tail bound outside [-R, R] below tol/2.
 
@@ -286,7 +295,7 @@ def truncation_radius(f, q: float, tol: float) -> float:
     if amp_sum <= 0.0:
         return shift + 1.0
     log_target = math.log(0.5 * tol) - q * math.log(amp_sum)
-    return _tail_radius(math.pi * q * width_floor, shift, log_target)
+    return _tail_radius(_decay_rate(q, width_floor), shift, log_target)
 
 
 def _seed_breakpoints(f, q, shift, radius):
@@ -359,7 +368,7 @@ def lq_norm_quad(f, exponents: tuple, tol: float) -> tuple[NormEstimate, ...]:
     # _log_tail bounds.  The initial radius assumes the integral could
     # undershoot the envelope's own integral beyond shift by six orders
     # (cancellation); the loop tightens R against the computed integrals.
-    alphas = [math.pi * e * width_floor for e in exponents]
+    alphas = [_decay_rate(e, width_floor) for e in exponents]
     radius = max(_tail_radius(a, shift, math.log(0.25e-6 * tol) + _log_tail(a, shift, shift))
                  for a in alphas)
     for _ in range(4):

@@ -254,11 +254,7 @@ def verify_asymptotics(q: float, p: float | None = None) -> CheckResult:
         ]
         bounds = [float(fq_gc_lower_bound(float(c), q)) for c in grid]
         slacks = [v - b for v, b in zip(values, bounds)]
-        slacks += [
-            values[i + 1] - values[i]
-            for i in range(len(grid) - 1)
-            if grid[i] >= 10.0
-        ]
+        slacks += [values[i + 1] - values[i] for i in range(len(grid) - 1)]
         worst = min(slacks)
         return _result("asymptotics-divergence", {"q": q, "c_grid": [float(c) for c in grid]},
                        len(grid), worst, None, {"values": values, "bounds": bounds})
@@ -271,9 +267,7 @@ def verify_asymptotics(q: float, p: float | None = None) -> CheckResult:
     slope = float(
         np.polyfit(np.log(np.asarray(grid[-4:])), np.log(np.asarray(values[-4:])), 1)[0]
     )
-    slacks = [
-        values[i] - values[i + 1] for i in range(len(grid) - 1) if grid[i] >= 10.0
-    ]
+    slacks = [values[i] - values[i + 1] for i in range(len(grid) - 1)]
     slacks.append(0.05 - abs(slope - target))
     worst = min(slacks)
     return _result("asymptotics-vanishing",

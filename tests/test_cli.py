@@ -38,6 +38,19 @@ class TestUsageErrors:
         assert run(capsys, "eval", "--family", "chirp", "--a", "2")[0] == 2
         assert run(capsys, "eval", "--q", "4", "--a", "2")[0] == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--family", "chirp", "--a", "2"),
+        ("sweep", "--family", "chirp", "--grid", "2:3:2"),
+        ("minimize", "--terms", "1", "--restarts", "1", "--max-iter", "5"),
+    ])
+    def test_q_is_required_in_usage(self, capsys, argv):
+        # argparse, not the handler, rejects a missing --q, and the usage
+        # line no longer shows it as optional
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "the following arguments are required: --q" in err
+        assert "[--q" not in err
+
     def test_bad_grid(self, capsys):
         code, _, err = run(capsys, "sweep", "--family", "chirp", "--q", "4",
                            "--grid", "5:1:9log")
@@ -91,6 +104,15 @@ class TestUsageErrors:
         ("eval", "--family", "twoscale", "--c", "3", "--a", "7", "--q", "3"),
         ("ftcheck", "--family", "gaussian", "--a", "3"),
         ("ftcheck", "--family", "chirp", "--a", "2", "--c", "3"),
+        # tolerances that are not finite and positive, with and without
+        # --dx; the parent passed inf and failed the check on the others
+        ("ftcheck", "--family", "chirp", "--a", "2", "--tol", "inf"),
+        ("ftcheck", "--family", "chirp", "--a", "2", "--tol", "0"),
+        ("ftcheck", "--family", "chirp", "--a", "2", "--tol", "-1"),
+        ("ftcheck", "--family", "chirp", "--a", "2", "--tol", "nan", "--dx", "0.1"),
+        # the default quadrature route on the largest chirps, where
+        # pi*3*Re z overflows; the parent leaked a numpy error
+        ("eval", "--family", "chirp", "--a", "7.5e153", "--q", "3"),
     ])
     def test_rejected_value_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -4,11 +4,12 @@ norms and ratios, checked against independent quadrature oracles."""
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from uflab.functionals import norms
+from uflab.functionals import eval_Fq, norms
 from uflab.gaussian import (
     MIN_CHIRP_MARGIN,
     ChirpParams,
@@ -55,7 +56,34 @@ class TestConstruction:
     def test_chirp_t_roundtrip(self):
         p = ChirpParams.from_t(3.0)
         assert p.a == pytest.approx(math.sqrt(3.0), rel=1e-15)
-        assert p.t == pytest.approx(3.0, rel=1e-15)
+        assert p.a ** 2 == pytest.approx(3.0, rel=1e-15)
+
+    def test_term_width_overflow_raises(self):
+        # pi*Re z overflows: the parent evaluated exp(-inf*0) = nan at x = 0
+        for z in (1e308, complex(1e308, 1.0), complex(6e307, -2.0)):
+            with pytest.raises(ValueError, match="term width"):
+                ComplexGaussianTerm(1.0, z)
+        ComplexGaussianTerm(1.0, 5.7e307).eval(np.linspace(-1.0, 1.0, 16))
+
+    def test_chirp_width_overflow_raises(self):
+        # a = 1e154 gave a zero L^q norm and "zero function" from eval_Fq
+        for a in (1e154, 1e200, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                ChirpParams(a)
+        with pytest.raises(ValueError):
+            closed_form_Fq_chirp(1e200, 3.0)  # nan at the parent
+        with pytest.raises(ValueError):
+            closed_form_Fqp_chirp(1e200, 3.0, 6.0)
+
+    def test_closed_forms_finite_up_to_largest_chirp(self):
+        a_max = 7.564545572282618e153
+        ChirpParams(a_max)
+        with pytest.raises(ValueError):
+            ChirpParams(math.nextafter(a_max, math.inf))
+        for a in (1.0 + 2.0 * MIN_CHIRP_MARGIN, 1e10, 1e100, a_max):
+            for q in (1.001, 1.5, 3.0, 64.0):
+                assert math.isfinite(closed_form_Fq_chirp(a, q))
+                assert math.isfinite(closed_form_Fqp_chirp(a, q, 2.0 * q))
 
     def test_make_chirp_widths(self):
         assert make_chirp(ChirpParams(2.0)).width == complex(3.0, 4.0)
@@ -79,6 +107,16 @@ class TestConstruction:
                 TwoScaleParams(c)
         TwoScaleParams(1.33e-154)  # both widths times pi still finite
         TwoScaleParams(7.56e153)
+
+    def test_two_scale_range_ends(self):
+        # the term rule decides the range: pi/(c*c) and pi*c*c finite
+        lo, hi = 1.3219564750381271e-154, 7.564545572282618e153
+        for c in (lo, hi):
+            mix = make_two_scale(TwoScaleParams(c))
+            assert mix.ft().terms[0].width == pytest.approx(c * c, rel=1e-12)
+        for c in (math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)):
+            with pytest.raises(ValueError, match="two-scale parameter"):
+                TwoScaleParams(c)
 
     def test_g1_is_doubled_gaussian(self):
         mix = make_two_scale(TwoScaleParams(1.0))
@@ -167,6 +205,20 @@ class TestNorms:
         hat = term.ft()
         assert term_lq_norm(hat, 4.0) == pytest.approx(0.5452538663326288, rel=1e-14)
         assert term_lq_norm(hat, 4.0) == pytest.approx(lq_oracle(hat, 4.0), rel=1e-10)
+
+    def test_term_norm_where_q_times_width_overflows(self):
+        # 64 * 1e307 overflows; the parent returned 0.0 as a closed form
+        with mpmath.workdps(40):
+            exact = float((64 * mpmath.mpf(1e307)) ** (-mpmath.mpf(1) / 128))
+        assert exact == pytest.approx(3.8676905465582514e-3, rel=1e-15)
+        (est,) = norms(GaussianMixture((ComplexGaussianTerm(1.0, 1e307),)), (64.0,), 1e-10)
+        assert est.method == "closed-form"
+        assert est.value == pytest.approx(exact, rel=1e-12)
+
+    def test_chirp_ratio_where_q_times_width_overflows(self):
+        # the parent raised "zero function" here
+        value = eval_Fq(ChirpParams(7e153), 64.0).value
+        assert value == pytest.approx(closed_form_Fq_chirp(7e153, 64.0), rel=1e-15)
 
     def test_term_norm_rejects_bad_exponent(self):
         term = ComplexGaussianTerm(1.0, 1.0)
