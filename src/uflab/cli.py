@@ -187,6 +187,10 @@ def _auto_dx(obj, obj_hat, n: int, tol: float) -> float:
 
 
 def _cmd_ftcheck(args) -> int:
+    """DFT of the sampled function against its analytic transform on the
+    dual grid.  For the two-scale family the transform is g_c itself
+    (``_resolve`` returns it twice), so the check compares the DFT of
+    g_c with g_c: the self-duality statement."""
     n = args.grid_n
     if n < 16 or n & (n - 1):
         raise ValueError(f"--grid-n must be a power of two >= 16, got {n}")

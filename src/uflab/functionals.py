@@ -155,11 +155,14 @@ def fq_gc_lower_bound(c: float, q: float) -> float:
 
 
 def _resolve(f):
-    """Map any accepted input to (object, analytic transform)."""
+    """Map any accepted input to (object, analytic transform).  g_c is
+    its own transform, so the two-scale family returns g_c twice, the
+    same object, and its norms are taken once."""
     if isinstance(f, ChirpParams):
         obj = GaussianMixture((make_chirp(f),))
     elif isinstance(f, TwoScaleParams):
         obj = make_two_scale(f)
+        return obj, obj
     elif isinstance(f, ComplexGaussianTerm):
         obj = GaussianMixture((f,))
     elif isinstance(f, (GaussianMixture, HermiteExpansion)):
@@ -239,8 +242,10 @@ def _eval_ratio(f, q, p, method, tol) -> FunctionalReport:
     obj, obj_hat = _resolve(f)
 
     def four(route):
-        """||f||_q, ||fhat||_q, ||f||_p, ||fhat||_p, in report order."""
-        (fq, fp), (hq, hp) = (norms(g, (q, p), tol, route) for g in (obj, obj_hat))
+        """||f||_q, ||fhat||_q, ||f||_p, ||fhat||_p, in report order; a
+        self-dual input's norms serve both functions."""
+        fq, fp = norms(obj, (q, p), tol, route)
+        hq, hp = (fq, fp) if obj_hat is obj else norms(obj_hat, (q, p), tol, route)
         return fq, hq, fp, hp
 
     found = four("closed-form" if method == "both" else method)

@@ -8,15 +8,17 @@ computed and inverted in log space, rather than a heuristic cutoff:
 ``math.erfc`` where erfc is a normal float and the continued fraction of
 ``1/erfcx`` beyond (Cody, "Rational Chebyshev approximations for the
 error function", Math. Comp. 23, 1969), inverted by Newton steps.  The
-finite interval is then handled by adaptive bisection with an embedded
-Gauss7/Kronrod15 pair per panel, refined in rounds: each round bisects
-every panel it selects and evaluates all of their nodes in a single
-``f.eval`` call.  The integrand is array-valued, one component per
-exponent of a norm request, all on one shared mesh (Shampine,
-"Vectorized adaptive quadrature in MATLAB", 2008), so ``lq_norm_quad``
-computes ||f||_q for a tuple of exponents in one pass.  The reported
-error estimate is the sum of the achieved panel estimates and the
-truncation bound, never the requested tolerance.
+bound is stated in the decay length 1/sqrt(pi*q*w) of ``|f|**q``, which
+is finite even where pi*q*w overflows, and R is picked from the first
+round's totals.  The finite interval is then handled by adaptive
+bisection with an embedded Gauss7/Kronrod15 pair per panel, refined in
+rounds: each round bisects every panel it selects and evaluates all of
+their nodes in a single ``f.eval`` call.  The integrand is array-valued,
+one component per exponent of a norm request, all on one shared mesh
+(Shampine, "Vectorized adaptive quadrature in MATLAB", 2008), so
+``lq_norm_quad`` computes ||f||_q for a tuple of exponents in one pass.
+The reported error estimate is the sum of the achieved panel estimates
+and the truncation bound, never the requested tolerance.
 
 Test functions plug in through three duck-typed hooks:
 
@@ -146,34 +148,36 @@ def _gk_panels(fn, lo, hi):
     return np.concatenate((ik, np.maximum(err, 50.0 * _EPS * np.abs(ik))))
 
 
-def integrate_adaptive(fn, lo, hi, rel_tol, breakpoints=()):
-    """Adaptively integrate the k components of ``fn`` over [lo, hi] on
-    one shared mesh.
+def integrate_adaptive(fn, edges, rel_tol, first=None):
+    """Adaptively integrate the k components of ``fn`` over
+    [edges[0], edges[-1]] on one shared mesh, starting from the panels
+    between consecutive ``edges`` (ascending).
 
     ``fn`` maps an array x to values of shape ``(k, *x.shape)``, or of
-    x's own shape when k = 1.  Returns ``(values, err_estimates,
-    converged, panels)``, the first three arrays of shape (k,);
-    component i has converged when its estimate is at most
-    ``rel_tol * |values[i]|``.  Each round ranks the panels by their
-    largest error relative to that component's target (stable sort,
-    largest first), takes the shortest prefix whose summed estimates
-    cover every component's excess over its target, and bisects all of
-    it with one ``fn`` call.  Panels within a few float spacings of their
-    width limit keep their error and are never bisected; refinement
-    gives up once their error alone exceeds a component's target, and
-    bisection stops before the panel count would exceed ``MAX_PANELS``
-    (read at call time).  A left half takes its parent's place and the
-    right halves are appended, so every sum runs in a fixed order and
-    results are reproducible run to run.
+    x's own shape when k = 1.  ``first``, when given, is the first
+    round ``_gk_panels(fn, edges[:-1], edges[1:])``, already evaluated
+    by the caller.  Returns ``(values, err_estimates, converged,
+    panels)``, the first three arrays of shape (k,); component i has
+    converged when its estimate is at most ``rel_tol * |values[i]|``.
+    Each round ranks the panels by their largest error relative to that
+    component's target (stable sort, largest first), takes the shortest
+    prefix whose summed estimates cover every component's excess over its
+    target, and bisects all of it with one ``fn`` call.  Panels within a
+    few float spacings of their width limit keep their error and are
+    never bisected; refinement gives up once their error alone exceeds a
+    component's target, and bisection stops before the panel count would
+    exceed ``MAX_PANELS`` (read at call time).  A left half takes its
+    parent's place and the right halves are appended, so every sum runs
+    in a fixed order and results are reproducible run to run.
     """
-    inner = (float(b) for b in breakpoints if lo < b < hi)
-    pts = np.array(sorted({float(lo), float(hi), *inner}))
+    pts = np.asarray(edges, dtype=float)
     los, his = pts[:-1], pts[1:]
     # Midpoints and quarter points are off by at most half a float
     # spacing of the largest |x|, so a panel wider than 8 such spacings
     # always has distinct quarter points.
     narrow = 8.0 * np.spacing(max(-pts[0], pts[-1]))
-    ve = _gk_panels(fn, los, his)  # k rows of panel values, k of errors
+    # k rows of panel values, k of errors
+    ve = _gk_panels(fn, los, his) if first is None else first
     k = ve.shape[0] // 2
     # Per-component totals, targets and excesses are Python floats: k is
     # a handful, and numpy calls on k-vectors cost more than loops.
@@ -241,17 +245,17 @@ def _log_erfc_slope(t):
     return -t * t - math.log(_SQRT_PI * k), -2.0 * k
 
 
-def _log_tail(alpha, shift, radius):
-    """log of sqrt(pi/alpha) * erfc(sqrt(alpha)*(radius-shift)), which
-    bounds the integral of exp(-alpha*(|x|-shift)**2) over |x| > radius;
-    finite at any radius and for alpha down to the smallest normal."""
-    log_erfc, _ = _log_erfc_slope(math.sqrt(alpha) * (radius - shift))
-    return 0.5 * (math.log(math.pi) - math.log(alpha)) + log_erfc
+def _log_tail(length, shift, radius):
+    """log of sqrt(pi)*length * erfc((radius-shift)/length), which bounds
+    the integral of exp(-((|x|-shift)/length)**2) over |x| > radius;
+    finite at any radius and any positive decay length."""
+    log_erfc, _ = _log_erfc_slope((radius - shift) / length)
+    return 0.5 * math.log(math.pi) + math.log(length) + log_erfc
 
 
-def _tail_radius(alpha, shift, log_target):
-    """Inverse of :func:`_log_tail`, floored at one decay length
-    1/sqrt(alpha) past shift.
+def _tail_radius(length, shift, log_target):
+    """Inverse of :func:`_log_tail`, floored at one decay length past
+    shift.
 
     log erfc is concave, so Newton's method on it approaches the root
     from above after at most one step, and the bound at the returned
@@ -260,7 +264,7 @@ def _tail_radius(alpha, shift, log_target):
     fixed-point step from s = -y - log(sqrt(-pi*y)), and stops once a
     step moves t by at most 1e-8 relative, after which quadratic
     convergence leaves rounding alone."""
-    y = log_target - 0.5 * (math.log(math.pi) - math.log(alpha))
+    y = log_target - 0.5 * math.log(math.pi) - math.log(length)
     t = 1.0
     if y < _LOG_ERFC_1:
         s = -y - 0.5 * math.log(-math.pi * y)
@@ -271,16 +275,14 @@ def _tail_radius(alpha, shift, log_target):
             t -= step
             if abs(step) <= 1e-8 * t:
                 break
-    return shift + max(t, 1.0) / math.sqrt(alpha)
+    return shift + max(t, 1.0) * length
 
 
-def _decay_rate(q, width_floor):
-    """pi*q*w, the decay rate of the envelope of |f|**q, which no radius
-    or tail bound can be formed without; ValueError where it overflows."""
-    if math.pi * q * width_floor == math.inf:
-        raise ValueError(f"L^{q:g} quadrature needs a finite pi*q*width, "
-                         f"got width floor {width_floor:g}")
-    return math.pi * q * width_floor
+def _decay_length(q, width_floor):
+    """1/sqrt(pi*q*w), the decay length of the envelope of |f|**q.  The
+    two square roots are taken apart, so it is finite for every width a
+    term accepts, including those where pi*q*w overflows."""
+    return 1.0 / (math.sqrt(math.pi * q) * math.sqrt(width_floor))
 
 
 def truncation_radius(f, q: float, tol: float) -> float:
@@ -295,13 +297,13 @@ def truncation_radius(f, q: float, tol: float) -> float:
     if amp_sum <= 0.0:
         return shift + 1.0
     log_target = math.log(0.5 * tol) - q * math.log(amp_sum)
-    return _tail_radius(_decay_rate(q, width_floor), shift, log_target)
+    return _tail_radius(_decay_length(q, width_floor), shift, log_target)
 
 
-def _seed_breakpoints(f, q, shift, radius):
-    """Initial panel edges: a geometric ladder from the finest decay
-    length up to the truncation radius, so widely separated scales are
-    resolved before any adaptive refinement happens."""
+def _seed_edges(f, q, shift, radius):
+    """Initial panel edges on [-radius, radius]: a geometric ladder from
+    the finest decay length up to the radius, so widely separated scales
+    are resolved before any adaptive refinement happens."""
     pts = {0.0}
     v = min(f.scales()) / math.sqrt(q)
     while v < radius and len(pts) < 80:
@@ -311,7 +313,7 @@ def _seed_breakpoints(f, q, shift, radius):
     if 0.0 < shift < radius:
         pts.add(shift)
         pts.add(-shift)
-    return sorted(pts)
+    return np.array(sorted({-radius, radius, *pts}))
 
 
 def check_exponent(q: float) -> None:
@@ -333,7 +335,8 @@ def lq_norm_quad(f, exponents: tuple, tol: float) -> tuple[NormEstimate, ...]:
     ``exponents`` is a tuple, and one :class:`NormEstimate` per exponent
     is returned in order.  All exponents share one pass: one radius, the
     largest any of them needs, and one mesh, refined until every
-    exponent converges, with one ``f.eval`` per round.  The
+    exponent converges, with one ``f.eval`` per round.  The seed round
+    picks the radius, so a pass rarely starts over.  The
     integrand is ``(|f|/M)**q`` with M the largest |f| on the first
     round's nodes, so it stays representable however far |f| lies below
     its envelope amplitude S; each exponent's tail bound carries the
@@ -364,30 +367,53 @@ def lq_norm_quad(f, exponents: tuple, tol: float) -> tuple[NormEstimate, ...]:
             peak = float(mag.max()) or scale
         return np.power(mag / peak, powers)
 
-    # |f/S|**q lies below exp(-alpha*(|x|-shift)**2), whose tails
-    # _log_tail bounds.  The initial radius assumes the integral could
-    # undershoot the envelope's own integral beyond shift by six orders
-    # (cancellation); the loop tightens R against the computed integrals.
-    alphas = [_decay_rate(e, width_floor) for e in exponents]
-    radius = max(_tail_radius(a, shift, math.log(0.25e-6 * tol) + _log_tail(a, shift, shift))
-                 for a in alphas)
-    for _ in range(4):
-        totals, errs, converged, panels = integrate_adaptive(
-            integrand, -radius, radius, 0.5 * tol,
-            _seed_breakpoints(f, max(exponents), shift, radius),
-        )
-        totals = totals.tolist()
+    # |f/S|**q lies below exp(-((|x|-shift)/L)**2), L the decay length,
+    # whose tails _log_tail bounds.  The initial radius assumes the
+    # integral could undershoot the envelope's own integral beyond shift
+    # by six orders (cancellation).  The seed round on it sets the peak,
+    # and where its totals show a tail bound too large, they pick the
+    # radius: panels out to it join the seeded ones, whose values are
+    # kept.  The tail bounds at the refined totals certify the result; a
+    # pass starts over at a wider radius only where they do not.
+    lengths = [_decay_length(e, width_floor) for e in exponents]
+
+    def log_tails(radius):
         log_ratio = math.log(scale) - math.log(peak)
-        log_tails = [_log_tail(a, shift, radius) + e * log_ratio
-                     for a, e in zip(alphas, exponents)]
-        if not min(totals) > 0.0 or all(
-            t <= math.log(0.5 * tol * total) for t, total in zip(log_tails, totals)
-        ):
+        return [_log_tail(n, shift, radius) + e * log_ratio
+                for n, e in zip(lengths, exponents)]
+
+    def covered(tails, totals):
+        return min(totals) <= 0.0 or all(
+            t <= math.log(0.5 * tol * total) for t, total in zip(tails, totals))
+
+    def needed(totals):
+        """The radius that brings every tail bound to tol/4 of its total."""
+        log_ratio = math.log(scale) - math.log(peak)
+        return max(_tail_radius(n, shift, math.log(0.25 * tol * total) - e * log_ratio)
+                   for n, e, total in zip(lengths, exponents, totals))
+
+    radius = max(_tail_radius(n, shift, math.log(0.25e-6 * tol) + _log_tail(n, shift, shift))
+                 for n in lengths)
+    for _ in range(4):
+        edges = _seed_edges(f, max(exponents), shift, radius)
+        first = _gk_panels(integrand, edges[:-1], edges[1:])
+        seeded = first[:len(exponents)].sum(1).tolist()
+        wider = radius if covered(log_tails(radius), seeded) else needed(seeded)
+        if wider > radius:
+            grown = _seed_edges(f, max(exponents), shift, wider)
+            left, right = grown[grown < -radius], grown[grown > radius]
+            outer = _gk_panels(integrand, np.concatenate((left, [radius], right[:-1])),
+                               np.concatenate((left[1:], [-radius], right)))
+            first = np.concatenate((outer[:, :left.size], first, outer[:, left.size:]), 1)
+            edges, radius = np.concatenate((left, edges, right)), wider
+        totals, errs, converged, panels = integrate_adaptive(
+            integrand, edges, 0.5 * tol, first)
+        totals, tails = totals.tolist(), log_tails(radius)
+        if covered(tails, totals):
             break
-        radius = max(_tail_radius(a, shift, math.log(0.25 * tol * total) - e * log_ratio)
-                     for a, e, total in zip(alphas, exponents, totals))
+        radius = needed(totals)
     found, missed = [], []
-    for e, log_tail, total, err, ok in zip(exponents, log_tails, totals, errs.tolist(),
+    for e, log_tail, total, err, ok in zip(exponents, tails, totals, errs.tolist(),
                                            converged.tolist()):
         if total <= 0.0:
             found.append(NormEstimate(0.0, "quadrature", 0.0, e))

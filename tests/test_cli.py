@@ -12,6 +12,7 @@ import pytest
 import uflab
 from uflab.cli import run_cli
 from uflab.explore import SweepResult
+from uflab.gaussian import closed_form_Fq_chirp
 
 
 def run(capsys, *argv):
@@ -110,9 +111,6 @@ class TestUsageErrors:
         ("ftcheck", "--family", "chirp", "--a", "2", "--tol", "0"),
         ("ftcheck", "--family", "chirp", "--a", "2", "--tol", "-1"),
         ("ftcheck", "--family", "chirp", "--a", "2", "--tol", "nan", "--dx", "0.1"),
-        # the default quadrature route on the largest chirps, where
-        # pi*3*Re z overflows; the parent leaked a numpy error
-        ("eval", "--family", "chirp", "--a", "7.5e153", "--q", "3"),
     ])
     def test_rejected_value_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -169,6 +167,15 @@ class TestEval:
         assert code == 0
         doc = json.loads(out)
         assert doc["value"] == pytest.approx(2.0 ** 0.5 * 4.0 ** -0.25, rel=1e-12)
+
+    def test_largest_chirp_matches_closed_form(self, capsys):
+        # the default quadrature route where pi*3*Re z overflows, though
+        # pi*Re z does not: the decay length is formed without the product
+        code, out, _ = run(capsys, "eval", "--family", "chirp", "--a", "7.5e153", "--q", "3")
+        assert code == 0
+        doc = json.loads(out)
+        assert [n["method"] for n in doc["norms"]] == ["quadrature"] * 4
+        assert doc["value"] == pytest.approx(closed_form_Fq_chirp(7.5e153, 3.0), rel=1e-8)
 
     def test_fqp_via_p_flag(self, capsys):
         code, out, _ = run(capsys, "eval", "--family", "chirp", "--a", "2",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uflab import functionals, verifier
+from uflab import functionals, numerics, verifier
 from uflab.functionals import (
     EXPONENT_MAX,
     EXPONENT_MIN,
@@ -403,22 +403,54 @@ class TestNorms:
                 quad.abs_error_estimate + exact.abs_error_estimate)
 
     def test_quadrature_method_integrates_all_four(self, monkeypatch):
+        # a chirp is not its own transform, so f and fhat integrate apart
         calls = _counting_quadrature(monkeypatch)
-        rep = eval_Fq(TwoScaleParams(2.0), 4.0, "quadrature")
+        rep = eval_Fq(ChirpParams(2.0), 4.0, "quadrature")
         assert [qs for _, qs in calls] == [(4.0, 2.0), (4.0, 2.0)]
         assert all(n.method == "quadrature" for n in rep.norms)
 
     def test_auto_integrates_only_without_exact_route(self, monkeypatch):
+        # g_c is its own transform: its L^3 norm is integrated once
         calls = _counting_quadrature(monkeypatch)
         assert eval_Fq(TwoScaleParams(2.0), 4.0).method == "auto"
         assert calls == []
         eval_Fqp(TwoScaleParams(2.0), 3.0, 6.0)
-        assert [qs for _, qs in calls] == [(3.0,), (3.0,)]
+        assert [qs for _, qs in calls] == [(3.0,)]
 
-    def test_both_on_even_pair(self):
+    @pytest.mark.parametrize("c", [1e-6, 0.1, 10.0, 1e3, 1e6])
+    def test_self_dual_norms_integrated_once(self, monkeypatch, c):
+        # g_c is its own transform: one L^3 pass, one integral (the seed
+        # round picks the radius, so none restarts), and equal norms
+        calls = _counting_quadrature(monkeypatch)
+        integrals = []
+        integrate = numerics.integrate_adaptive
+
+        def counted(*args):
+            integrals.append(args)
+            return integrate(*args)
+
+        monkeypatch.setattr(numerics, "integrate_adaptive", counted)
+        rep = eval_Fqp(TwoScaleParams(c), 3.0, 6.0)
+        assert [qs for _, qs in calls] == [(3.0,)]
+        assert len(integrals) == 1
+        fq, hq, fp, hp = rep.norms
+        assert (fq, fp) == (hq, hp)
+        with mpmath.workdps(30):
+            cm = mpmath.mpf(c)
+            g = lambda x: (cm ** -0.5 * mpmath.exp(-mpmath.pi * (x / cm) ** 2)
+                           + cm ** 0.5 * mpmath.exp(-mpmath.pi * (cm * x) ** 2))
+            split = [0, min(cm, 1 / cm), max(cm, 1 / cm), mpmath.inf]
+            norm = lambda q: (2 * mpmath.quad(lambda x: g(x) ** q, split)) ** (1 / mpmath.mpf(q))
+            exact = float((norm(3) / norm(6)) ** 2)
+        assert rep.value == pytest.approx(exact, rel=1e-8)
+
+    def test_both_on_even_pair(self, monkeypatch):
+        # the quadrature cross-check of self-dual g_c is one pass
+        calls = _counting_quadrature(monkeypatch)
         rep = eval_Fqp(TwoScaleParams(3.0), 4.0, 6.0, "both")
         assert all(n.method == "closed-form" for n in rep.norms)
         assert rep.discrepancy <= 1e-12
+        assert [qs for _, qs in calls] == [(4.0, 6.0)]
 
     def test_one_quadrature_call_per_function(self, monkeypatch):
         # |f| is about 1e-4 of its terms, so the guard rejects the L^2

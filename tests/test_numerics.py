@@ -45,7 +45,7 @@ GC_EXPONENT_OVERFLOW = pytest.mark.filterwarnings(
 class TestIntegrateAdaptive:
     def test_gaussian_integral(self):
         val, err, converged, _ = integrate_adaptive(
-            lambda x: np.exp(-math.pi * x * x), -10.0, 10.0, 1e-13
+            lambda x: np.exp(-math.pi * x * x), (-10.0, 10.0), 1e-13
         )
         assert converged
         assert val == pytest.approx(1.0, rel=1e-13)
@@ -56,9 +56,8 @@ class TestIntegrateAdaptive:
         # breakpoints keeps its decay visible to the panel estimator
         fn = lambda x: np.exp(-1e6 * x * x)
         ladder = [s * 4.0 ** k * 1e-3 for k in range(8) for s in (1, -1)]
-        val, _, converged, _ = integrate_adaptive(
-            fn, -50.0, 50.0, 1e-10, breakpoints=ladder
-        )
+        ladder = sorted([-50.0, 0.0, 50.0, *ladder])
+        val, _, converged, _ = integrate_adaptive(fn, ladder, 1e-10)
         assert converged
         assert val == pytest.approx(math.sqrt(math.pi / 1e6), rel=1e-10)
 
@@ -67,38 +66,38 @@ class TestIntegrateAdaptive:
         # must report non-convergence instead of a silent wrong answer
         monkeypatch.setattr(numerics, "MAX_PANELS", 4)
         fn = lambda x: 1.0 / np.sqrt(np.abs(x))
-        _, _, converged, panels = integrate_adaptive(fn, 0.0, 1.0, 1e-12)
+        _, _, converged, panels = integrate_adaptive(fn, (0.0, 1.0), 1e-12)
         assert not converged
         assert panels <= 4
 
     def test_singular_integrand_converges_with_budget(self):
         fn = lambda x: 1.0 / np.sqrt(np.abs(x))
-        val, _, converged, _ = integrate_adaptive(fn, 0.0, 1.0, 1e-10)
+        val, _, converged, _ = integrate_adaptive(fn, (0.0, 1.0), 1e-10)
         assert converged
         assert val == pytest.approx(2.0, rel=1e-9)
 
     def test_deterministic(self):
         fn = lambda x: np.exp(-x * x) * np.cos(x) ** 2
-        a = integrate_adaptive(fn, -8.0, 8.0, 1e-12)
-        b = integrate_adaptive(fn, -8.0, 8.0, 1e-12)
+        a = integrate_adaptive(fn, (-8.0, 8.0), 1e-12)
+        b = integrate_adaptive(fn, (-8.0, 8.0), 1e-12)
         assert a == b
 
     @pytest.mark.parametrize("max_panels", [1, 2, 3, 5, 17, 100])
     def test_never_exceeds_max_panels(self, monkeypatch, max_panels):
         monkeypatch.setattr(numerics, "MAX_PANELS", max_panels)
         fn = lambda x: 1.0 / np.sqrt(np.abs(x))
-        _, _, _, panels = integrate_adaptive(fn, 0.0, 1.0, 1e-12)
+        _, _, _, panels = integrate_adaptive(fn, (0.0, 1.0), 1e-12)
         assert panels <= max_panels
 
     def test_components_share_one_mesh(self):
         # two widths on one mesh: each converges to its own closed form,
         # and the sharper one decides the panels
         fn = lambda x: np.exp(-math.pi * np.array([1.0, 16.0])[:, None, None] * x * x)
-        vals, errs, converged, panels = integrate_adaptive(fn, -10.0, 10.0, 1e-12)
+        vals, errs, converged, panels = integrate_adaptive(fn, (-10.0, 10.0), 1e-12)
         assert converged.tolist() == [True, True]
         assert vals.tolist() == pytest.approx([1.0, 0.25], rel=1e-12)
         assert all(errs <= 1e-12 * vals)
-        _, _, _, sharp_panels = integrate_adaptive(lambda x: fn(x)[1], -10.0, 10.0, 1e-12)
+        _, _, _, sharp_panels = integrate_adaptive(lambda x: fn(x)[1], (-10.0, 10.0), 1e-12)
         assert panels >= sharp_panels
 
     def test_unsplittable_stop_is_per_component(self):
@@ -107,7 +106,7 @@ class TestIntegrateAdaptive:
         # to MAX_PANELS
         jump = 1e6 + math.sqrt(2.0)
         fn = lambda x: np.array([np.ones_like(x), np.where(x > jump, 1.0, 0.0)])
-        vals, errs, converged, panels = integrate_adaptive(fn, 1e6, 1e6 + 2.0, 1e-13)
+        vals, errs, converged, panels = integrate_adaptive(fn, (1e6, 1e6 + 2.0), 1e-13)
         assert converged.tolist() == [True, False]
         assert panels < 1000
         assert vals[0] == pytest.approx(2.0, rel=1e-13)
@@ -121,7 +120,7 @@ class TestIntegrateAdaptive:
         # collapsed nodes as exact.
         jump = 1e6 + math.sqrt(2.0)
         fn = lambda x: np.where(x > jump, 1.0, 0.0)
-        val, err, converged, panels = integrate_adaptive(fn, 1e6, 1e6 + 2.0, 1e-13)
+        val, err, converged, panels = integrate_adaptive(fn, (1e6, 1e6 + 2.0), 1e-13)
         assert not converged
         assert panels < 1000
         assert err > 1e-13 * val
@@ -157,16 +156,14 @@ _LOG_TARGETS = (0.0, -1.0, -10.0, -100.0, -745.0, -1e4, -1e5, -1e6)
 class TestTailPair:
     """numerics._log_tail and its inverse numerics._tail_radius."""
 
-    @pytest.mark.parametrize("shift", [0.0, 3.0])
-    @pytest.mark.parametrize("alpha", [2.2250738585072014e-308, 1e-300, 1e-150, 1e-20,
-                                       1e-3, 1.0, 1e3])
-    def test_inverse_meets_target(self, alpha, shift):
+    @staticmethod
+    def _meets_targets(length, shift):
         radii = []
         for target in _LOG_TARGETS:
-            r = numerics._tail_radius(alpha, shift, target)
-            floor = shift + 1.0 / math.sqrt(alpha)
+            r = numerics._tail_radius(length, shift, target)
+            floor = shift + length
             assert math.isfinite(r) and r >= floor
-            bound = numerics._log_tail(alpha, shift, r)
+            bound = numerics._log_tail(length, shift, r)
             if r == floor:
                 assert bound <= target
             else:
@@ -175,20 +172,34 @@ class TestTailPair:
         # a tighter target never gives a smaller radius
         assert radii == sorted(radii)
 
+    @pytest.mark.parametrize("shift", [0.0, 3.0])
+    @pytest.mark.parametrize("alpha", [2.2250738585072014e-308, 1e-300, 1e-150, 1e-20,
+                                       1e-3, 1.0, 1e3])
+    def test_inverse_meets_target(self, alpha, shift):
+        # the pair takes the decay length 1/sqrt(alpha) of exp(-alpha*x*x)
+        self._meets_targets(1.0 / math.sqrt(alpha), shift)
+
+    @pytest.mark.parametrize("length", [1e-160, 1e-155, 1e160])
+    def test_inverse_past_representable_rates(self, length):
+        # decay lengths whose rate 1/length**2 overflows or is subnormal
+        self._meets_targets(length, 0.0)
+
     @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.5, 10.0, 27.0, 100.0, 1e3, 1e4])
     def test_log_bound_matches_mpmath(self, t):
-        # alpha = 1/2 makes the code's erfc argument radius/sqrt(2) exact
-        # in the reference, whose prefactor is sqrt(pi/alpha) = sqrt(2*pi)
+        # decay length sqrt(2) makes the code's erfc argument
+        # radius/sqrt(2) exact in the reference, whose prefactor is
+        # sqrt(pi)*sqrt(2) = sqrt(2*pi)
         radius = math.sqrt(2.0) * t
         with mpmath.workdps(40):
             ref = mpmath.log(mpmath.sqrt(2 * mpmath.pi)
                              * mpmath.erfc(mpmath.mpf(radius) / mpmath.sqrt(2)))
-        assert numerics._log_tail(0.5, 0.0, radius) == pytest.approx(float(ref), rel=1e-13)
+        assert numerics._log_tail(math.sqrt(2.0), 0.0, radius) == pytest.approx(
+            float(ref), rel=1e-13)
 
     def test_log_bound_across_cf_switch(self):
-        # alpha = 1 makes the erfc argument the radius itself; the grid
-        # crosses _ERFC_CF_FROM, where math.erfc hands over to the
-        # continued fraction, and includes the floats on either side of it
+        # a decay length of 1 makes the erfc argument the radius itself;
+        # the grid crosses _ERFC_CF_FROM, where math.erfc hands over to
+        # the continued fraction, and includes the floats on either side
         switch = numerics._ERFC_CF_FROM
         grid = sorted({20.0 + k / 64 for k in range(641)}
                       | {math.nextafter(switch, 0.0), switch, math.nextafter(switch, 30.0)})
@@ -315,19 +326,18 @@ class TestLqNormQuad:
             str(exc.value),
         )
 
-    def test_decay_rate_overflow_raises(self):
+    def test_quadrature_where_q_times_width_overflows(self):
         # pi*q*w overflows for q = 64 at width 1e307, and for q = 3 on the
-        # largest chirps: the parent's radius collapsed and numpy's
-        # "zero-size array" error escaped
+        # largest chirps, though pi*w does not; the decay length is formed
+        # without the product, so both integrate to their closed forms
         wide = single(1.0, 1e307)
         chirp = GaussianMixture((make_chirp(ChirpParams(7.5e153)),))
         for f, q in ((wide, 64.0), (chirp, 3.0)):
-            with pytest.raises(ValueError, match=f"L\\^{q:g} quadrature.*width floor"):
-                lq_norm_quad(f, (q,), 1e-10)
-            with pytest.raises(ValueError, match=f"L\\^{q:g} quadrature"):
-                truncation_radius(f, q, 1e-10)
-        with pytest.raises(ValueError, match="L\\^64 quadrature"):
-            norms(wide, (64.0,), 1e-10, "quadrature")
+            (est,) = lq_norm_quad(f, (q,), 1e-10)
+            assert est.value == pytest.approx(term_lq_norm(f.terms[0], q), rel=1e-10)
+            assert 0.0 < truncation_radius(f, q, 1e-10) < 1e-150
+        (est,) = norms(wide, (64.0,), 1e-10, "quadrature")
+        assert est.value == pytest.approx(term_lq_norm(wide.terms[0], 64.0), rel=1e-10)
 
     @pytest.mark.parametrize("c", [7.57e153, 1.3e154, 1 / 7.57e153, 1 / 1.3e154])
     def test_two_scale_width_overflow_raises(self, c):
