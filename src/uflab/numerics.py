@@ -3,20 +3,18 @@
 Every integrand here is ``(|f|/M)**q`` for a test function f carrying an
 explicit Gaussian envelope ``S * exp(-pi*w*(|x|-shift)**2)``, M the
 largest sampled |f|, so no amplitude of f overflows or underflows it, and
-the integral is truncated to ``[-R, R]`` with a certified erfc tail bound,
-computed and inverted in log space, rather than a heuristic cutoff:
-``math.erfc`` where erfc is a normal float and the continued fraction of
-``1/erfcx`` beyond (Cody, "Rational Chebyshev approximations for the
-error function", Math. Comp. 23, 1969), inverted by Newton steps.  The
-bound is stated in the decay length 1/sqrt(pi*q*w) of ``|f|**q``, which
-is finite even where pi*q*w overflows, and R is picked from the first
-round's totals.  The finite interval is then handled by adaptive
-bisection with an embedded Gauss7/Kronrod15 pair per panel, refined in
-rounds: each round bisects every panel it selects and evaluates all of
-their nodes in a single ``f.eval`` call.  The integrand is array-valued,
-one component per exponent of a norm request, all on one shared mesh
-(Shampine, "Vectorized adaptive quadrature in MATLAB", 2008), so
-``lq_norm_quad`` computes ||f||_q for a tuple of exponents in one pass.
+the integral is truncated to ``[-R, R]`` with a certified tail bound,
+erfc(t) <= exp(-t*t), stated and inverted in closed form in log space,
+rather than a heuristic cutoff.  The bound is stated in the decay length
+1/sqrt(pi*q*w) of ``|f|**q``, which is finite even where pi*q*w
+overflows, and R is picked from the first round's totals.  The finite
+interval is then handled by adaptive bisection with an embedded
+Gauss7/Kronrod15 pair per panel, refined in rounds: each round bisects
+every panel it selects and evaluates all of their nodes in a single
+``f.eval`` call.  The integrand is array-valued, one component per
+exponent of a norm request, all on one shared mesh (Shampine,
+"Vectorized adaptive quadrature in MATLAB", 2008), so ``lq_norm_quad``
+computes ||f||_q for a tuple of exponents in one pass.
 The reported error estimate is the sum of the achieved panel estimates
 and the truncation bound, never the requested tolerance.
 
@@ -222,60 +220,21 @@ def integrate_adaptive(fn, edges, rel_tol, first=None):
             int(los.size))
 
 
-# math.erfc(t) stays a normal float up to t of about 26.5; from here on
-# the continued fraction states log erfc instead.
-_ERFC_CF_FROM = 25.0
-_SQRT_PI = math.sqrt(math.pi)
-_LOG_ERFC_1 = math.log(math.erfc(1.0))
-
-
-def _log_erfc_slope(t):
-    """log erfc(t) and its derivative -2*exp(-t*t)/(sqrt(pi)*erfc(t)).
-
-    From ``_ERFC_CF_FROM`` on, erfc(t) = exp(-t*t)/(sqrt(pi)*K(t)) with
-    the continued fraction K(t) = t + (1/2)/(t + 1/(t + (3/2)/(t + ...)))
-    of 1/erfcx; six levels reach rounding for every t >= 20, and the
-    derivative is -2*K(t)."""
-    if t < _ERFC_CF_FROM:
-        erfc = math.erfc(t)
-        return math.log(erfc), -2.0 * math.exp(-t * t) / (_SQRT_PI * erfc)
-    k = t
-    for half_n in (3.0, 2.5, 2.0, 1.5, 1.0, 0.5):
-        k = t + half_n / k
-    return -t * t - math.log(_SQRT_PI * k), -2.0 * k
-
-
 def _log_tail(length, shift, radius):
-    """log of sqrt(pi)*length * erfc((radius-shift)/length), which bounds
-    the integral of exp(-((|x|-shift)/length)**2) over |x| > radius;
-    finite at any radius and any positive decay length."""
-    log_erfc, _ = _log_erfc_slope((radius - shift) / length)
-    return 0.5 * math.log(math.pi) + math.log(length) + log_erfc
+    """log of sqrt(pi)*length * exp(-t*t), t = (radius-shift)/length, which
+    bounds the integral of exp(-((|x|-shift)/length)**2) over |x| > radius
+    for radius >= shift: that integral is sqrt(pi)*length * erfc(t), and
+    erfc(t) <= exp(-t*t) for t >= 0, with equality at t = 0.  Finite at
+    any such radius and any positive decay length."""
+    t = (radius - shift) / length
+    return math.log(math.sqrt(math.pi) * length) - t * t
 
 
 def _tail_radius(length, shift, log_target):
     """Inverse of :func:`_log_tail`, floored at one decay length past
-    shift.
-
-    log erfc is concave, so Newton's method on it approaches the root
-    from above after at most one step, and the bound at the returned
-    radius meets the target up to rounding.  It starts from the
-    asymptotic root s = t*t of s + log(sqrt(pi*s)) + 1/(2s) = -y, one
-    fixed-point step from s = -y - log(sqrt(-pi*y)), and stops once a
-    step moves t by at most 1e-8 relative, after which quadratic
-    convergence leaves rounding alone."""
-    y = log_target - 0.5 * math.log(math.pi) - math.log(length)
-    t = 1.0
-    if y < _LOG_ERFC_1:
-        s = -y - 0.5 * math.log(-math.pi * y)
-        t = math.sqrt(-y - 0.5 * math.log(math.pi * s) - 0.5 / s)
-        for _ in range(20):
-            log_erfc, slope = _log_erfc_slope(t)
-            step = (log_erfc - y) / slope
-            t -= step
-            if abs(step) <= 1e-8 * t:
-                break
-    return shift + max(t, 1.0) * length
+    shift."""
+    t_squared = math.log(math.sqrt(math.pi) * length) - log_target
+    return shift + length * math.sqrt(max(t_squared, 1.0))
 
 
 def _decay_length(q, width_floor):
@@ -369,8 +328,9 @@ def lq_norm_quad(f, exponents: tuple, tol: float) -> tuple[NormEstimate, ...]:
 
     # |f/S|**q lies below exp(-((|x|-shift)/L)**2), L the decay length,
     # whose tails _log_tail bounds.  The initial radius assumes the
-    # integral could undershoot the envelope's own integral beyond shift
-    # by six orders (cancellation).  The seed round on it sets the peak,
+    # integral could undershoot the envelope's own integral beyond shift,
+    # sqrt(pi)*L, by six orders (cancellation), so its tail bound is
+    # tol/4 of that undershot integral.  The seed round on it sets the peak,
     # and where its totals show a tail bound too large, they pick the
     # radius: panels out to it join the seeded ones, whose values are
     # kept.  The tail bounds at the refined totals certify the result; a
@@ -392,8 +352,7 @@ def lq_norm_quad(f, exponents: tuple, tol: float) -> tuple[NormEstimate, ...]:
         return max(_tail_radius(n, shift, math.log(0.25 * tol * total) - e * log_ratio)
                    for n, e, total in zip(lengths, exponents, totals))
 
-    radius = max(_tail_radius(n, shift, math.log(0.25e-6 * tol) + _log_tail(n, shift, shift))
-                 for n in lengths)
+    radius = shift + max(lengths) * math.sqrt(-math.log(0.25e-6 * tol))
     for _ in range(4):
         edges = _seed_edges(f, max(exponents), shift, radius)
         first = _gk_panels(integrand, edges[:-1], edges[1:])

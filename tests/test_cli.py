@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import uflab
+from uflab import numerics
 from uflab.cli import run_cli
 from uflab.explore import SweepResult
 from uflab.gaussian import closed_form_Fq_chirp
@@ -111,6 +112,8 @@ class TestUsageErrors:
         ("ftcheck", "--family", "chirp", "--a", "2", "--tol", "0"),
         ("ftcheck", "--family", "chirp", "--a", "2", "--tol", "-1"),
         ("ftcheck", "--family", "chirp", "--a", "2", "--tol", "nan", "--dx", "0.1"),
+        # the chirp without the --a it reads
+        ("eval", "--family", "chirp", "--q", "3"),
     ])
     def test_rejected_value_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -176,6 +179,15 @@ class TestEval:
         doc = json.loads(out)
         assert [n["method"] for n in doc["norms"]] == ["quadrature"] * 4
         assert doc["value"] == pytest.approx(closed_form_Fq_chirp(7.5e153, 3.0), rel=1e-8)
+
+    def test_tolerance_not_achieved_exits_one(self, capsys, monkeypatch):
+        # a panel budget too small for g_c's norms: exit status 1, and the
+        # message names the exponents that missed
+        monkeypatch.setattr(numerics, "MAX_PANELS", 3)
+        code, out, err = run(capsys, "eval", "--family", "twoscale", "--c", "50", "--q", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("uflab: tolerance not achieved:")
+        assert "L^3, L^2" in err
 
     def test_fqp_via_p_flag(self, capsys):
         code, out, _ = run(capsys, "eval", "--family", "chirp", "--a", "2",

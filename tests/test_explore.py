@@ -43,6 +43,12 @@ class TestGridSpec:
             with pytest.raises(ValueError):
                 GridSpec.parse(bad)
 
+    def test_constructor_errors(self):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(1.0, math.inf, 5)
+        with pytest.raises(ValueError, match="lin or log"):
+            GridSpec(1.0, 2.0, 5, "sqrt")
+
 
 class TestSweep:
     def test_chirp_rows_ordered_and_closed_form(self):

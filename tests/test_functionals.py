@@ -125,6 +125,12 @@ class TestGcBounds:
     def test_lower_bound_rejects_q_le_2(self):
         with pytest.raises(ValueError):
             gc_lq_lower_bound(1.0, 2.0)
+        with pytest.raises(ValueError, match="lower bound stated for q > 2"):
+            gc_lq_lower_bound_weak(3.0, 2.0)
+
+    def test_upper_bound_rejects_q_le_1(self):
+        with pytest.raises(ValueError, match="upper bound stated for q > 1"):
+            gc_lq_upper_bound(3.0, 1.0)
 
     def test_upper_bound_cases(self):
         assert gc_lq_upper_bound(7.0, 2.0) == pytest.approx(4.0)

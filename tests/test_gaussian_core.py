@@ -39,6 +39,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ComplexGaussianTerm(1.0, 0.0)
 
+    def test_amplitude_must_be_finite(self):
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            ComplexGaussianTerm(math.nan, 1.0)
+
+    def test_mixture_needs_a_term(self):
+        with pytest.raises(ValueError, match="at least one term"):
+            GaussianMixture(())
+
     def test_term_eval_modulus_is_envelope(self):
         term = ComplexGaussianTerm(2.0j, complex(1.5, -7.0))
         x = np.linspace(-2, 2, 41)
@@ -57,6 +65,8 @@ class TestConstruction:
         p = ChirpParams.from_t(3.0)
         assert p.a == pytest.approx(math.sqrt(3.0), rel=1e-15)
         assert p.a ** 2 == pytest.approx(3.0, rel=1e-15)
+        with pytest.raises(ValueError, match="t must be finite and > 1"):
+            ChirpParams.from_t(1.0)
 
     def test_term_width_overflow_raises(self):
         # pi*Re z overflows: the parent evaluated exp(-inf*0) = nan at x = 0
@@ -275,6 +285,10 @@ class TestClosedForms:
     def test_fqp_large_t_limit(self):
         limit = 3.0 ** (-1.0 / 3.0) * 6.0 ** (1.0 / 6.0)
         assert closed_form_Fqp_chirp(1e6, 3.0, 6.0) == pytest.approx(limit, rel=1e-9)
+
+    def test_fq_rejects_q_le_1(self):
+        with pytest.raises(ValueError, match="q must be finite and > 1"):
+            closed_form_Fq_chirp(2.0, 1.0)
 
     def test_fqp_rejects_bad_ordering(self):
         with pytest.raises(ValueError):
