@@ -209,30 +209,30 @@ def norms(g, exponents, tol: float, method: str = "auto") -> tuple[NormEstimate,
     it exists and passes its guard, and quadrature otherwise;
     "closed-form" takes only exact routes and raises ValueError naming
     every exponent without one; "quadrature" takes only quadrature.
-    Every exponent left to quadrature goes to one ``lq_norm_quad`` call,
-    which integrates them all on one mesh.
+    Every distinct exponent left to quadrature goes, once, to one
+    ``lq_norm_quad`` call, which integrates them all on one mesh.
     """
     check_tolerance(tol)
     if method not in ("auto", "closed-form", "quadrature"):
         raise ValueError(f"norm method must be auto, closed-form or quadrature, got {method!r}")
     exact = [None if method == "quadrature" else _exact_norm(g, q, tol) for q in exponents]
-    missing = tuple(q for q, est in zip(exponents, exact) if est is None)
+    missing = tuple(dict.fromkeys(q for q, est in zip(exponents, exact) if est is None))
     if method == "closed-form" and missing:
         raise ValueError(
             f"no exact route for the L^q norm of this {type(g).__name__} at "
             f"q = {', '.join(f'{q:g}' for q in missing)} (tolerance {tol:g}); "
             "use method 'auto' or 'quadrature'"
         )
-    quad = iter(lq_norm_quad(g, missing, tol) if missing else ())
-    return tuple(est or next(quad) for est in exact)
+    quad = dict(zip(missing, lq_norm_quad(g, missing, tol) if missing else ()))
+    return tuple(est or quad[q] for q, est in zip(exponents, exact))
 
 
-def _ratio(norms) -> float:
-    """(||f||_q/||f||_p) * (||fhat||_q/||fhat||_p): each quotient is of
-    norms of one function, so tiny norms cannot underflow the product."""
-    if any(n.value == 0.0 for n in norms):
+def _ratio(fq: float, hq: float, fp: float, hp: float) -> float:
+    """(||f||_q/||f||_p) * (||fhat||_q/||fhat||_p) from the four norm
+    values: each quotient is of norms of one function, so tiny norms
+    cannot underflow the product."""
+    if 0.0 in (fq, hq, fp, hp):
         raise ValueError("zero function has no uncertainty ratio (a norm is 0)")
-    fq, hq, fp, hp = (n.value for n in norms)
     return (fq / fp) * (hq / hp)
 
 
@@ -249,10 +249,10 @@ def _eval_ratio(f, q, p, method, tol) -> FunctionalReport:
         return fq, hq, fp, hp
 
     found = four("closed-form" if method == "both" else method)
-    value = _ratio(found)
+    value = _ratio(*(n.value for n in found))
     discrepancy = None
     if method == "both":
-        discrepancy = abs(value - _ratio(four("quadrature"))) / value
+        discrepancy = abs(value - _ratio(*(n.value for n in four("quadrature")))) / value
     return FunctionalReport(q, p, found, value, method, discrepancy)
 
 

@@ -302,9 +302,14 @@ def lq_norm_quad(f, exponents: tuple, tol: float) -> tuple[NormEstimate, ...]:
     factor (S/M)**q in log space.  The requested tolerance is relative
     and is split evenly between the truncation bound and the quadrature
     estimate; the returned estimates report what was actually achieved.
-    Raises :class:`ToleranceNotAchieved`, naming every exponent that
-    missed and carrying the tuple of best estimates, if the panel budget
-    runs out first.
+    Rounding noise in one exponent's integrand keeps a shared mesh
+    refining and can fail an exponent that converges on its own mesh, so
+    each exponent a shared pass misses is integrated again in a pass of
+    its own.  Raises :class:`ToleranceNotAchieved`, naming every
+    exponent that missed alone and carrying the tuple of best estimates
+    (the solo ones for those exponents), if the panel budget runs out
+    first; the message gives the largest radius and panel count of the
+    failed passes.
     """
     exponents = tuple(map(float, exponents))
     if not exponents:
@@ -312,9 +317,33 @@ def lq_norm_quad(f, exponents: tuple, tol: float) -> tuple[NormEstimate, ...]:
     for e in exponents:
         check_exponent(e)
     check_tolerance(tol)
+    found, missed, radius, panels = _quad_pass(f, exponents, tol)
+    if missed and len(exponents) > 1:
+        retried, missed, radius, panels = missed, [], 0.0, 0
+        for i, _ in retried:
+            (found[i],), solo_missed, solo_radius, solo_panels = _quad_pass(
+                f, exponents[i:i + 1], tol)
+            missed += [(i, rel_err) for _, rel_err in solo_missed]
+            radius, panels = max(radius, solo_radius), max(panels, solo_panels)
+    if missed:
+        raise ToleranceNotAchieved(
+            f"{type(f).__name__} {', '.join(f'L^{exponents[i]:g}' for i, _ in missed)} "
+            f"norm{'s' if len(missed) > 1 else ''}: tolerance {tol:g} not achieved "
+            f"(relative error {', '.join(f'{r:.3g}' for _, r in missed)}, "
+            f"radius {radius:.6g}, {panels} panels)",
+            tuple(found),
+        )
+    return tuple(found)
+
+
+def _quad_pass(f, exponents, tol):
+    """One shared pass of :func:`lq_norm_quad` over validated float
+    ``exponents``.  Returns ``(estimates, missed, radius, panels)``:
+    the list of estimates in order, the (index, relative error) of each
+    exponent that missed tol, the final radius and the panel count."""
     scale, width_floor, shift = f.envelope()
     if scale == 0.0:
-        return tuple(NormEstimate(0.0, "quadrature", 0.0, e) for e in exponents)
+        return [NormEstimate(0.0, "quadrature", 0.0, e) for e in exponents], [], 0.0, 0
 
     powers = np.array(exponents)[:, None, None]
     peak = 0.0
@@ -372,8 +401,8 @@ def lq_norm_quad(f, exponents: tuple, tol: float) -> tuple[NormEstimate, ...]:
             break
         radius = needed(totals)
     found, missed = [], []
-    for e, log_tail, total, err, ok in zip(exponents, tails, totals, errs.tolist(),
-                                           converged.tolist()):
+    for i, (e, log_tail, total, err, ok) in enumerate(zip(
+            exponents, tails, totals, errs.tolist(), converged.tolist())):
         if total <= 0.0:
             found.append(NormEstimate(0.0, "quadrature", 0.0, e))
             continue
@@ -381,16 +410,8 @@ def lq_norm_quad(f, exponents: tuple, tol: float) -> tuple[NormEstimate, ...]:
         value = peak * total ** (1.0 / e)
         found.append(NormEstimate(value, "quadrature", value * rel_err / e, e))
         if not (ok and rel_err <= tol):
-            missed.append((e, rel_err))
-    if missed:
-        raise ToleranceNotAchieved(
-            f"{type(f).__name__} {', '.join(f'L^{e:g}' for e, _ in missed)} "
-            f"norm{'s' if len(missed) > 1 else ''}: tolerance {tol:g} not achieved "
-            f"(relative error {', '.join(f'{r:.3g}' for _, r in missed)}, "
-            f"radius {radius:.6g}, {panels} panels)",
-            tuple(found),
-        )
-    return tuple(found)
+            missed.append((i, rel_err))
+    return found, missed, radius, panels
 
 
 def sample(f, n: int, dx: float) -> SampledFunction:

@@ -6,12 +6,21 @@ slack is minus the relative discrepancy.  A check passes when its worst
 slack stays above minus its tolerance.  All sampling is seeded, sample
 order is fixed, and reductions run in a fixed order, so a repeated run
 reproduces every result bit for bit.
+
+The randomized checks (fq-lower, hy, interp, reduction) read one seeded
+batch of functions.  :func:`run_suite` draws it once and takes the norms
+of each function, and of its transform, once: one ``norms`` call over the
+union of the exponents that the selected checks read, whose values every
+check then reads.  Exponents that share a quadrature mesh can move each
+other's values in the last bits, so a row's last bits may depend on
+which checks were selected; each invocation still repeats byte-identically.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -26,7 +35,7 @@ from .functionals import (
     interpolation_exponent,
     norms,
 )
-from .functionals import _in_range  # shared public-exponent cap
+from .functionals import _in_range, _ratio  # shared exponent cap and F formula
 from .gaussian import ChirpParams, TwoScaleParams, closed_form_Fq_chirp, make_two_scale
 from .hermite import random_schwartz
 
@@ -55,8 +64,10 @@ class CheckResult:
 class _Check:
     """One suite row.  ``run(q, p, samples, seed)`` looks its entry point
     up by module-global name at call time, so a replaced module attribute
-    (a tracing wrapper, say) sees every call.  None marks default
-    exponents, sample counts and domains that a check does not take."""
+    (a tracing wrapper, say) sees every call.  ``exponents(q, p)`` of a
+    randomized check are the norms it reads of each function and of its
+    transform.  None marks default exponents, sample counts, domains and
+    norm exponents that a check does not take."""
 
     suite: str
     check_name: str
@@ -66,6 +77,14 @@ class _Check:
     p: float | None = None
     samples: int | None = None
     domain: Callable[[float, float | None], bool] | None = None
+    exponents: Callable[[float, float | None], tuple] | None = None
+
+
+def _reduction_exponents(q: float, p: float) -> tuple:
+    """(q, p, p'), with p' taken as q on the boundary |p' - q| <= 1e-12,
+    where F_qp' is then exactly 1."""
+    pc = conjugate_exponent(p)
+    return (q, p, q if abs(pc - q) <= 1e-12 else pc)
 
 
 # The suite in SUITE_NAMES order: the only statement of each check's
@@ -75,18 +94,22 @@ _SUITE = (
            lambda q, p, n, seed: verify_closed_forms(), 1e-8),
     _Check("fq-lower", "fq-lower",
            lambda q, p, n, seed: verify_fq_lower_bound(q, n, seed), 1e-7,
-           1.5, None, 500, lambda q, p: _in_range(q) and q < 2.0),
+           1.5, None, 500, lambda q, p: _in_range(q) and q < 2.0,
+           lambda q, p: (q, 2.0)),
     _Check("hy", "hausdorff-young",
            lambda q, p, n, seed: verify_hausdorff_young(q, n, seed), 1e-9,
            4.0 / 3.0, None, 200,
-           lambda q, p: 1.0 < q <= 2.0 and _in_range(q, conjugate_exponent(q))),
+           lambda q, p: 1.0 < q <= 2.0 and _in_range(q, conjugate_exponent(q)),
+           lambda q, p: (q, conjugate_exponent(q))),
     _Check("interp", "interpolation",
            lambda q, p, n, seed: verify_interpolation(q, p, n, seed), 1e-6,
-           1.2, 1.5, 200, lambda q, p: _in_range(q, p) and q < p < 2.0),
+           1.2, 1.5, 200, lambda q, p: _in_range(q, p) and q < p < 2.0,
+           lambda q, p: (q, p, 2.0)),
     _Check("reduction", "reduction",
            lambda q, p, n, seed: verify_reduction_q_lt_2_le_p(q, p, n, seed), 1e-6,
            1.3, 3.0, 200,
-           lambda q, p: _in_range(q, p) and q < 2.0 <= p and 1.0 / p + 1.0 / q >= 1.0 - 1e-12),
+           lambda q, p: _in_range(q, p) and q < 2.0 <= p and 1.0 / p + 1.0 / q >= 1.0 - 1e-12,
+           _reduction_exponents),
     _Check("asymptotics", "asymptotics-divergence",
            lambda q, p, n, seed: verify_asymptotics(q), 1e-9,
            4.0, None, None, lambda q, p: _in_range(q) and q > 2.0),
@@ -128,9 +151,35 @@ def _sample_functions(samples: int, seed: int):
     return out
 
 
-def _norms(f, *exponents) -> tuple[float, ...]:
-    """||f||_e for each exponent, each by the route ``norms`` picks."""
-    return tuple(n.value for n in norms(f, exponents, QUAD_TOL))
+def _norm_table(seed: int, requests) -> list:
+    """Norm values of the seeded batch for each ``(samples, exponents)``
+    request, in request order: per request, one row per function of its
+    first ``samples``, the pair (norms of f, norms of fhat), each a tuple
+    in the order of its exponents.  The batch is drawn once, at the
+    largest count, and function i and its transform take their norms in
+    one ``norms`` call each, over the union of the exponents of the
+    requests whose count exceeds i."""
+    rows = []
+    for i, f in enumerate(_sample_functions(max(n for n, _ in requests), seed)):
+        union = tuple(dict.fromkeys(e for n, exps in requests if n > i for e in exps))
+        rows.append([dict(zip(union, (est.value for est in norms(g, union, QUAD_TOL))))
+                     for g in (f, f.ft())])
+    return [[tuple(tuple(side[e] for e in exps) for side in row) for row in rows[:n]]
+            for n, exps in requests]
+
+
+# The rows of the norm table that the run_suite call in progress built,
+# keyed by the (samples, seed, exponents) request of the check they
+# serve; empty outside run_suite.
+_SUITE_TABLE: ContextVar[dict] = ContextVar("_SUITE_TABLE", default={})
+
+
+def _batch_norms(check_name: str, q: float, p: float | None, samples: int, seed: int):
+    """The norm rows of ``check_name`` at (q, p): from the table of the
+    run_suite call in progress, or else from a table of its own."""
+    request = (samples, _BY_CHECK[check_name].exponents(q, p))
+    rows = _SUITE_TABLE.get().get((seed, *request))
+    return _norm_table(seed, [request])[0] if rows is None else rows
 
 
 def verify_closed_forms() -> CheckResult:
@@ -165,8 +214,8 @@ def verify_fq_lower_bound(
     _require_domain("fq-lower", q)
     floor = 1.0 / beckner_constant(q)
     vmin = math.inf
-    for f in _sample_functions(samples, seed):
-        vmin = min(vmin, eval_Fq(f, q, "auto", QUAD_TOL).value)
+    for (nf_q, nf_2), (nh_q, nh_2) in _batch_norms("fq-lower", q, None, samples, seed):
+        vmin = min(vmin, _ratio(nf_q, nh_q, nf_2, nh_2))
     return _result("fq-lower", {"q": q}, samples, vmin - 1.0, seed,
                    {"min_value": vmin, "beckner_floor": floor, "beckner_slack": vmin - floor})
 
@@ -181,9 +230,8 @@ def verify_hausdorff_young(
     sharp = beckner_constant(q)
     worst = math.inf
     worst_sharp = math.inf
-    for f in _sample_functions(samples, seed):
-        nf_q, nf_qc = _norms(f, q, qc)
-        nh_q, nh_qc = _norms(f.ft(), q, qc)
+    for (nf_q, nf_qc), (nh_q, nh_qc) in _batch_norms("hausdorff-young", q, None,
+                                                      samples, seed):
         worst = min(worst, nf_q - nh_qc, nh_q - nf_qc)
         worst_sharp = min(worst_sharp, sharp * nf_q - nh_qc, sharp * nh_q - nf_qc)
     return _result("hausdorff-young", {"q": q, "q_conjugate": qc, "sharp_constant": sharp},
@@ -202,16 +250,15 @@ def verify_interpolation(
     theta = interpolation_exponent(q, p)
     expo = (1.0 / q - 1.0 / p) / (1.0 / q - 0.5)
     worst = math.inf
-    for f in _sample_functions(samples, seed):
-        nf = dict(zip((q, p, 2.0), _norms(f, q, p, 2.0)))
-        nh = dict(zip((q, p, 2.0), _norms(f.ft(), q, p, 2.0)))
+    for (nf_q, nf_p, nf_2), (nh_q, nh_p, nh_2) in _batch_norms("interpolation", q, p,
+                                                                samples, seed):
         worst = min(
             worst,
-            nf[q] ** theta * nf[2.0] ** (1.0 - theta) - nf[p],
-            nh[q] ** theta * nh[2.0] ** (1.0 - theta) - nh[p],
+            nf_q ** theta * nf_2 ** (1.0 - theta) - nf_p,
+            nh_q ** theta * nh_2 ** (1.0 - theta) - nh_p,
         )
-        f_q = nf[q] * nh[q] / (nf[2.0] * nh[2.0])
-        f_qp = nf[q] * nh[q] / (nf[p] * nh[p])
+        f_q = nf_q * nh_q / (nf_2 * nh_2)
+        f_qp = nf_q * nh_q / (nf_p * nh_p)
         worst = min(worst, f_qp - f_q ** expo)
     return _result("interpolation",
                    {"q": q, "p": p, "theta": theta, "consequence_exponent": expo},
@@ -225,16 +272,12 @@ def verify_reduction_q_lt_2_le_p(
     """F_qp >= F_qp' when 1 < q < 2 <= p and 1/p + 1/q >= 1 (p' conjugate
     to p; the boundary q = p' degenerates to F_qp >= 1)."""
     _require_domain("reduction", q, p)
-    pc = conjugate_exponent(p)
-    boundary = abs(pc - q) <= 1e-12
     worst = math.inf
-    for f in _sample_functions(samples, seed):
-        exponents = (q, p) if boundary else (q, p, pc)
-        nf, nh = _norms(f, *exponents), _norms(f.ft(), *exponents)
-        f_qp = nf[0] * nh[0] / (nf[1] * nh[1])
-        rhs = 1.0 if boundary else nf[0] * nh[0] / (nf[2] * nh[2])
-        worst = min(worst, f_qp - rhs)
-    return _result("reduction", {"q": q, "p": p, "p_conjugate": pc}, samples, worst, seed, {})
+    for (nf_q, nf_p, nf_pc), (nh_q, nh_p, nh_pc) in _batch_norms("reduction", q, p,
+                                                                  samples, seed):
+        worst = min(worst, nf_q * nh_q / (nf_p * nh_p) - nf_q * nh_q / (nf_pc * nh_pc))
+    return _result("reduction", {"q": q, "p": p, "p_conjugate": conjugate_exponent(p)},
+                   samples, worst, seed, {})
 
 
 def verify_asymptotics(q: float, p: float | None = None) -> CheckResult:
@@ -315,7 +358,9 @@ def run_suite(
     exponent and whose domain contains the resulting (q, p); the other
     checks run with both of their defaults.  An override that no
     selected check reads is a ValueError, and so is a ``samples`` count
-    when every selected check runs a fixed grid.
+    when every selected check runs a fixed grid.  The randomized checks
+    read their norms from one table, built here for all of them and
+    dropped on return.
     """
     jobs, read = [], set()
     for name in names:
@@ -330,15 +375,19 @@ def run_suite(
                 eq, ep = row.q, row.p
             else:
                 read |= {k for k in ("q", "p") if getattr(row, k) is not None}
-            jobs.append((row, eq, ep))
+            jobs.append((row, eq, ep, row.samples if samples is None else samples))
     unread = [f"{k}={v}" for k, v in (("q", q), ("p", p)) if v is not None and k not in read]
     if unread:
         raise ValueError(f"exponent override {', '.join(unread)} is read by no check "
                          f"of {', '.join(names)} (not taken or outside its domain)")
     if samples is not None and jobs and all(row.samples is None for row, *_ in jobs):
         raise ValueError(f"{', '.join(names)} takes no sample count")
-    results = [
-        row.run(eq, ep, row.samples if samples is None else samples, seed)
-        for row, eq, ep in jobs
-    ]
+    requests = [(n, row.exponents(eq, ep)) for row, eq, ep, n in jobs if row.exponents]
+    table = _norm_table(seed, requests) if requests else []
+    token = _SUITE_TABLE.set({(seed, *request): rows
+                              for request, rows in zip(requests, table)})
+    try:
+        results = [row.run(eq, ep, n, seed) for row, eq, ep, n in jobs]
+    finally:
+        _SUITE_TABLE.reset(token)
     return sorted(results, key=lambda r: r.check_name)

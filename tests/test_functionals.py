@@ -415,6 +415,20 @@ class TestNorms:
         assert [qs for _, qs in calls] == [(4.0, 2.0), (4.0, 2.0)]
         assert all(n.method == "quadrature" for n in rep.norms)
 
+    def test_repeated_exponent_integrated_once(self, monkeypatch):
+        # F_2 of a chirp asks for the L^2 norm twice per function, as in
+        # the closed-forms check; quadrature takes it once
+        calls = _counting_quadrature(monkeypatch)
+        for a in (1.01, 1.1, 2.0, 10.0, 100.0):
+            calls.clear()
+            rep = eval_Fq(ChirpParams(a), 2.0, "quadrature")
+            assert [qs for _, qs in calls] == [(2.0,), (2.0,)]
+            assert (rep.norms[0], rep.norms[1]) == (rep.norms[2], rep.norms[3])
+        calls.clear()
+        got = norms(make_two_scale(TwoScaleParams(3.0)), (3.0, 2.0, 3.0), 1e-10, "quadrature")
+        assert [qs for _, qs in calls] == [(3.0, 2.0)]
+        assert got[0] == got[2]
+
     def test_auto_integrates_only_without_exact_route(self, monkeypatch):
         # g_c is its own transform: its L^3 norm is integrated once
         calls = _counting_quadrature(monkeypatch)

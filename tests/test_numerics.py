@@ -323,6 +323,23 @@ class TestLqNormQuad:
             str(exc.value),
         )
 
+    def test_shared_pass_retries_missed_exponents_alone(self):
+        # |f| is about 1e-9 of its terms: rounding noise at q = 40 and 64
+        # refines the shared mesh to the panel budget and fails L^8 there
+        # too, though L^8 converges on a mesh of its own
+        f = GaussianMixture((ComplexGaussianTerm(1.0, 1.0),
+                             ComplexGaussianTerm(-1.0 + 1e-9, 1.0 + 1e-9)))
+        (alone,) = lq_norm_quad(f, (8.0,), 1e-6)
+        with pytest.raises(ToleranceNotAchieved) as exc:
+            lq_norm_quad(f, (8.0, 40.0, 64.0), 1e-6)
+        assert re.fullmatch(
+            r"GaussianMixture L\^40, L\^64 norms: tolerance 1e-06 not achieved "
+            r"\(relative error \S+, \S+, radius \S+, \d+ panels\)",
+            str(exc.value),
+        )
+        assert [est.q for est in exc.value.estimate] == [8.0, 40.0, 64.0]
+        assert exc.value.estimate[0] == alone
+
     def test_quadrature_where_q_times_width_overflows(self):
         # pi*q*w overflows for q = 64 at width 1e307, and for q = 3 on the
         # largest chirps, though pi*w does not; the decay length is formed

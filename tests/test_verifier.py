@@ -4,14 +4,19 @@ suite row's tolerance."""
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
+from test_functionals import _counting_quadrature
 
+from uflab import verifier
+from uflab.functionals import conjugate_exponent, norms
 from uflab.verifier import (
     _SUITE,
     SUITE_NAMES,
     CheckResult,
     _result,
+    _sample_functions,
     run_suite,
     verify_asymptotics,
     verify_closed_forms,
@@ -184,6 +189,61 @@ class TestRunSuite:
         assert by_name["asymptotics-vanishing"].parameters["p"] == 4.0
         # divergence mode needs q > 2, so it falls back to its default
         assert by_name["asymptotics-divergence"].parameters["q"] == 4.0
+
+
+_RANDOMIZED = ("fq-lower", "hy", "interp", "reduction")
+# The exponents the four randomized checks read at their default (q, p)
+_UNION = {1.5, 2.0, 4.0 / 3.0, conjugate_exponent(4.0 / 3.0), 1.2, 1.3, 3.0}
+
+
+class TestSharedNorms:
+    """run_suite draws the batch once and takes each function's norms,
+    and its transform's, in one pass for every randomized check."""
+
+    @pytest.mark.parametrize("n, m, seed", [(7, 3, 0), (10, 1, 5), (4, 4, 42), (9, 6, 2 ** 40)])
+    def test_batch_prefix(self, n, m, seed):
+        assert _sample_functions(n, seed)[:m] == _sample_functions(m, seed)
+
+    def test_one_call_per_function_and_transform(self, monkeypatch):
+        calls = _counting_quadrature(monkeypatch)
+        assert all(r.passed for r in run_suite(_RANDOMIZED, samples=6, seed=2))
+        batch = [g for f in _sample_functions(6, 2) for g in (f, f.ft())]
+        assert 0 < len(calls) <= len(batch)
+        assert len({id(g) for g, _ in calls}) == len(calls)
+        assert all(sum(g == h for g, _ in calls) <= 1 for h in batch)
+        assert all(g in batch and set(qs) <= _UNION for g, qs in calls)
+
+    def test_mixed_counts(self, monkeypatch):
+        # function i carries the exponents of the checks that read more
+        # than i functions: the first three the union, the rest fq-lower's
+        seen = []
+
+        def recorded(g, exponents, tol):
+            seen.append(exponents)
+            return norms(g, exponents, tol)
+
+        monkeypatch.setattr(verifier, "norms", recorded)
+        monkeypatch.setattr(verifier, "_SUITE", tuple(
+            replace(row, samples=5 if row.suite == "fq-lower" else 3) if row.exponents else row
+            for row in _SUITE))
+        results = run_suite(_RANDOMIZED, seed=2)
+        assert [r.samples for r in results] == [5, 3, 3, 3]
+        assert all(r.passed for r in results)
+        assert all(len(set(qs)) == len(qs) for qs in seen)
+        assert [set(qs) for qs in seen] == [_UNION] * 6 + [{1.5, 2.0}] * 4
+        assert verifier._SUITE_TABLE.get() == {}
+
+    def test_suite_rows_match_standalone_checks(self):
+        suite = {r.check_name: r for r in run_suite(_RANDOMIZED, samples=8, seed=3)}
+        for row in _SUITE:
+            if row.exponents is None:
+                continue
+            alone, shared = row.run(row.q, row.p, 8, 3), suite[row.check_name]
+            assert alone.passed and shared.passed
+            assert shared.worst_slack == pytest.approx(alone.worst_slack, rel=0, abs=1e-12)
+            assert shared.observed.keys() == alone.observed.keys()
+            for key, value in alone.observed.items():
+                assert shared.observed[key] == pytest.approx(value, rel=0, abs=1e-12)
 
 
 class TestCheckResult:
