@@ -211,9 +211,9 @@ def estimate_image_interval(q: float, p: float | None = None) -> IntervalReport:
     if p is None and q < 2.0:
         c_grid = np.geomspace(0.1, 10.0, 9)
     elif p is None:
-        c_grid = np.concatenate([np.geomspace(0.1, 10.0, 5), np.geomspace(10.0, 1e4, 9)[1:]])
+        c_grid = np.concatenate([np.geomspace(0.1, 10.0, 5), verifier.DIVERGENCE_GRID[1:]])
     else:
-        c_grid = np.concatenate([np.geomspace(0.1, 10.0, 5), np.geomspace(10.0, 1e6, 9)[1:]])
+        c_grid = np.concatenate([np.geomspace(0.1, 10.0, 5), verifier.VANISHING_GRID[1:]])
     ts_vals = [_row("twoscale", float(c), q, p, "auto", _INTERVAL_TOL).value for c in c_grid]
 
     all_vals = chirp_vals + ts_vals

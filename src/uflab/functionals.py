@@ -136,7 +136,9 @@ def gc_lq_lower_bound_weak(c: float, q: float) -> float:
 def gc_lq_upper_bound(c: float, q: float) -> float:
     """Upper bound for ||g_c||_q**2 with the three-way exponent split:
     4 at q = 2, the braced sum to the 2/q for q < 2, and an extra
-    3**(1-2/q) (triple superadditivity constant) for q > 2."""
+    3**(1-2/q) for q > 2, from (a1+a2+a3)**s <= 3**(s-1) * sum(a_i**s),
+    s = q/2.  The verifier's asymptotics rows check the bound, and so
+    this constant, against the quadrature norms of g_c."""
     TwoScaleParams(c)
     if not (math.isfinite(q) and q > 1.0):
         raise ValueError(f"upper bound stated for q > 1, got {q}")

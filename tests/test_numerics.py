@@ -340,6 +340,29 @@ class TestLqNormQuad:
         assert [est.q for est in exc.value.estimate] == [8.0, 40.0, 64.0]
         assert exc.value.estimate[0] == alone
 
+    def test_radius_start_over_matches_reference(self, monkeypatch):
+        # the refined totals of this expansion at q = 64 leave a tail bound
+        # above tol/2, so the pass starts over at the radius they need:
+        # two integrals, and the value still meets tol against QUADPACK
+        integrals = []
+        integrate = numerics.integrate_adaptive
+
+        def counted(*args):
+            integrals.append(args)
+            return integrate(*args)
+
+        monkeypatch.setattr(numerics, "integrate_adaptive", counted)
+        f, tol = random_schwartz("hermite", 12, 26), 1e-10
+        (est,) = lq_norm_quad(f, (64.0,), tol)
+        assert len(integrals) == 2
+        edges = np.linspace(-12.0, 12.0, 97)
+        peak = float(np.abs(f.eval(np.linspace(-12.0, 12.0, 2401))).max())
+        power = lambda x: float(np.abs(f.eval(np.array([x]))[0]) / peak) ** 64
+        total = math.fsum(quad(power, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                          for a, b in zip(edges[:-1], edges[1:]))
+        ref = peak * total ** (1.0 / 64.0)
+        assert abs(est.value - ref) <= tol * ref
+
     def test_quadrature_where_q_times_width_overflows(self):
         # pi*q*w overflows for q = 64 at width 1e307, and for q = 3 on the
         # largest chirps, though pi*w does not; the decay length is formed

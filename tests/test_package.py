@@ -71,7 +71,7 @@ def test_module_entry_points_resolve():
     assert checks == [
         "verify_asymptotics", "verify_closed_forms", "verify_fq_lower_bound",
         "verify_hausdorff_young", "verify_interpolation",
-        "verify_reduction_q_lt_2_le_p", "verify_superadditivity",
+        "verify_reduction_q_lt_2_le_p",
     ]
 
 
