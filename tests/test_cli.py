@@ -272,8 +272,10 @@ class TestVerify:
         # below the public exponent range [1.001, 64]
         ("--suite", "interp", "--q", "1.0000001", "--p", "1.5", "--samples", "2"),
         ("--suite", "hy", "--samples", "0"),
+        ("--suite", "reduction", "--samples", "-1"),
         # an exponent override that no selected check takes
         ("--suite", "closed-forms", "--q", "3", "--p", "9"),
+        ("--suite", "fq-lower", "--p", "1.5"),  # F_q takes no p
         ("--suite", "hy", "--p", "9"),
     ])
     def test_unrunnable_check_is_usage_error(self, capsys, flags):
