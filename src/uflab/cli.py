@@ -83,12 +83,11 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = command("minimize", "search for small F_q values", "--q", "--seed",
                  required=("--q",))
-    sp.add_argument("--terms", type=int, default=2,
-                    help="Gaussian terms in the mixture (default 2)")
-    sp.add_argument("--restarts", type=int, default=8,
-                    help="optimizer restarts (default 8)")
-    sp.add_argument("--max-iter", type=int, default=200,
-                    help="iterations per restart (default 200)")
+    family, optimizer = MinimizeFamilySpec(), OptimizerConfig()
+    for flag, default, what in (("--terms", family.terms, "Gaussian terms in the mixture"),
+                                ("--restarts", optimizer.restarts, "optimizer restarts"),
+                                ("--max-iter", optimizer.max_iter, "iterations per restart")):
+        sp.add_argument(flag, type=int, default=default, help=f"{what} (default {default})")
 
     sp = command("ftcheck", "compare DFT against the analytic transform",
                  "--family", "--a", "--c", "--tol", required=("--family",))

@@ -306,9 +306,11 @@ def minimize_Fq(
     """Search for small F_q over real Gaussian mixtures by seeded
     Nelder-Mead restarts.
 
-    The plain Gaussian is always one start point, so the best value
-    never exceeds sqrt(2)*q**(-1/q) beyond quadrature noise; for q < 2
-    the proved floor 1/B_q is reported alongside for comparison.
+    The starts are the plain Gaussian and ``restarts - 1`` seeded draws.
+    A start where F_q cannot be evaluated (inf to the search) costs only
+    its own restart, and the Gaussian start keeps the best value within
+    quadrature noise of sqrt(2)*q**(-1/q); for q < 2 the proved floor
+    1/B_q is reported alongside for comparison.
     """
     # Imported here, the package's one such import: loaded with the
     # package, it would more than double its import time.
@@ -326,40 +328,23 @@ def minimize_Fq(
         except (ValueError, ToleranceNotAchieved):
             return math.inf
 
-    starts = [np.zeros(dim)]
-    attempts = 0
-    while len(starts) < config.restarts and attempts < 100 * config.restarts:
-        attempts += 1
-        cand = np.concatenate([
-            rng.uniform(-1.0, 1.0, family.terms - 1),
-            rng.uniform(math.log(lo), math.log(hi), family.terms),
-        ])
-        if math.isfinite(objective(cand)):
-            starts.append(cand)
+    starts = [np.zeros(dim)] + [
+        np.concatenate([rng.uniform(-1.0, 1.0, family.terms - 1),
+                        rng.uniform(math.log(lo), math.log(hi), family.terms)])
+        for _ in range(config.restarts - 1)
+    ]
+    results = [
+        nelder_mead(objective, x0, method="Nelder-Mead", options={
+            "maxiter": config.max_iter,
+            "initial_simplex": np.vstack([x0] + [x0 + _SIMPLEX_SCALE * e for e in np.eye(dim)]),
+            "xatol": 1e-8,
+            "fatol": 1e-10,
+        })
+        for x0 in starts
+    ]
+    best = min(results, key=lambda r: r.fun)  # the first of equal minima
 
-    best_x, best_val = None, math.inf
-    iterations = 0
-    converged = False
-    for x0 in starts:
-        simplex = np.vstack([x0] + [x0 + _SIMPLEX_SCALE * e for e in np.eye(dim)])
-        res = nelder_mead(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": config.max_iter,
-                "initial_simplex": simplex,
-                "xatol": 1e-8,
-                "fatol": 1e-10,
-            },
-        )
-        iterations += int(res.nit)
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_x = np.asarray(res.x, float)
-            converged = bool(res.success)
-
-    mix = _mixture_from_vector(best_x, family.terms)
+    mix = _mixture_from_vector(best.x, family.terms)
     comparisons = {
         "unity": 1.0,
         "gaussian": math.sqrt(2.0) * (1.0 / q) ** (1.0 / q),
@@ -368,13 +353,13 @@ def minimize_Fq(
     return MinimizeReport(
         q,
         family.terms,
-        best_val,
+        float(best.fun),
         {
             "amplitudes": [t.amplitude.real for t in mix.terms],
             "widths": [t.width.real for t in mix.terms],
         },
-        iterations,
+        sum(int(r.nit) for r in results),
         len(starts),
-        converged,
+        bool(best.success),
         comparisons,
     )

@@ -362,8 +362,8 @@ def _quad_pass(f, exponents, tol):
     # tol/4 of that undershot integral.  The seed round on it sets the peak,
     # and where its totals show a tail bound too large, they pick the
     # radius: panels out to it join the seeded ones, whose values are
-    # kept.  The tail bounds at the refined totals certify the result; a
-    # pass starts over at a wider radius only where they do not.
+    # kept.  Where the tail bounds at the refined totals still miss, those
+    # totals widen the seeded mesh the same way and it is refined anew.
     lengths = [_decay_length(e, width_floor) for e in exponents]
 
     def log_tails(radius):
@@ -382,11 +382,11 @@ def _quad_pass(f, exponents, tol):
                    for n, e, total in zip(lengths, exponents, totals))
 
     radius = shift + max(lengths) * math.sqrt(-math.log(0.25e-6 * tol))
+    edges = _seed_edges(f, max(exponents), shift, radius)
+    first = _gk_panels(integrand, edges[:-1], edges[1:])
+    totals = first[:len(exponents)].sum(1).tolist()
     for _ in range(4):
-        edges = _seed_edges(f, max(exponents), shift, radius)
-        first = _gk_panels(integrand, edges[:-1], edges[1:])
-        seeded = first[:len(exponents)].sum(1).tolist()
-        wider = radius if covered(log_tails(radius), seeded) else needed(seeded)
+        wider = radius if covered(log_tails(radius), totals) else needed(totals)
         if wider > radius:
             grown = _seed_edges(f, max(exponents), shift, wider)
             left, right = grown[grown < -radius], grown[grown > radius]
@@ -399,7 +399,6 @@ def _quad_pass(f, exponents, tol):
         totals, tails = totals.tolist(), log_tails(radius)
         if covered(tails, totals):
             break
-        radius = needed(totals)
     found, missed = [], []
     for i, (e, log_tail, total, err, ok) in enumerate(zip(
             exponents, tails, totals, errs.tolist(), converged.tolist())):

@@ -6,7 +6,9 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+from uflab import explore
 from uflab.explore import (
     GridSpec,
     MinimizeFamilySpec,
@@ -17,6 +19,7 @@ from uflab.explore import (
     sweep,
 )
 from uflab.gaussian import closed_form_Fq_chirp
+from uflab.numerics import ToleranceNotAchieved
 
 
 class TestGridSpec:
@@ -183,6 +186,39 @@ class TestMinimize:
         a = minimize_Fq(1.5, MinimizeFamilySpec(terms=2), cfg)
         b = minimize_Fq(1.5, MinimizeFamilySpec(terms=2), cfg)
         assert a == b
+
+    def test_one_evaluation_per_start(self, monkeypatch):
+        # Nelder-Mead evaluates each start itself; no F_q call is made
+        # outside the searches
+        calls, results = [], []
+        evaluate, search = explore.eval_Fq, scipy.optimize.minimize
+
+        def recorded(*args, **kwargs):
+            results.append(search(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(explore, "eval_Fq", lambda *args: calls.append(args)
+                            or evaluate(*args))
+        monkeypatch.setattr(scipy.optimize, "minimize", recorded)
+        rep = minimize_Fq(1.5, MinimizeFamilySpec(2), OptimizerConfig(restarts=3, max_iter=20))
+        assert rep.restarts == len(results) == 3
+        assert len(calls) == sum(res.nfev for res in results)
+
+    def test_unevaluable_start_costs_only_its_restart(self, monkeypatch):
+        # F_q raises unless the second amplitude is 0, so only the Gaussian
+        # start's face is finite: every draw's search is lost, and the
+        # Gaussian start still finds the Gaussian value
+        evaluate = explore.eval_Fq
+
+        def gaussian_face_only(f, *args):
+            if f.terms[1].amplitude != 0.0:
+                raise ToleranceNotAchieved("off the Gaussian face", ())
+            return evaluate(f, *args)
+
+        monkeypatch.setattr(explore, "eval_Fq", gaussian_face_only)
+        rep = minimize_Fq(1.5, MinimizeFamilySpec(2), OptimizerConfig(restarts=3, max_iter=20))
+        assert rep.restarts == 3
+        assert rep.best_value == pytest.approx(rep.comparisons["gaussian"], abs=1e-9)
 
     def test_q_above_2_reports_no_floor(self):
         rep = minimize_Fq(

@@ -170,6 +170,17 @@ class TestAsymptotics:
         assert all(r.observed["worst_bracket_slack"] > 0.0 for r in by_name.values())
         assert by_name["asymptotics-vanishing"].passed
 
+    def test_divergence_fails_near_q2_on_its_increase_alone(self):
+        # at q = 2.05 F_q(g_c) still dips along c = 10..1e4 before it
+        # grows: the row fails, while g_c stays above its bound and inside
+        # its norm bracket
+        r = verify_asymptotics(2.05)
+        v, b = r.observed["values"], r.observed["bounds"]
+        assert not r.passed
+        assert r.observed["worst_bracket_slack"] > 0.0
+        assert all(x - y >= 0.0 for x, y in zip(v, b))
+        assert min(y - x for x, y in zip(v, v[1:])) < 0.0
+
 
 class TestRunSuite:
     def test_all_names(self):
