@@ -16,6 +16,7 @@ import csv
 import io
 import math
 import re
+import sys
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -307,10 +308,12 @@ def minimize_Fq(
     Nelder-Mead restarts.
 
     The starts are the plain Gaussian and ``restarts - 1`` seeded draws.
-    A start where F_q cannot be evaluated (inf to the search) costs only
-    its own restart, and the Gaussian start keeps the best value within
-    quadrature noise of sqrt(2)*q**(-1/q); for q < 2 the proved floor
-    1/B_q is reported alongside for comparison.
+    A point where F_q cannot be evaluated scores the largest float, not
+    inf, whose differences over a simplex of such points would be nan.  A
+    start where F_q cannot be evaluated costs only its own restart, and
+    the Gaussian start keeps the best value within quadrature noise of
+    sqrt(2)*q**(-1/q); for q < 2 the proved floor 1/B_q is reported
+    alongside for comparison.
     """
     # Imported here, the package's one such import: loaded with the
     # package, it would more than double its import time.
@@ -326,7 +329,7 @@ def minimize_Fq(
             return eval_Fq(_mixture_from_vector(np.asarray(x, float), family.terms),
                            q, "auto", 1e-10).value
         except (ValueError, ToleranceNotAchieved):
-            return math.inf
+            return sys.float_info.max
 
     starts = [np.zeros(dim)] + [
         np.concatenate([rng.uniform(-1.0, 1.0, family.terms - 1),

@@ -7,14 +7,18 @@ the integral is truncated to ``[-R, R]`` with a certified tail bound,
 erfc(t) <= exp(-t*t), stated and inverted in closed form in log space,
 rather than a heuristic cutoff.  The bound is stated in the decay length
 1/sqrt(pi*q*w) of ``|f|**q``, which is finite even where pi*q*w
-overflows, and R is picked from the first round's totals.  The finite
-interval is then handled by adaptive bisection with an embedded
-Gauss7/Kronrod15 pair per panel, refined in rounds: each round bisects
-every panel it selects and evaluates all of their nodes in a single
-``f.eval`` call.  The integrand is array-valued, one component per
-exponent of a norm request, all on one shared mesh (Shampine,
-"Vectorized adaptive quadrature in MATLAB", 2008), so ``lq_norm_quad``
-computes ||f||_q for a tuple of exponents in one pass.
+overflows, and R is picked from the first round's totals.  The
+integrand is folded onto [0, R], ``(|f(x)|/M)**q + (|f(-x)|/M)**q``:
+where |f| is even, mirror panels of [-R, R] would carry equal error
+estimates, and a round could split one twin and converge on the other's
+unsplit, aliased one.  The finite interval is then handled adaptively
+with an embedded Gauss7/Kronrod15 pair per panel, refined in rounds:
+each round splits every panel it selects into quarters and evaluates all
+of their nodes, at x and -x, in a single ``f.eval`` call.  The integrand
+is array-valued, one component per exponent of a norm request, all on
+one shared mesh (Shampine, "Vectorized adaptive quadrature in MATLAB",
+2008), so ``lq_norm_quad`` computes ||f||_q for a tuple of exponents in
+one pass.
 The reported error estimate is the sum of the achieved panel estimates
 and the truncation bound, never the requested tolerance.
 
@@ -146,6 +150,13 @@ def _gk_panels(fn, lo, hi):
     return np.concatenate((ik, np.maximum(err, 50.0 * _EPS * np.abs(ik))))
 
 
+def _quarters(lo, hi):
+    """Rows lo, q1, q2, q3, hi over the panels ``[lo[i], hi[i]]``: q2 the
+    midpoint, q1 and q3 the midpoints of the two halves."""
+    q2 = 0.5 * (lo + hi)
+    return np.array((lo, 0.5 * (lo + q2), q2, 0.5 * (q2 + hi), hi))
+
+
 def integrate_adaptive(fn, edges, rel_tol, first=None):
     """Adaptively integrate the k components of ``fn`` over
     [edges[0], edges[-1]] on one shared mesh, starting from the panels
@@ -160,20 +171,23 @@ def integrate_adaptive(fn, edges, rel_tol, first=None):
     Each round ranks the panels by their largest error relative to that
     component's target (stable sort, largest first), takes the shortest
     prefix whose summed estimates cover every component's excess over its
-    target, and bisects all of it with one ``fn`` call.  Panels within a
-    few float spacings of their width limit keep their error and are
-    never bisected; refinement gives up once their error alone exceeds a
-    component's target, and bisection stops before the panel count would
-    exceed ``MAX_PANELS`` (read at call time).  A left half takes its
-    parent's place and the right halves are appended, so every sum runs
+    target, and splits each of its panels into four quarters with one
+    ``fn`` call: two levels of bisection per round, since a round's fixed
+    cost outweighs its points.  Panels whose eighth points are not all
+    distinct floats keep their error and are never split; refinement
+    gives up once their error alone exceeds a component's target.  Each
+    split adds three panels, and a round splits only as many panels as
+    keep the count within ``MAX_PANELS`` (read at call time); no round
+    starts once not one more split fits.  A first quarter takes its
+    parent's place and the other three are appended, so every sum runs
     in a fixed order and results are reproducible run to run.
     """
     pts = np.asarray(edges, dtype=float)
     los, his = pts[:-1], pts[1:]
-    # Midpoints and quarter points are off by at most half a float
-    # spacing of the largest |x|, so a panel wider than 8 such spacings
-    # always has distinct quarter points.
-    narrow = 8.0 * np.spacing(max(-pts[0], pts[-1]))
+    # Midpoints, quarter and eighth points are each off by at most half a
+    # float spacing of the largest |x|, so a panel wider than 16 such
+    # spacings always has distinct eighth points.
+    narrow = 16.0 * np.spacing(max(-pts[0], pts[-1]))
     # k rows of panel values, k of errors
     ve = _gk_panels(fn, los, his) if first is None else first
     k = ve.shape[0] // 2
@@ -181,7 +195,7 @@ def integrate_adaptive(fn, edges, rel_tol, first=None):
     # a handful, and numpy calls on k-vectors cost more than loops.
     sums = ve.sum(1).tolist()
     excess = [e - rel_tol * abs(t) for t, e in zip(sums, sums[k:])]
-    while los.size < MAX_PANELS and max(excess) > 0.0:
+    while los.size + 3 <= MAX_PANELS and max(excess) > 0.0:
         errs = ve[k:]
         rank = reduce(np.minimum, [e * (-1.0 / max(rel_tol * abs(t), _TINY))
                                    for e, t in zip(errs, sums)])
@@ -189,10 +203,10 @@ def integrate_adaptive(fn, edges, rel_tol, first=None):
         if (his - los).min() <= narrow:
             # A panel one float spacing wide rounds all 15 nodes to one
             # value and would report zero error, so only panels whose
-            # halves can be bisected again are split.
-            mids = 0.5 * (los + his)
-            left, right = 0.5 * (los + mids), 0.5 * (mids + his)
-            splittable = (los < left) & (left < mids) & (mids < right) & (right < his)
+            # quarters can be quartered again are split.
+            cuts = _quarters(los, his)
+            eighths = 0.5 * (cuts[:-1] + cuts[1:])
+            splittable = ((cuts[:-1] < eighths) & (eighths < cuts[1:])).all(0)
             order = order[splittable[order]]
             # Refinement moves a total by at most its error and never
             # lowers the error of panels that cannot be split; once that
@@ -205,13 +219,13 @@ def integrate_adaptive(fn, edges, rel_tol, first=None):
                 break
         take = 1 + max([int(np.searchsorted(np.cumsum(e[order]), x))
                         for e, x in zip(errs, excess)])
-        split = order[: min(take, MAX_PANELS - los.size)]
-        lo_s, hi_s = los[split], his[split]
-        mid_s = 0.5 * (lo_s + hi_s)
-        new_ve = _gk_panels(fn, np.concatenate((lo_s, mid_s)), np.concatenate((mid_s, hi_s)))
+        split = order[: min(take, (MAX_PANELS - los.size) // 3)]
+        cuts = _quarters(los[split], his[split])
+        new_ve = _gk_panels(fn, cuts[:-1].ravel(), cuts[1:].ravel())
         n = split.size
-        los, his = np.concatenate((los, mid_s)), np.concatenate((his, hi_s))
-        his[split] = mid_s
+        los = np.concatenate((los, cuts[1:-1].ravel()))
+        his = np.concatenate((his, cuts[2:].ravel()))
+        his[split] = cuts[1]
         ve = np.concatenate((ve, new_ve[:, n:]), 1)
         ve[:, split] = new_ve[:, :n]
         sums = ve.sum(1).tolist()
@@ -260,19 +274,17 @@ def truncation_radius(f, q: float, tol: float) -> float:
 
 
 def _seed_edges(f, q, shift, radius):
-    """Initial panel edges on [-radius, radius]: a geometric ladder from
-    the finest decay length up to the radius, so widely separated scales
-    are resolved before any adaptive refinement happens."""
+    """Initial panel edges on [0, radius]: a geometric ladder from the
+    finest decay length up to the radius, so widely separated scales are
+    resolved before any adaptive refinement happens."""
     pts = {0.0}
     v = min(f.scales()) / math.sqrt(q)
-    while v < radius and len(pts) < 80:
+    while v < radius and len(pts) < 41:
         pts.add(v)
-        pts.add(-v)
         v *= 4.0
     if 0.0 < shift < radius:
         pts.add(shift)
-        pts.add(-shift)
-    return np.array(sorted({-radius, radius, *pts}))
+    return np.array(sorted({radius, *pts}))
 
 
 def check_exponent(q: float) -> None:
@@ -309,7 +321,8 @@ def lq_norm_quad(f, exponents: tuple, tol: float) -> tuple[NormEstimate, ...]:
     exponent that missed alone and carrying the tuple of best estimates
     (the solo ones for those exponents), if the panel budget runs out
     first; the message gives the largest radius and panel count of the
-    failed passes.
+    failed passes, panels of the half-line [0, radius] that the folded
+    integrand is refined on.
     """
     exponents = tuple(map(float, exponents))
     if not exponents:
@@ -340,21 +353,26 @@ def _quad_pass(f, exponents, tol):
     """One shared pass of :func:`lq_norm_quad` over validated float
     ``exponents``.  Returns ``(estimates, missed, radius, panels)``:
     the list of estimates in order, the (index, relative error) of each
-    exponent that missed tol, the final radius and the panel count."""
+    exponent that missed tol, the final radius and the panel count.
+    The integrand is folded, so the mesh and that count cover [0, radius]
+    only."""
     scale, width_floor, shift = f.envelope()
     if scale == 0.0:
         return [NormEstimate(0.0, "quadrature", 0.0, e) for e in exponents], [], 0.0, 0
 
-    powers = np.array(exponents)[:, None, None]
+    powers = np.array(exponents)[:, None, None, None]
     peak = 0.0
 
     def integrand(x):
         nonlocal peak
-        mag = np.abs(f.eval(x))
+        mag = np.abs(f.eval(np.concatenate((x, -x)))).reshape(2, *x.shape)
         if not peak:
             peak = float(mag.max()) or scale
-        return np.power(mag / peak, powers)
+        return np.power(mag / peak, powers).sum(1)
 
+    # The folded integrand takes |f| at x and -x in one f.eval, so every
+    # panel on [0, R] stands for itself and its mirror image, and the
+    # peak is read from both sides of the seed round.
     # |f/S|**q lies below exp(-((|x|-shift)/L)**2), L the decay length,
     # whose tails _log_tail bounds.  The initial radius assumes the
     # integral could undershoot the envelope's own integral beyond shift,
@@ -389,11 +407,10 @@ def _quad_pass(f, exponents, tol):
         wider = radius if covered(log_tails(radius), totals) else needed(totals)
         if wider > radius:
             grown = _seed_edges(f, max(exponents), shift, wider)
-            left, right = grown[grown < -radius], grown[grown > radius]
-            outer = _gk_panels(integrand, np.concatenate((left, [radius], right[:-1])),
-                               np.concatenate((left[1:], [-radius], right)))
-            first = np.concatenate((outer[:, :left.size], first, outer[:, left.size:]), 1)
-            edges, radius = np.concatenate((left, edges, right)), wider
+            outer = grown[grown > radius]
+            first = np.concatenate((first, _gk_panels(
+                integrand, np.concatenate(([radius], outer[:-1])), outer)), 1)
+            edges, radius = np.concatenate((edges, outer)), wider
         totals, errs, converged, panels = integrate_adaptive(
             integrand, edges, 0.5 * tol, first)
         totals, tails = totals.tolist(), log_tails(radius)

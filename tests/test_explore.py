@@ -220,6 +220,22 @@ class TestMinimize:
         assert rep.restarts == 3
         assert rep.best_value == pytest.approx(rep.comparisons["gaussian"], abs=1e-9)
 
+    def test_unevaluable_simplex_scores_finite(self, monkeypatch):
+        # by 60 iterations a lost draw's simplex has shrunk below xatol
+        # with every vertex unevaluable; scored inf, scipy's convergence
+        # test would take inf - inf and warn on every later iteration
+        evaluate = explore.eval_Fq
+
+        def gaussian_face_only(f, *args):
+            if f.terms[1].amplitude != 0.0:
+                raise ToleranceNotAchieved("off the Gaussian face", ())
+            return evaluate(f, *args)
+
+        monkeypatch.setattr(explore, "eval_Fq", gaussian_face_only)
+        rep = minimize_Fq(1.5, MinimizeFamilySpec(2), OptimizerConfig(restarts=3, max_iter=60))
+        assert rep.restarts == 3
+        assert rep.best_value == pytest.approx(rep.comparisons["gaussian"], abs=1e-9)
+
     def test_q_above_2_reports_no_floor(self):
         rep = minimize_Fq(
             4.0, MinimizeFamilySpec(terms=1), OptimizerConfig(restarts=1, max_iter=30)

@@ -89,6 +89,40 @@ class TestIntegrateAdaptive:
         _, _, _, panels = integrate_adaptive(fn, (0.0, 1.0), 1e-12)
         assert panels <= max_panels
 
+    @pytest.mark.parametrize("max_panels", [1, 2, 3, 5, 17, 100, 100_000])
+    def test_rounds_quarter_panels(self, monkeypatch, max_panels):
+        # every round after the seed splits whole panels of the current
+        # mesh into their four quarters, in one non-empty fn call, and the
+        # budget is never exceeded
+        calls = []
+        gk_panels = numerics._gk_panels
+
+        def recorded(fn, lo, hi):
+            calls.append(list(zip(lo.tolist(), hi.tolist())))
+            return gk_panels(fn, lo, hi)
+
+        monkeypatch.setattr(numerics, "_gk_panels", recorded)
+        monkeypatch.setattr(numerics, "MAX_PANELS", max_panels)
+        fn = lambda x: 1.0 / np.sqrt(np.abs(x))
+        _, _, _, panels = integrate_adaptive(fn, (0.0, 0.25, 1.0), 1e-12)
+        seed, *rounds = calls
+        mesh = set(seed)
+        assert mesh == {(0.0, 0.25), (0.25, 1.0)}
+        for children in rounds:
+            assert children and len(children) % 4 == 0
+            parents, tiled = set(), set()
+            for lo, hi in mesh:
+                mid = 0.5 * (lo + hi)
+                quarters = {(lo, 0.5 * (lo + mid)), (0.5 * (lo + mid), mid),
+                            (mid, 0.5 * (mid + hi)), (0.5 * (mid + hi), hi)}
+                if quarters & set(children):
+                    parents.add((lo, hi))
+                    tiled |= quarters
+            assert tiled == set(children) and 4 * len(parents) == len(children)
+            mesh = mesh - parents | tiled
+        assert len(mesh) == panels <= max(max_panels, 2)
+        assert bool(rounds) == (max_panels >= 5)
+
     def test_components_share_one_mesh(self):
         # two widths on one mesh: each converges to its own closed form,
         # and the sharper one decides the panels
@@ -362,6 +396,27 @@ class TestLqNormQuad:
                           for a, b in zip(edges[:-1], edges[1:]))
         ref = peak * total ** (1.0 / 64.0)
         assert abs(est.value - ref) <= tol * ref
+
+    @pytest.mark.parametrize("q", [1.5, 3.0])
+    @pytest.mark.parametrize("f", [HermiteExpansion((1.0, 1.0)),
+                                   random_schwartz("hermite", 8, 3)],
+                             ids=["h0+h1", "hermite-8-3"])
+    def test_fold_of_uneven_modulus_matches_whole_line(self, f, q):
+        # both parities occur, so |f(x)| and |f(-x)| differ; the folded
+        # half-line pass must still give the whole line's norm, alone and
+        # shared, against QUADPACK over [-8, 8] (h0 + h1 vanishes at
+        # -1/(2*sqrt(pi)), a cusp of |f|**q, which is an edge there)
+        x = np.linspace(0.0, 3.0, 61)
+        assert np.abs(np.abs(f.eval(x)) - np.abs(f.eval(-x))).max() > 1.0
+        edges = sorted({*np.linspace(-8.0, 8.0, 33), -0.5 / math.sqrt(math.pi)})
+        power = lambda x: float(abs(f.eval(np.array([x]))[0])) ** q
+        ref = math.fsum(quad(power, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                        for a, b in zip(edges[:-1], edges[1:])) ** (1.0 / q)
+        tol = 1e-10
+        partner = 2.0 if q > 2.0 else 3.0
+        for est in (*lq_norm_quad(f, (q,), tol), lq_norm_quad(f, (partner, q), tol)[1]):
+            assert est.q == q
+            assert abs(est.value - ref) <= min(est.abs_error_estimate, tol * ref)
 
     def test_quadrature_where_q_times_width_overflows(self):
         # pi*q*w overflows for q = 64 at width 1e307, and for q = 3 on the
