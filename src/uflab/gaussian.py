@@ -59,6 +59,10 @@ class ComplexGaussianTerm:
 
     def eval(self, x):
         x = np.asarray(x)
+        if self.width.imag == 0.0:
+            # real arithmetic, and a real array for a real amplitude
+            amp = self.amplitude.real if self.amplitude.imag == 0.0 else self.amplitude
+            return amp * np.exp((-math.pi * self.width.real) * x * x)
         return self.amplitude * np.exp(-math.pi * self.width * x * x)
 
     def ft(self) -> "ComplexGaussianTerm":
@@ -98,6 +102,15 @@ class GaussianMixture:
     def scales(self):
         """Decay length 1/sqrt(Re z) of each term, ascending."""
         return tuple(sorted(1.0 / math.sqrt(t.width.real) for t in self.terms))
+
+    def cross_phases(self):
+        """(|Im z_j - Im z_k|, Re z_j + Re z_k) of each pair of terms whose
+        widths differ in imaginary part: the rate of the phase
+        pi*rate*x**2 of their cross term in |f|**2, and the width of its
+        envelope."""
+        return tuple((abs(s.width.imag - t.width.imag), s.width.real + t.width.real)
+                     for i, s in enumerate(self.terms) for t in self.terms[i + 1:]
+                     if s.width.imag != t.width.imag)
 
     def ft(self) -> "GaussianMixture":
         """Exact transform, term by term; applying it twice reproduces an

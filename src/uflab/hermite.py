@@ -94,6 +94,11 @@ class HermiteExpansion:
     def scales(self):
         return (1.0,)
 
+    def cross_phases(self):
+        """None: the basis functions are real, so no product of two of
+        them has a phase."""
+        return ()
+
 
 _MIXTURE_WIDTHS = (0.2, 5.0)
 L2_REJECT_FLOOR = 1e-6

@@ -22,11 +22,22 @@ one pass.
 The reported error estimate is the sum of the achieved panel estimates
 and the truncation bound, never the requested tolerance.
 
-Test functions plug in through three duck-typed hooks:
+Test functions plug in through four duck-typed hooks:
 
 * ``f.eval(x)``            pointwise (complex) values at an array x of any shape,
 * ``f.envelope()``         ``(S, w, shift)`` as above,
-* ``f.scales()``           ascending decay lengths used to seed panels.
+* ``f.scales()``           ascending decay lengths used to seed panels,
+* ``f.cross_phases()``     ``(rate, width)`` of each cross term of ``|f|**2``
+                           whose phase turns, ``exp(-pi*width*x**2)`` times
+                           a phase ``pi*rate*x**2``; empty for functions
+                           without such terms.
+
+The seed mesh follows every one of them: a ratio-4 ladder from the
+finest decay length, rungs at half-octave steps over each decay length,
+and one rung per period of each cross-term phase out to where its
+envelope has fallen by exp(-80), so that no seed panel spans several
+periods of a chirp, where Gauss7 and Kronrod15 alias together and their
+difference understates the panel's error.
 """
 
 from __future__ import annotations
@@ -40,6 +51,9 @@ import numpy as np
 MAX_PANELS = 100_000
 TOL_FLOOR = 1e-13
 TOL_CEIL = 1e-2
+# Most cross-term phase rungs of one seed mesh, the nearest the origin;
+# refinement resolves a phase beyond them.
+MAX_PHASE_RUNGS = 1000
 
 
 class ToleranceNotAchieved(RuntimeError):
@@ -274,17 +288,30 @@ def truncation_radius(f, q: float, tol: float) -> float:
 
 
 def _seed_edges(f, q, shift, radius):
-    """Initial panel edges on [0, radius]: a geometric ladder from the
-    finest decay length up to the radius, so widely separated scales are
-    resolved before any adaptive refinement happens."""
-    pts = {0.0}
-    v = min(f.scales()) / math.sqrt(q)
-    while v < radius and len(pts) < 41:
-        pts.add(v)
+    """Initial panel edges on [0, radius], ascending: a ratio-4 ladder of
+    at most 40 rungs from the finest decay length s of |f|**q up to the
+    radius, so widely separated scales are resolved before any adaptive
+    refinement happens; rungs at s * 2**(j/2), j = 0..4, for every decay
+    length s, so each term's shoulder is resolved too; and, for each
+    cross-term phase of rate r, the rungs sqrt(2*m/r), m = 1, 2, ..., one
+    per period, out to where the cross term's envelope exp(-pi*width*x*x)
+    falls below exp(-80), keeping the ``MAX_PHASE_RUNGS`` of them nearest
+    the origin."""
+    lengths = [s / math.sqrt(q) for s in f.scales()]
+    ladder = [0.0]
+    v = min(lengths)
+    while v < radius and len(ladder) < 41:
+        ladder.append(v)
         v *= 4.0
-    if 0.0 < shift < radius:
-        pts.add(shift)
-    return np.array(sorted({radius, *pts}))
+    rungs = [s * 2.0 ** (0.5 * j) for s in lengths for j in range(5)]
+    phases = [np.empty(0)]
+    for rate, width in f.cross_phases():
+        reach = min(radius, math.sqrt(80.0 / (math.pi * width)))
+        count = int(min(MAX_PHASE_RUNGS, 0.5 * rate * reach * reach))
+        phases.append(np.sqrt((2.0 / rate) * np.arange(1, count + 1)))
+    phases = np.unique(np.concatenate(phases))[:MAX_PHASE_RUNGS]
+    pts = np.unique(np.concatenate((ladder, rungs, phases, [shift])))
+    return np.append(pts[pts < radius], radius)
 
 
 def check_exponent(q: float) -> None:

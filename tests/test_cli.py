@@ -181,10 +181,12 @@ class TestEval:
         assert doc["value"] == pytest.approx(closed_form_Fq_chirp(7.5e153, 3.0), rel=1e-8)
 
     def test_tolerance_not_achieved_exits_one(self, capsys, monkeypatch):
-        # a panel budget too small for g_c's norms: exit status 1, and the
-        # message names the exponents that missed
+        # a panel budget too small for g_c's norms at tol 1e-12 (at the
+        # default 1e-8 its seed mesh alone converges): exit status 1, and
+        # the message names the exponents that missed
         monkeypatch.setattr(numerics, "MAX_PANELS", 3)
-        code, out, err = run(capsys, "eval", "--family", "twoscale", "--c", "50", "--q", "3")
+        code, out, err = run(capsys, "eval", "--family", "twoscale", "--c", "50", "--q", "3",
+                             "--tol", "1e-12")
         assert code == 1 and out == ""
         assert err.startswith("uflab: tolerance not achieved:")
         assert "L^3, L^2" in err

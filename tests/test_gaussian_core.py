@@ -156,6 +156,25 @@ class TestEval:
             mix.eval(x), terms[0].eval(x) + terms[1].eval(x), rtol=1e-15
         )
 
+    def test_real_terms_evaluate_in_real_arithmetic(self):
+        # a real width takes the real exp, within 1 ulp of the complex
+        # one, and one more rounding for the amplitude; a real mixture
+        # gives a real array
+        mix = make_two_scale(TwoScaleParams(3.0))
+        x = np.linspace(-6.0, 6.0, 1201)
+        eps = np.finfo(float).eps
+        for term in (*mix.terms, ComplexGaussianTerm(0.6 - 0.8j, 0.25),
+                     *(ComplexGaussianTerm(1.0, t.width) for t in mix.terms)):
+            got = term.eval(x)
+            complex_path = term.amplitude * np.exp(-math.pi * term.width * x * x)
+            assert np.iscomplexobj(got) == (term.amplitude.imag != 0.0)
+            bound = (np.spacing(complex_path.real) if term.amplitude == 1.0
+                     else 2.0 * eps * np.abs(complex_path))
+            assert np.all(np.abs(got - complex_path) <= bound)
+        assert mix.eval(x).dtype == np.float64
+        assert GaussianMixture(mix.terms[:1] + (ComplexGaussianTerm(0.6 - 0.8j, 0.25),)
+                               ).eval(x).dtype == np.complex128
+
 
 class TestFourierTransform:
     def test_unit_gaussian_self_dual(self):

@@ -1,5 +1,6 @@
 """Quadrature engine and discrete Fourier oracle."""
 
+import cmath
 import math
 import re
 
@@ -374,6 +375,57 @@ class TestLqNormQuad:
         assert [est.q for est in exc.value.estimate] == [8.0, 40.0, 64.0]
         assert exc.value.estimate[0] == alone
 
+    def test_seed_edges_follow_scales_and_phases(self):
+        # a ratio-4 ladder, five half-octave rungs per decay length, and
+        # one rung per period of the cross-term phase out to where its
+        # envelope exp(-pi*1.25*x*x) has fallen by exp(-80)
+        f = GaussianMixture((ComplexGaussianTerm(1.0, 1.0 + 40.0j),
+                             ComplexGaussianTerm(0.7 - 0.2j, 0.25)))
+        q, radius = 3.0, 30.0
+        edges = numerics._seed_edges(f, q, 0.0, radius)
+        assert edges[0] == 0.0 and edges[-1] == radius and np.all(np.diff(edges) > 0.0)
+        reach = math.sqrt(80.0 / (math.pi * 1.25))
+        periods = np.sqrt(np.arange(1.0, 20.0 * reach * reach) / 20.0)
+        ladder = [4.0 ** k / math.sqrt(q) for k in range(3)]
+        halves = [s / math.sqrt(q) * 2.0 ** (0.5 * j) for s in (1.0, 2.0) for j in range(5)]
+        expected = np.array([0.0, *periods, *ladder, *halves, radius])
+        assert periods[-1] <= reach < periods[-1] + 0.01
+        for points, within in ((expected, edges), (edges, expected)):
+            assert all(np.abs(within - x).min() <= 1e-14 * x for x in points)
+        # an expansion has no cross-term phase: ladder and rungs only
+        h = HermiteExpansion((1.0, 0.5, 0.25))
+        shift = h.envelope()[2]
+        assert h.cross_phases() == ()
+        np.testing.assert_array_equal(
+            numerics._seed_edges(h, q, shift, radius),
+            sorted({0.0, *ladder, *halves[:5], shift, radius}))
+
+    def test_phase_rungs_are_capped(self, monkeypatch):
+        # the cross term of (1, 1 + 1e6j) + (1, 1) turns about 6.4e6 times
+        # before its envelope falls by exp(-80): the seed mesh takes its
+        # first MAX_PHASE_RUNGS periods, refinement the rest, and the pass
+        # meets tol or raises within the panel budget (about 0.6 s on a
+        # 2-vCPU host)
+        f = GaussianMixture((ComplexGaussianTerm(1.0, 1.0 + 1e6j),
+                             ComplexGaussianTerm(1.0, 1.0)))
+        exact = math.sqrt(math.sqrt(2.0) + 2.0 * (1.0 / cmath.sqrt(2.0 + 1e6j)).real)
+        rounds = []
+        panels = numerics._gk_panels
+
+        def counted(fn, lo, hi):
+            rounds.append(lo.size)
+            return panels(fn, lo, hi)
+
+        monkeypatch.setattr(numerics, "_gk_panels", counted)
+        try:
+            (est,) = lq_norm_quad(f, (2.0,), 1e-6)
+        except ToleranceNotAchieved:
+            pass
+        else:
+            assert abs(est.value - exact) <= 1e-6 * exact
+        assert numerics.MAX_PHASE_RUNGS <= rounds[0] <= numerics.MAX_PHASE_RUNGS + 41 + 10
+        assert sum(rounds) <= 2 * numerics.MAX_PANELS
+
     def test_radius_start_over_matches_reference(self, monkeypatch):
         # the refined totals of this expansion at q = 64 leave a tail bound
         # above tol/2, so the pass starts over at the radius they need:
@@ -533,6 +585,11 @@ def _chirp_cases():
 
 _FAST_CHIRP_MIX = GaussianMixture((ComplexGaussianTerm(1.0, 1.0 + 40.0j),
                                    ComplexGaussianTerm(0.7 - 0.2j, 0.25)))
+# One function of a seeded fast-chirp audit, f = (1, w1 + i*b) + (a2, w2).
+_AUDIT_CHIRP_MIX = GaussianMixture((
+    ComplexGaussianTerm(1.0, complex(0.7097346640066967, 31.546480636050298)),
+    ComplexGaussianTerm(complex(-0.43238702211173785, -0.3717322087953956),
+                        0.1870697095488409)))
 
 _HARD_CASES = [
     *_chirp_cases(),
@@ -552,6 +609,13 @@ _HARD_CASES = [
                    id=f"chirpmix-q{q:g}-{tag}")
       for tag, g in (("f", _FAST_CHIRP_MIX), ("ft", _FAST_CHIRP_MIX.ft()))
       for q in (3.0, 1.2)),
+    # A chirp of rate 31.5 over a wide Gaussian, whose cross term turns
+    # about 320 times over [0, 4.5]: on a mesh seeded without its phase,
+    # Gauss7 and Kronrod15 alias together on panels spanning several
+    # periods (see also test_audit_chirp_meets_tol).
+    pytest.param(_AUDIT_CHIRP_MIX, 1.5,
+                 lambda: _mixture_lq_reference(_AUDIT_CHIRP_MIX, 1.5),
+                 id="chirpmix-b31.5-q1.5-f"),
 ]
 
 
@@ -601,6 +665,14 @@ class TestErrorEstimateHonesty:
             for est in (*lq_norm_quad(f, (q,), tol), lq_norm_quad(f, (partner, q), tol)[1]):
                 assert est.q == q
                 assert abs(est.value - exact) <= est.abs_error_estimate
+
+    def test_audit_chirp_meets_tol(self):
+        # at tol 1e-8 a mesh seeded without the cross-term phase gave an
+        # L^1.5 error 47 times tol, against a 25-digit mpmath reference
+        exact = 1.2903068767169366
+        for est in (*lq_norm_quad(_AUDIT_CHIRP_MIX, (1.5,), 1e-8),
+                    lq_norm_quad(_AUDIT_CHIRP_MIX, (3.0, 1.5), 1e-8)[1]):
+            assert abs(est.value - exact) <= min(est.abs_error_estimate, 1e-8 * exact)
 
     @pytest.mark.parametrize("f, q, reference", _EXACT_CASES)
     def test_exact_route_estimate_bounds_true_error(self, f, q, reference):
