@@ -62,7 +62,11 @@ class ComplexGaussianTerm:
         if self.width.imag == 0.0:
             # real arithmetic, and a real array for a real amplitude
             amp = self.amplitude.real if self.amplitude.imag == 0.0 else self.amplitude
-            return amp * np.exp((-math.pi * self.width.real) * x * x)
+            # Far out on a very wide or very narrow term the exponent
+            # overflows to -inf, and exp(-inf) = 0 is the term's value.
+            with np.errstate(over="ignore"):
+                exponent = (-math.pi * self.width.real) * x * x
+            return amp * np.exp(exponent)
         return self.amplitude * np.exp(-math.pi * self.width * x * x)
 
     def ft(self) -> "ComplexGaussianTerm":
@@ -94,10 +98,21 @@ class GaussianMixture:
             acc = acc + term.eval(x)
         return acc
 
-    def envelope(self):
-        """(amplitude sum, width floor, center shift) majorizing |f|."""
-        return (sum(abs(t.amplitude) for t in self.terms),
-                min(t.width.real for t in self.terms), 0.0)
+    def envelope(self, radius=0.0):
+        """(S, w, 0.0) with |f(x)| <= S * exp(-pi*w*x*x) for |x| >= radius:
+        w the smallest Re z_j and S = sum |A_j| * exp(-pi*(Re z_j - w) *
+        radius**2), each term's excess decay taken at the radius.  At
+        radius 0, S is the amplitude sum."""
+        floor = min(t.width.real for t in self.terms)
+        # radius*radius may overflow; (rate*radius)*radius keeps a zero
+        # rate at 0 where rate*inf would be nan
+        return (sum(abs(t.amplitude)
+                    * math.exp(-(math.pi * (t.width.real - floor) * radius) * radius)
+                    for t in self.terms), floor, 0.0)
+
+    def is_even(self):
+        """True: every term is even in x."""
+        return True
 
     def scales(self):
         """Decay length 1/sqrt(Re z) of each term, ascending."""

@@ -86,10 +86,17 @@ class HermiteExpansion:
         scale = self.envelope()[0] or 1.0
         return tuple(abs(c / scale) ** 2 for c in self.coefficients)
 
-    def envelope(self):
+    def envelope(self, radius=0.0):
+        """(S, 1.0, shift): |f| <= S, and |f(x)| <= S * exp(-pi*(|x|-shift)**2)
+        for |x| >= shift, at any radius; the radius is not used."""
         amp = _ENVELOPE_SAFETY * _SUP_BOUND * sum(abs(c) for c in self.coefficients)
         shift = math.sqrt((2 * self.degree + 1) / (2.0 * math.pi))
         return (amp, 1.0, shift)
+
+    def is_even(self):
+        """True when every odd-degree coefficient is 0: h_n has the
+        parity of n."""
+        return not any(self.coefficients[1::2])
 
     def scales(self):
         return (1.0,)

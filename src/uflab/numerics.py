@@ -7,14 +7,18 @@ the integral is truncated to ``[-R, R]`` with a certified tail bound,
 erfc(t) <= exp(-t*t), stated and inverted in closed form in log space,
 rather than a heuristic cutoff.  The bound is stated in the decay length
 1/sqrt(pi*q*w) of ``|f|**q``, which is finite even where pi*q*w
-overflows, and R is picked from the first round's totals.  The
+overflows, and with the envelope amplitude S(R) that holds beyond R,
+which for a mixture counts each term's decay faster than w; R is picked
+from the first round's totals.  The
 integrand is folded onto [0, R], ``(|f(x)|/M)**q + (|f(-x)|/M)**q``:
 where |f| is even, mirror panels of [-R, R] would carry equal error
 estimates, and a round could split one twin and converge on the other's
-unsplit, aliased one.  The finite interval is then handled adaptively
-with an embedded Gauss7/Kronrod15 pair per panel, refined in rounds:
-each round splits every panel it selects into quarters and evaluates all
-of their nodes, at x and -x, in a single ``f.eval`` call.  The integrand
+unsplit, aliased one.  An even f is evaluated at x alone, and the fold
+is ``2 * (|f(x)|/M)**q``, the same bits.  The finite interval is then
+handled adaptively with an embedded Gauss7/Kronrod15 pair per panel,
+refined in rounds: each round splits every panel it selects into
+quarters and evaluates all of their nodes, at x (and -x unless f is
+even), in a single ``f.eval`` call.  The integrand
 is array-valued, one component per exponent of a norm request, all on
 one shared mesh (Shampine, "Vectorized adaptive quadrature in MATLAB",
 2008), so ``lq_norm_quad`` computes ||f||_q for a tuple of exponents in
@@ -22,17 +26,22 @@ one pass.
 The reported error estimate is the sum of the achieved panel estimates
 and the truncation bound, never the requested tolerance.
 
-Test functions plug in through four duck-typed hooks:
+Test functions plug in through five duck-typed hooks:
 
 * ``f.eval(x)``            pointwise (complex) values at an array x of any shape,
-* ``f.envelope()``         ``(S, w, shift)`` as above,
+* ``f.envelope(radius=0.0)``
+                           ``(S, w, shift)`` as above, with
+                           |f(x)| <= S * exp(-pi*w*(|x|-shift)**2) for
+                           |x| >= max(radius, shift) and |f| <= S within;
+                           S may shrink as the radius grows,
+* ``f.is_even()``          True only when f(-x) == f(x) to the bit,
 * ``f.scales()``           ascending decay lengths used to seed panels,
 * ``f.cross_phases()``     ``(rate, width)`` of each cross term of ``|f|**2``
                            whose phase turns, ``exp(-pi*width*x**2)`` times
                            a phase ``pi*rate*x**2``; empty for functions
                            without such terms.
 
-The seed mesh follows every one of them: a ratio-4 ladder from the
+The seed mesh follows the last two: a ratio-4 ladder from the
 finest decay length, rungs at half-octave steps over each decay length,
 and one rung per period of each cross-term phase out to where its
 envelope has fallen by exp(-80), so that no seed panel spans several
@@ -303,15 +312,15 @@ def _seed_edges(f, q, shift, radius):
     while v < radius and len(ladder) < 41:
         ladder.append(v)
         v *= 4.0
-    rungs = [s * 2.0 ** (0.5 * j) for s in lengths for j in range(5)]
-    phases = [np.empty(0)]
+    pts = {shift, *ladder, *(s * 2.0 ** (0.5 * j) for s in lengths for j in range(5))}
+    phases = []
     for rate, width in f.cross_phases():
         reach = min(radius, math.sqrt(80.0 / (math.pi * width)))
         count = int(min(MAX_PHASE_RUNGS, 0.5 * rate * reach * reach))
         phases.append(np.sqrt((2.0 / rate) * np.arange(1, count + 1)))
-    phases = np.unique(np.concatenate(phases))[:MAX_PHASE_RUNGS]
-    pts = np.unique(np.concatenate((ladder, rungs, phases, [shift])))
-    return np.append(pts[pts < radius], radius)
+    if phases:
+        pts.update(np.unique(np.concatenate(phases))[:MAX_PHASE_RUNGS].tolist())
+    return np.array(sorted(p for p in pts if p < radius) + [radius])
 
 
 def check_exponent(q: float) -> None:
@@ -387,21 +396,32 @@ def _quad_pass(f, exponents, tol):
     if scale == 0.0:
         return [NormEstimate(0.0, "quadrature", 0.0, e) for e in exponents], [], 0.0, 0
 
-    powers = np.array(exponents)[:, None, None, None]
+    even = f.is_even()
+    # one exponent per row, broadcast over |f| of shape (npanels, 15),
+    # or (2, npanels, 15) with the mirror nodes
+    powers = np.array(exponents)[:, None, None]
+    if not even:
+        powers = powers[:, None]
     peak = 0.0
 
     def integrand(x):
         nonlocal peak
-        mag = np.abs(f.eval(np.concatenate((x, -x)))).reshape(2, *x.shape)
+        if even:
+            mag = np.abs(f.eval(x))
+        else:
+            mag = np.abs(f.eval(np.concatenate((x, -x)))).reshape(2, *x.shape)
         if not peak:
             peak = float(mag.max()) or scale
-        return np.power(mag / peak, powers).sum(1)
+        power = np.power(mag / peak, powers)
+        return 2.0 * power if even else power.sum(1)
 
     # The folded integrand takes |f| at x and -x in one f.eval, so every
     # panel on [0, R] stands for itself and its mirror image, and the
-    # peak is read from both sides of the seed round.
-    # |f/S|**q lies below exp(-((|x|-shift)/L)**2), L the decay length,
-    # whose tails _log_tail bounds.  The initial radius assumes the
+    # peak is read from both sides of the seed round.  An even f is
+    # evaluated at x alone: f(-x) == f(x) to the bit, and p + p == 2*p.
+    # Beyond a radius R, |f/S(R)|**q lies below exp(-((|x|-shift)/L)**2),
+    # S(R) the envelope amplitude there and L the decay length, whose
+    # tails _log_tail bounds.  The initial radius assumes the
     # integral could undershoot the envelope's own integral beyond shift,
     # sqrt(pi)*L, by six orders (cancellation), so its tail bound is
     # tol/4 of that undershot integral.  The seed round on it sets the peak,
@@ -412,7 +432,10 @@ def _quad_pass(f, exponents, tol):
     lengths = [_decay_length(e, width_floor) for e in exponents]
 
     def log_tails(radius):
-        log_ratio = math.log(scale) - math.log(peak)
+        amplitude = f.envelope(radius)[0]
+        if amplitude == 0.0:
+            return [-math.inf] * len(exponents)
+        log_ratio = math.log(amplitude) - math.log(peak)
         return [_log_tail(n, shift, radius) + e * log_ratio
                 for n, e in zip(lengths, exponents)]
 
@@ -421,7 +444,9 @@ def _quad_pass(f, exponents, tol):
             t <= math.log(0.5 * tol * total) for t, total in zip(tails, totals))
 
     def needed(totals):
-        """The radius that brings every tail bound to tol/4 of its total."""
+        """A radius that brings every tail bound to tol/4 of its total,
+        from the envelope amplitude at radius 0, which bounds S(R) at
+        every radius."""
         log_ratio = math.log(scale) - math.log(peak)
         return max(_tail_radius(n, shift, math.log(0.25 * tol * total) - e * log_ratio)
                    for n, e, total in zip(lengths, exponents, totals))
@@ -430,17 +455,19 @@ def _quad_pass(f, exponents, tol):
     edges = _seed_edges(f, max(exponents), shift, radius)
     first = _gk_panels(integrand, edges[:-1], edges[1:])
     totals = first[:len(exponents)].sum(1).tolist()
+    tails = log_tails(radius)
     for _ in range(4):
-        wider = radius if covered(log_tails(radius), totals) else needed(totals)
+        wider = radius if covered(tails, totals) else needed(totals)
         if wider > radius:
             grown = _seed_edges(f, max(exponents), shift, wider)
             outer = grown[grown > radius]
             first = np.concatenate((first, _gk_panels(
                 integrand, np.concatenate(([radius], outer[:-1])), outer)), 1)
             edges, radius = np.concatenate((edges, outer)), wider
+            tails = log_tails(radius)
         totals, errs, converged, panels = integrate_adaptive(
             integrand, edges, 0.5 * tol, first)
-        totals, tails = totals.tolist(), log_tails(radius)
+        totals = totals.tolist()
         if covered(tails, totals):
             break
     found, missed = [], []

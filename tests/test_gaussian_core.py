@@ -22,6 +22,7 @@ from uflab.gaussian import (
     make_two_scale,
     term_lq_norm,
 )
+from uflab.hermite import random_schwartz
 
 
 def lq_oracle(term, q):
@@ -174,6 +175,35 @@ class TestEval:
         assert mix.eval(x).dtype == np.float64
         assert GaussianMixture(mix.terms[:1] + (ComplexGaussianTerm(0.6 - 0.8j, 0.25),)
                                ).eval(x).dtype == np.complex128
+
+    def test_mixture_is_even_to_the_bit(self):
+        # quadrature evaluates a mixture at x >= 0 alone on this premise
+        x = np.linspace(0.0, 6.0, 601)
+        for seed in range(40):
+            f = random_schwartz("gaussian-mixture", 1 + seed % 4, seed)
+            for g in (f, f.ft()):
+                assert g.is_even()
+                np.testing.assert_array_equal(g.eval(-x), g.eval(x))
+
+    def test_envelope_majorant_beyond_radius(self):
+        # |f(x)| <= S(R) * exp(-pi*w*x*x) for |x| >= R, w the smallest
+        # Re z, up to rounding, which is absolute among subnormals; at
+        # R = 0, S is the amplitude sum
+        x = np.linspace(0.0, 6.0, 601)
+        for seed in range(40):
+            f = random_schwartz("gaussian-mixture", 1 + seed % 4, seed)
+            for g in (f, f.ft(), make_two_scale(TwoScaleParams(1.0 + seed))):
+                floor = min(t.width.real for t in g.terms)
+                assert g.envelope(0.0) == g.envelope() == (
+                    sum(abs(t.amplitude) for t in g.terms), floor, 0.0)
+                for radius in (0.25, 1.0, 2.5):
+                    amp, width, shift = g.envelope(radius)
+                    assert (width, shift) == (floor, 0.0) and amp <= g.envelope()[0]
+                    beyond = radius + x
+                    bound = amp * np.exp(-math.pi * width * beyond * beyond)
+                    for side in (beyond, -beyond):
+                        assert np.all(np.abs(g.eval(side))
+                                      <= bound * (1.0 + 1e-13) + np.finfo(float).tiny)
 
 
 class TestFourierTransform:

@@ -136,6 +136,18 @@ class TestExpansion:
             0.9034269160116104, rel=1e-9
         )
 
+    def test_even_when_odd_degrees_vanish(self):
+        # h_n has the parity of n, to the bit
+        x = np.linspace(0.0, 6.0, 601)
+        for coeffs, even in (((1.0, 0.0, 0.0, 0.0, 1.0), True),
+                             ((0.5j, -0.0, 2.0, 0j), True),
+                             ((1.0, 1.0), False), ((0.0, 1.0), False),
+                             ((1.0, 0.0, 0.0, 1e-300), False)):
+            f = HermiteExpansion(coeffs)
+            assert f.is_even() is even
+            if even:
+                np.testing.assert_array_equal(np.abs(f.eval(-x)), np.abs(f.eval(x)))
+
     def test_envelope_dominates_tail(self):
         # envelope() certifies |f| <= amp * exp(-pi*width*(|x|-shift)**2)
         # beyond the classical turning point (and amp inside it).  Without

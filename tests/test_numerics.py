@@ -37,10 +37,48 @@ def single(amp, z):
     return GaussianMixture((ComplexGaussianTerm(amp, z),))
 
 
-# Beyond c ~ 1e140 the exponent of g_c's narrow term overflows to
-# exp(-inf) = 0, which numpy reports harmlessly.
-GC_EXPONENT_OVERFLOW = pytest.mark.filterwarnings(
-    r"ignore:(overflow|invalid value) encountered in multiply:RuntimeWarning")
+def _seed_edges_reference(f, q, shift, radius):
+    """The seed mesh as first written, by two np.unique calls: the
+    reference for numerics._seed_edges."""
+    lengths = [s / math.sqrt(q) for s in f.scales()]
+    ladder = [0.0]
+    v = min(lengths)
+    while v < radius and len(ladder) < 41:
+        ladder.append(v)
+        v *= 4.0
+    rungs = [s * 2.0 ** (0.5 * j) for s in lengths for j in range(5)]
+    phases = [np.empty(0)]
+    for rate, width in f.cross_phases():
+        reach = min(radius, math.sqrt(80.0 / (math.pi * width)))
+        count = int(min(numerics.MAX_PHASE_RUNGS, 0.5 * rate * reach * reach))
+        phases.append(np.sqrt((2.0 / rate) * np.arange(1, count + 1)))
+    phases = np.unique(np.concatenate(phases))[:numerics.MAX_PHASE_RUNGS]
+    pts = np.unique(np.concatenate((ladder, rungs, phases, [shift])))
+    return np.append(pts[pts < radius], radius)
+
+
+class _Hooks:
+    """``f`` behind the quadrature hooks, with ``is_even()`` as given,
+    recording every array it is evaluated at."""
+
+    def __init__(self, f, even):
+        self.f, self.even, self.seen = f, even, []
+
+    def eval(self, x):
+        self.seen.append(np.array(x))
+        return self.f.eval(x)
+
+    def envelope(self, radius=0.0):
+        return self.f.envelope(radius)
+
+    def scales(self):
+        return self.f.scales()
+
+    def cross_phases(self):
+        return self.f.cross_phases()
+
+    def is_even(self):
+        return self.even
 
 
 class TestIntegrateAdaptive:
@@ -400,6 +438,27 @@ class TestLqNormQuad:
             numerics._seed_edges(h, q, shift, radius),
             sorted({0.0, *ladder, *halves[:5], shift, radius}))
 
+    def test_seed_edges_match_reference(self):
+        # one sort of a set gives the edges of two np.unique calls, on g_c,
+        # random and fast-chirp mixtures (one past MAX_PHASE_RUNGS) and an
+        # expansion whose shift is an edge
+        functions = [make_two_scale(TwoScaleParams(c)) for c in (1.0, 37.0, 1e4, 1e-3)]
+        functions += [random_schwartz("gaussian-mixture", 1 + seed % 4, seed)
+                      for seed in range(12)]
+        functions += [_FAST_CHIRP_MIX, _FAST_CHIRP_MIX.ft(), _AUDIT_CHIRP_MIX,
+                      GaussianMixture((ComplexGaussianTerm(1.0, 1.0 + 1e6j),
+                                       ComplexGaussianTerm(1.0, 1.0))),
+                      HermiteExpansion((1.0, 0.5, 0.25))]
+        for f in functions:
+            shift = f.envelope()[2]
+            for q in (1.5, 3.0):
+                for r in (0.5, 3.0, 12.0):
+                    radius = shift + r * max(f.scales())
+                    got = numerics._seed_edges(f, q, shift, radius)
+                    want = _seed_edges_reference(f, q, shift, radius)
+                    assert got.dtype == want.dtype
+                    assert got.tolist() == want.tolist()
+
     def test_phase_rungs_are_capped(self, monkeypatch):
         # the cross term of (1, 1 + 1e6j) + (1, 1) turns about 6.4e6 times
         # before its envelope falls by exp(-80): the seed mesh takes its
@@ -469,6 +528,67 @@ class TestLqNormQuad:
         for est in (*lq_norm_quad(f, (q,), tol), lq_norm_quad(f, (partner, q), tol)[1]):
             assert est.q == q
             assert abs(est.value - ref) <= min(est.abs_error_estimate, tol * ref)
+
+    @pytest.mark.parametrize("f", [
+        *(random_schwartz("gaussian-mixture", 1 + seed % 4, seed) for seed in range(6)),
+        GaussianMixture((ComplexGaussianTerm(1.0, 1.0 + 40.0j),
+                         ComplexGaussianTerm(0.7 - 0.2j, 0.25))).ft(),
+        make_two_scale(TwoScaleParams(300.0)),
+        HermiteExpansion((1.0, 0.0, 0.0, 0.0, 1.0)),
+    ], ids=[*(f"mixture-{seed}" for seed in range(6)), "chirpmix-ft", "gc-300", "h0+h4"])
+    def test_even_function_evaluated_one_sided(self, f):
+        # an even f is evaluated at x >= 0 only, and its estimates equal,
+        # to the bit, those of the two-sided fold of the same function
+        assert f.is_even()
+        for exponents in ((3.0,), (1.5, 3.0)):
+            one_sided, two_sided = _Hooks(f, True), _Hooks(f, False)
+            assert (lq_norm_quad(one_sided, exponents, 1e-10)
+                    == lq_norm_quad(two_sided, exponents, 1e-10)
+                    == lq_norm_quad(f, exponents, 1e-10))
+            assert all(x.min() >= 0.0 for x in one_sided.seen)
+            assert all(x.min() < 0.0 for x in two_sided.seen)
+            assert sum(map(np.size, two_sided.seen)) == 2 * sum(map(np.size, one_sided.seen))
+
+    def test_odd_expansion_evaluated_two_sided(self):
+        f = HermiteExpansion((1.0, 0.0, 0.0, 0.5))
+        assert not f.is_even()
+        recorded = _Hooks(f, f.is_even())
+        (est,) = lq_norm_quad(recorded, (3.0,), 1e-10)
+        assert est == lq_norm_quad(f, (3.0,), 1e-10)[0]
+        assert all(x.min() < 0.0 < x.max() for x in recorded.seen)
+
+    def test_one_eval_per_two_scale_norm(self, monkeypatch):
+        # the tail majorant at the initial radius bounds g_c's tail by its
+        # wide term alone, so no radius round follows the seed round: at
+        # the sweep's tol the seed round is the only f.eval, and at 1e-10
+        # refinement stays inside the seed radius (c below about 100
+        # split four of its panels once)
+        reach = []
+        evaluate = GaussianMixture.eval
+
+        def counted(f, x):
+            reach.append(float(np.abs(x).max()))
+            return evaluate(f, x)
+
+        monkeypatch.setattr(GaussianMixture, "eval", counted)
+        for c in np.logspace(1.0, 6.0, 50):
+            g = make_two_scale(TwoScaleParams(float(c)))
+            reach.clear()
+            lq_norm_quad(g, (3.0,), 1e-8)
+            assert len(reach) == 1, c
+            reach.clear()
+            lq_norm_quad(g, (3.0,), 1e-10)
+            assert len(reach) <= 2 and max(reach) == reach[0], c
+
+    def test_zero_tail_amplitude(self):
+        # the widest term has amplitude 0, so the envelope amplitude
+        # beyond any radius the pass picks underflows to 0: no tail
+        f = GaussianMixture((ComplexGaussianTerm(0.0, 1.0), ComplexGaussianTerm(1.0, 1e300)))
+        assert f.envelope(1e-100)[0] == 0.0
+        for q in (1.5, 3.0):
+            (est,) = lq_norm_quad(f, (q,), 1e-10)
+            exact = term_lq_norm(f.terms[1], q)
+            assert abs(est.value - exact) <= min(est.abs_error_estimate, 1e-10 * exact)
 
     def test_quadrature_where_q_times_width_overflows(self):
         # pi*q*w overflows for q = 64 at width 1e307, and for q = 3 on the
@@ -598,8 +718,7 @@ _HARD_CASES = [
       for c in (1.0, 1e3, 1e6)),
     # the far end of the two-scale range: widths 1e-306 to 1e306
     *(pytest.param(make_two_scale(TwoScaleParams(c)), float(q),
-                   lambda c=c, q=q: _gc_binomial_reference(c, q), id=f"gc-{c:g}-q{q}",
-                   marks=GC_EXPONENT_OVERFLOW)
+                   lambda c=c, q=q: _gc_binomial_reference(c, q), id=f"gc-{c:g}-q{q}")
       for c in (1e145, 1e150, 1e153) for q in (2, 3, 4, 6)),
     pytest.param(HermiteExpansion((0.0,) * 32 + (1.0,)), 1.001,
                  lambda: _h32_lq_reference(1.001), id="h32-q1.001"),
@@ -673,6 +792,16 @@ class TestErrorEstimateHonesty:
         for est in (*lq_norm_quad(_AUDIT_CHIRP_MIX, (1.5,), 1e-8),
                     lq_norm_quad(_AUDIT_CHIRP_MIX, (3.0, 1.5), 1e-8)[1]):
             assert abs(est.value - exact) <= min(est.abs_error_estimate, 1e-8 * exact)
+
+    def test_two_scale_l3_estimate_bounds_exact_error(self):
+        # ||g_c||_3**3 is the sum of four Gaussian integrals, taken to 40
+        # digits, against the tail bound of the per-term majorant
+        for c in np.logspace(1.0, 6.0, 30):
+            g = make_two_scale(TwoScaleParams(float(c)))
+            exact = _gc_binomial_reference(float(c), 3)
+            for tol in (1e-8, 1e-10):
+                (est,) = lq_norm_quad(g, (3.0,), tol)
+                assert abs(est.value - exact) <= min(est.abs_error_estimate, tol * exact)
 
     @pytest.mark.parametrize("f, q, reference", _EXACT_CASES)
     def test_exact_route_estimate_bounds_true_error(self, f, q, reference):
