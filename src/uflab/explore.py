@@ -22,7 +22,13 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from . import verifier
-from .functionals import _check_exponent, beckner_constant, eval_Fq, eval_Fqp
+from .functionals import (
+    _check_exponent,
+    beckner_constant,
+    eval_Fq,
+    eval_Fq_batch,
+    eval_Fqp_batch,
+)
 from .gaussian import (
     ChirpParams,
     ComplexGaussianTerm,
@@ -124,19 +130,24 @@ class SweepResult:
         return cls(schema or SWEEP_SCHEMA, rows)
 
 
-def _row(family: str, param: float, q, p, method, tol) -> SweepRow:
-    """One sweep row of the family's parameters, t = a*a for the chirp and
-    c for the two-scale family, from the evaluator's report.  The error
-    estimate is the exact/quadrature discrepancy when both routes ran,
-    else the value times the summed relative error estimates of the four
-    norms."""
-    f = ChirpParams.from_t(param) if family == "chirp" else TwoScaleParams(param)
-    rep = eval_Fq(f, q, method, tol) if p is None else eval_Fqp(f, q, p, method, tol)
-    err = rep.discrepancy
-    if err is None:
-        err = rep.value * sum(n.abs_error_estimate / n.value for n in rep.norms)
-    return SweepRow(family, param, q, rep.p, *(n.value for n in rep.norms), rep.value,
-                    rep.method, err)
+def _rows(family: str, params, q, p, method, tol) -> list[SweepRow]:
+    """One sweep row per parameter of the family, t = a*a for the chirp
+    and c for the two-scale family, from the evaluator's reports, whose
+    norms are taken in one batch.  The error estimate is the
+    exact/quadrature discrepancy when both routes ran, else the value
+    times the summed relative error estimates of the four norms."""
+    make = ChirpParams.from_t if family == "chirp" else TwoScaleParams
+    fs = [make(param) for param in params]
+    reports = (eval_Fq_batch(fs, q, method, tol) if p is None
+               else eval_Fqp_batch(fs, q, p, method, tol))
+    rows = []
+    for param, rep in zip(params, reports):
+        err = rep.discrepancy
+        if err is None:
+            err = rep.value * sum(n.abs_error_estimate / n.value for n in rep.norms)
+        rows.append(SweepRow(family, param, q, rep.p, *(n.value for n in rep.norms),
+                             rep.value, rep.method, err))
+    return rows
 
 
 def sweep(
@@ -151,17 +162,20 @@ def sweep(
     family 'chirp' sweeps t = a*a (closed form, quadrature spot checks
     on every ``_SPOT_CHECK_EVERY``-th row); family 'twoscale' sweeps c
     with method "auto", so even integer exponents are summed exactly and
-    the others integrated.  Rows come back ordered by the swept
-    parameter.
+    the others integrated, all rows in one batch.  Rows come back
+    ordered by the swept parameter.
     """
     if isinstance(grid, str):
         grid = GridSpec.parse(grid)
     if family not in ("chirp", "twoscale"):
         raise ValueError(f"unknown sweep family {family!r}")
+    values = grid.values().tolist()
+    if family == "twoscale":
+        return SweepResult(SWEEP_SCHEMA, _rows(family, values, q, p, "auto", tol))
     return SweepResult(SWEEP_SCHEMA, [
-        _row(family, float(v), q, p, "auto" if family == "twoscale"
-             else "both" if i % _SPOT_CHECK_EVERY == 0 else "closed-form", tol)
-        for i, v in enumerate(grid.values())
+        _rows(family, [v], q, p,
+              "both" if i % _SPOT_CHECK_EVERY == 0 else "closed-form", tol)[0]
+        for i, v in enumerate(values)
     ])
 
 
@@ -206,8 +220,8 @@ def estimate_image_interval(q: float, p: float | None = None) -> IntervalReport:
     t_min = (1.0 + 2.0 * MIN_CHIRP_MARGIN) ** 2
     dt = np.geomspace(t_min - 1.0, 1e6, _INTERVAL_POINTS)
     t_grid = 1.0 + dt
-    chirp_vals = [_row("chirp", float(t), q, p, "closed-form", _INTERVAL_TOL).value
-                  for t in t_grid]
+    chirp_vals = [row.value for row in
+                  _rows("chirp", t_grid.tolist(), q, p, "closed-form", _INTERVAL_TOL)]
 
     if p is None and q < 2.0:
         c_grid = np.geomspace(0.1, 10.0, 9)
@@ -215,7 +229,8 @@ def estimate_image_interval(q: float, p: float | None = None) -> IntervalReport:
         c_grid = np.concatenate([np.geomspace(0.1, 10.0, 5), verifier.DIVERGENCE_GRID[1:]])
     else:
         c_grid = np.concatenate([np.geomspace(0.1, 10.0, 5), verifier.VANISHING_GRID[1:]])
-    ts_vals = [_row("twoscale", float(c), q, p, "auto", _INTERVAL_TOL).value for c in c_grid]
+    ts_vals = [row.value for row in
+               _rows("twoscale", c_grid.tolist(), q, p, "auto", _INTERVAL_TOL)]
 
     all_vals = chirp_vals + ts_vals
     rate = 1.0 / q - 1.0 / (2.0 if p is None else p)

@@ -5,14 +5,14 @@ The central quantity is the scale-invariant ratio
     F_q(f)   = ||f||_q * ||fhat||_q / (||f||_2 * ||fhat||_2),
     F_qp(f)  = ||f||_q * ||fhat||_q / (||f||_p * ||fhat||_p),
 
-Every norm comes from :func:`norms`, which takes an exact route where
-one exists (the closed form of a single Gaussian/chirp term, the finite
-Gaussian sum of ``|f|**q`` for a mixture at even integer q, and
-``sum |c_n|**2`` for a Hermite expansion at q = 2) and certified
-quadrature everywhere else; ``method`` can also force either route or
-cross-check the two.  Alongside the evaluators live the elementary
-bounds for the two-scale family g_c and the sharp Hausdorff-Young
-constant.
+Every norm comes from :func:`norms`, or :func:`norms_batch` over many
+functions at once, which takes an exact route where one exists (the
+closed form of a single Gaussian/chirp term, the finite Gaussian sum of
+``|f|**q`` for a mixture at even integer q, and ``sum |c_n|**2`` for a
+Hermite expansion at q = 2) and certified quadrature everywhere else;
+``method`` can also force either route or cross-check the two.
+Alongside the evaluators live the elementary bounds for the two-scale
+family g_c and the sharp Hausdorff-Young constant.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .gaussian import (
     term_lq_norm,
 )
 from .hermite import HermiteExpansion
-from .numerics import NormEstimate, check_tolerance, lq_norm_quad
+from .numerics import NormEstimate, check_tolerance, lq_norm_quad_batch
 
 # Exponents accepted by the evaluators.  Closed forms stay finite well
 # beyond this range, but quadrature conditioning does not, so the public
@@ -211,22 +211,39 @@ def norms(g, exponents, tol: float, method: str = "auto") -> tuple[NormEstimate,
     it exists and passes its guard, and quadrature otherwise;
     "closed-form" takes only exact routes and raises ValueError naming
     every exponent without one; "quadrature" takes only quadrature.
-    Every distinct exponent left to quadrature goes, once, to one
-    ``lq_norm_quad`` call, which integrates them all on one mesh.
+    Every distinct exponent left to quadrature is integrated once, all of
+    them on one mesh.
     """
+    return norms_batch([(g, exponents)], tol, method)[0]
+
+
+def norms_batch(requests, tol: float, method: str = "auto") -> list[tuple[NormEstimate, ...]]:
+    """:func:`norms` of each ``(g, exponents)`` request, in order.  The
+    functions that leave the same tuple of exponents to quadrature take
+    those norms in one ``lq_norm_quad_batch`` call, whose estimates do
+    not depend on the batch."""
     check_tolerance(tol)
     if method not in ("auto", "closed-form", "quadrature"):
         raise ValueError(f"norm method must be auto, closed-form or quadrature, got {method!r}")
-    exact = [None if method == "quadrature" else _exact_norm(g, q, tol) for q in exponents]
-    missing = tuple(dict.fromkeys(q for q, est in zip(exponents, exact) if est is None))
-    if method == "closed-form" and missing:
-        raise ValueError(
-            f"no exact route for the L^q norm of this {type(g).__name__} at "
-            f"q = {', '.join(f'{q:g}' for q in missing)} (tolerance {tol:g}); "
-            "use method 'auto' or 'quadrature'"
-        )
-    quad = dict(zip(missing, lq_norm_quad(g, missing, tol) if missing else ()))
-    return tuple(est or quad[q] for q, est in zip(exponents, exact))
+    exact, groups = [], {}
+    for j, (g, exponents) in enumerate(requests):
+        found = [None if method == "quadrature" else _exact_norm(g, q, tol) for q in exponents]
+        missing = tuple(dict.fromkeys(q for q, est in zip(exponents, found) if est is None))
+        if method == "closed-form" and missing:
+            raise ValueError(
+                f"no exact route for the L^q norm of this {type(g).__name__} at "
+                f"q = {', '.join(f'{q:g}' for q in missing)} (tolerance {tol:g}); "
+                "use method 'auto' or 'quadrature'"
+            )
+        exact.append(found)
+        if missing:
+            groups.setdefault(missing, []).append(j)
+    for missing, members in groups.items():
+        for j, found in zip(members, lq_norm_quad_batch(
+                [requests[j][0] for j in members], missing, tol)):
+            quad = dict(zip(missing, found))
+            exact[j] = [est or quad[q] for q, est in zip(requests[j][1], exact[j])]
+    return [tuple(found) for found in exact]
 
 
 def _ratio(fq: float, hq: float, fp: float, hp: float) -> float:
@@ -238,24 +255,32 @@ def _ratio(fq: float, hq: float, fp: float, hp: float) -> float:
     return (fq / fp) * (hq / hp)
 
 
-def _eval_ratio(f, q, p, method, tol) -> FunctionalReport:
+def _eval_ratios(fs, q, p, method, tol) -> list[FunctionalReport]:
+    """The report of each input of ``fs``; their norms are taken in one
+    :func:`norms_batch` call per route."""
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-    obj, obj_hat = _resolve(f)
+    pairs = [_resolve(f) for f in fs]
 
     def four(route):
-        """||f||_q, ||fhat||_q, ||f||_p, ||fhat||_p, in report order; a
-        self-dual input's norms serve both functions."""
-        fq, fp = norms(obj, (q, p), tol, route)
-        hq, hp = (fq, fp) if obj_hat is obj else norms(obj_hat, (q, p), tol, route)
-        return fq, hq, fp, hp
+        """||f||_q, ||fhat||_q, ||f||_p, ||fhat||_p of each input, in
+        report order; a self-dual input's norms serve both functions."""
+        found = iter(norms_batch([(g, (q, p)) for obj, obj_hat in pairs
+                                  for g in ((obj,) if obj_hat is obj else (obj, obj_hat))],
+                                 tol, route))
+        out = []
+        for obj, obj_hat in pairs:
+            fq, fp = next(found)
+            hq, hp = (fq, fp) if obj_hat is obj else next(found)
+            out.append((fq, hq, fp, hp))
+        return out
 
     found = four("closed-form" if method == "both" else method)
-    value = _ratio(*(n.value for n in found))
-    discrepancy = None
-    if method == "both":
-        discrepancy = abs(value - _ratio(*(n.value for n in four("quadrature")))) / value
-    return FunctionalReport(q, p, found, value, method, discrepancy)
+    values = [_ratio(*(n.value for n in norms4)) for norms4 in found]
+    checks = four("quadrature") if method == "both" else [None] * len(found)
+    return [FunctionalReport(q, p, norms4, value, method, None if check is None else
+                             abs(value - _ratio(*(n.value for n in check))) / value)
+            for norms4, value, check in zip(found, values, checks)]
 
 
 def eval_Fq(f, q: float, method: str = "auto", tol: float = 1e-10) -> FunctionalReport:
@@ -268,17 +293,31 @@ def eval_Fq(f, q: float, method: str = "auto", tol: float = 1e-10) -> Functional
     evaluates exactly and records the relative discrepancy from
     quadrature.
     """
+    return eval_Fq_batch((f,), q, method, tol)[0]
+
+
+def eval_Fq_batch(fs, q: float, method: str = "auto",
+                  tol: float = 1e-10) -> list[FunctionalReport]:
+    """:func:`eval_Fq` of each input of ``fs``, in order, with the norms
+    of all of them taken in one batch."""
     _check_exponent(q)
-    return _eval_ratio(f, q, 2.0, method, tol)
+    return _eval_ratios(fs, q, 2.0, method, tol)
 
 
 def eval_Fqp(
     f, q: float, p: float, method: str = "auto", tol: float = 1e-10
 ) -> FunctionalReport:
     """F_qp(f) with the L^p pair in the denominator; requires q < p."""
+    return eval_Fqp_batch((f,), q, p, method, tol)[0]
+
+
+def eval_Fqp_batch(fs, q: float, p: float, method: str = "auto",
+                   tol: float = 1e-10) -> list[FunctionalReport]:
+    """:func:`eval_Fqp` of each input of ``fs``, in order, with the norms
+    of all of them taken in one batch."""
     _check_exponent(q)
     _check_exponent(p, "p")
     if not p > q:
         raise ValueError(f"need q < p, got q={q}, p={p}")
-    return _eval_ratio(f, q, p, method, tol)
+    return _eval_ratios(fs, q, p, method, tol)
 

@@ -26,6 +26,20 @@ one pass.
 The reported error estimate is the sum of the achieved panel estimates
 and the truncation bound, never the requested tolerance.
 
+``lq_norm_quad_batch`` takes the norms of many functions in lockstep,
+and ``lq_norm_quad`` is its batch of one.  Each function keeps a mesh of
+its own, with its own peak, tail bounds, radius, ``MAX_PANELS`` budget
+and give-up rule, and reads only its own panels, with the numpy calls it
+makes alone, for every decision: its totals, the ranking of its panels,
+how many to split.  The batch shares the rest of a round: the quarters
+of every split, one panel-rule evaluation with one ``f.eval`` per
+function that has new panels, and the bookkeeping of the new panels.
+The panel rule's weighted sums are matrix products over one function's
+panels at a time, since BLAS rounds a row by where it sits in the array.
+So a function's estimates are bit for bit those of its batch of one.  A
+batch runs ``BATCH_FUNCTIONS`` functions at a time, which bounds the
+working arrays whatever the size of the batch.
+
 Test functions plug in through five duck-typed hooks:
 
 * ``f.eval(x)``            pointwise (complex) values at an array x of any shape,
@@ -52,14 +66,21 @@ difference understates the panel's error.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 
 MAX_PANELS = 100_000
+# Most functions whose passes run in lockstep: a larger batch runs in
+# slices of this many, one after the other, so that its working arrays
+# do not grow with it.
+BATCH_FUNCTIONS = 64
 TOL_FLOOR = 1e-13
 TOL_CEIL = 1e-2
+# The seed mesh's rungs over each decay length, 2**(j/2) for j = 0..4.
+_HALF_OCTAVES = tuple(2.0 ** (0.5 * j) for j in range(5))
 # Most cross-term phase rungs of one seed mesh, the nearest the origin;
 # refinement resolves a phase beyond them.
 MAX_PHASE_RUNGS = 1000
@@ -153,21 +174,31 @@ _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
-def _gk_panels(fn, lo, hi):
+def _gk_panels(fns, los, his):
     """Kronrod values (rows 0..k-1) over QUADPACK-style error estimates
-    (rows k..2k-1) of the k components of ``fn`` on the panels
-    ``[lo[i], hi[i]]``, from one ``fn`` call on an (npanels, 15) array."""
-    half = 0.5 * (hi - lo)[:, None]
-    xs = 0.5 * (hi + lo)[:, None] + half * _K15_NODES
-    # Values times the half-width: each row's weighted sum is an integral.
-    fx = np.asarray(fn(xs), dtype=float).reshape(-1, *xs.shape) * half
-    kd = fx @ _KD_WEIGHTS
+    (rows k..2k-1) of the k components of integrands on panels: those of
+    ``fns[j]`` are ``[los[j][i], his[j][i]]``, and it is called once on
+    an (npanels, 15) array of their nodes.  The columns follow the
+    integrands, each one's panels in order."""
+    kds, resascs = [], []
+    for fn, lo, hi in zip(fns, los, his):
+        half = 0.5 * (hi - lo)[:, None]
+        xs = 0.5 * (hi + lo)[:, None] + half * _K15_NODES
+        # Values times the half-width: each row's weighted sum is an
+        # integral.  The sums are matrix products over one integrand's
+        # panels: BLAS rounds a row differently by where it sits in the
+        # array, and an integrand's rows sit where they sit alone.
+        fx = np.asarray(fn(xs), dtype=float).reshape(-1, *xs.shape) * half
+        kd = fx @ _KD_WEIGHTS
+        kds.append(kd)
+        resascs.append(np.abs(fx - 0.5 * kd[..., :1]) @ _K15_WEIGHTS)
+    kd = np.concatenate(kds, 1)
     ik = kd[..., 0]
-    resasc = np.abs(fx - 0.5 * ik[:, :, None]) @ _K15_WEIGHTS
+    resasc = np.concatenate(resascs, 1)
     # A constant panel has resasc 0 and ratio 0 here: its |ik - ig| is
     # rounding (the two weight sums differ by about 16 eps), which the
     # 50 eps floor covers.
-    ratio = np.divide(200.0 * np.abs(kd[..., 1]), resasc, out=np.zeros_like(ik),
+    ratio = np.divide(200.0 * np.abs(kd[..., 1]), resasc, out=np.zeros(ik.shape),
                       where=resasc > 0.0)
     err = resasc * np.minimum(1.0, ratio ** 1.5)
     return np.concatenate((ik, np.maximum(err, 50.0 * _EPS * np.abs(ik))))
@@ -187,74 +218,141 @@ def integrate_adaptive(fn, edges, rel_tol, first=None):
 
     ``fn`` maps an array x to values of shape ``(k, *x.shape)``, or of
     x's own shape when k = 1.  ``first``, when given, is the first
-    round ``_gk_panels(fn, edges[:-1], edges[1:])``, already evaluated
-    by the caller.  Returns ``(values, err_estimates, converged,
-    panels)``, the first three arrays of shape (k,); component i has
-    converged when its estimate is at most ``rel_tol * |values[i]|``.
-    Each round ranks the panels by their largest error relative to that
-    component's target (stable sort, largest first), takes the shortest
-    prefix whose summed estimates cover every component's excess over its
-    target, and splits each of its panels into four quarters with one
-    ``fn`` call: two levels of bisection per round, since a round's fixed
-    cost outweighs its points.  Panels whose eighth points are not all
-    distinct floats keep their error and are never split; refinement
-    gives up once their error alone exceeds a component's target.  Each
-    split adds three panels, and a round splits only as many panels as
-    keep the count within ``MAX_PANELS`` (read at call time); no round
-    starts once not one more split fits.  A first quarter takes its
-    parent's place and the other three are appended, so every sum runs
+    round ``_gk_panels([fn], [edges[:-1]], [edges[1:]])``, already
+    evaluated by the caller.  Returns ``(values, err_estimates,
+    converged, panels)``, the first three arrays of shape (k,);
+    component i has converged when its estimate is at most
+    ``rel_tol * |values[i]|``.
+
+    ``fn`` may also be a list of n integrands with the same k, with
+    ``edges`` a list of theirs and ``first`` the first round of all of
+    them, one integrand's panels after the other's: a batch, refined in
+    lockstep, each integrand on a mesh of its own.  Then the first three
+    items are lists of n rows of k, ``panels`` is the batch's total, and
+    a fifth item lists each integrand's panel count.  Each round
+    evaluates the new panels of every integrand that has any in one
+    :func:`_gk_panels` call, and every integrand's mesh and results are
+    bit for bit the ones it gets alone.
+
+    Each round ranks an integrand's panels by their largest error
+    relative to that component's target (stable sort, largest first),
+    takes the shortest prefix whose summed estimates cover every
+    component's excess over its target, and splits each of its panels
+    into four quarters: two levels of bisection per round, since a
+    round's fixed cost outweighs its points.  Panels whose eighth points
+    are not all distinct floats keep their error and are never split;
+    an integrand's refinement gives up once their error alone exceeds a
+    component's target.  Each split adds three panels, and a round
+    splits only as many of an integrand's panels as keep its count
+    within ``MAX_PANELS`` (read at call time); its refinement stops once
+    not one more split fits.  A first quarter takes its parent's place
+    and the other three follow the integrand's panels, so every sum runs
     in a fixed order and results are reproducible run to run.
     """
-    pts = np.asarray(edges, dtype=float)
-    los, his = pts[:-1], pts[1:]
-    # Midpoints, quarter and eighth points are each off by at most half a
-    # float spacing of the largest |x|, so a panel wider than 16 such
-    # spacings always has distinct eighth points.
-    narrow = 16.0 * np.spacing(max(-pts[0], pts[-1]))
-    # k rows of panel values, k of errors
-    ve = _gk_panels(fn, los, his) if first is None else first
-    k = ve.shape[0] // 2
-    # Per-component totals, targets and excesses are Python floats: k is
-    # a handful, and numpy calls on k-vectors cost more than loops.
-    sums = ve.sum(1).tolist()
-    excess = [e - rel_tol * abs(t) for t, e in zip(sums, sums[k:])]
-    while los.size + 3 <= MAX_PANELS and max(excess) > 0.0:
-        errs = ve[k:]
-        rank = reduce(np.minimum, [e * (-1.0 / max(rel_tol * abs(t), _TINY))
-                                   for e, t in zip(errs, sums)])
-        order = np.argsort(rank, kind="stable")
-        if (his - los).min() <= narrow:
-            # A panel one float spacing wide rounds all 15 nodes to one
-            # value and would report zero error, so only panels whose
-            # quarters can be quartered again are split.
-            cuts = _quarters(los, his)
-            eighths = 0.5 * (cuts[:-1] + cuts[1:])
-            splittable = ((cuts[:-1] < eighths) & (eighths < cuts[1:])).all(0)
-            order = order[splittable[order]]
-            # Refinement moves a total by at most its error and never
-            # lowers the error of panels that cannot be split; once that
-            # error alone exceeds a component's target at the largest
-            # total refinement could reach, no further round can converge.
-            if order.size == 0 or (order.size < los.size and any(
-                stuck > rel_tol * (abs(t) + e)
-                for stuck, t, e in zip(errs[:, ~splittable].sum(1).tolist(), sums, sums[k:])
-            )):
-                break
-        take = 1 + max([int(np.searchsorted(np.cumsum(e[order]), x))
-                        for e, x in zip(errs, excess)])
-        split = order[: min(take, (MAX_PANELS - los.size) // 3)]
+    if callable(fn):
+        values, errs, converged, panels, _ = _refine([fn], [edges], rel_tol, first)
+        return np.array(values[0]), np.array(errs[0]), np.array(converged[0]), panels
+    return _refine(fn, edges, rel_tol, first)
+
+
+def _refine(fns, edges, rel_tol, first):
+    """The batch form of :func:`integrate_adaptive`.  The panels of the
+    integrands still refining lie in one array, grouped by integrand,
+    each group in the order the integrand keeps it alone; an integrand
+    that stops leaves the array."""
+    meshes = None
+    if first is None:
+        meshes = [np.asarray(e, dtype=float) for e in edges]
+        first = _gk_panels(fns, [m[:-1] for m in meshes], [m[1:] for m in meshes])
+    n, k, ve = len(fns), first.shape[0] // 2, first
+    values, errors, converged, panels = [None] * n, [None] * n, [None] * n, [0] * n
+    bounds = list(accumulate((len(e) - 1 for e in edges), initial=0))
+    # (integrand, start, stop) of each group still refining
+    groups, los, his = list(zip(range(n), bounds, bounds[1:])), None, None
+    while True:
+        plans = []  # (integrand, start, stop, panels to split) of each group that splits
+        for i, a, b in groups:
+            # Per-integrand totals, targets and excesses are Python floats:
+            # k is a handful, and numpy calls on k-vectors cost more than
+            # loops.
+            sums = ve[:, a:b].sum(1).tolist()
+            excess = [e - rel_tol * abs(t) for t, e in zip(sums, sums[k:])]
+            split = None
+            if max(excess) > 0.0 and b - a + 3 <= MAX_PANELS:
+                if los is None:
+                    meshes = meshes or [np.asarray(e, dtype=float) for e in edges]
+                    los = np.concatenate([m[:-1] for m in meshes])
+                    his = np.concatenate([m[1:] for m in meshes])
+                    # Midpoints, quarter and eighth points are each off by
+                    # at most half a float spacing of the largest |x|, so
+                    # a panel wider than 16 such spacings always has
+                    # distinct eighth points.
+                    narrow = [16.0 * math.ulp(max(-m[0], m[-1])) for m in meshes]
+                split = _to_split(los[a:b], his[a:b], ve[k:, a:b], sums, excess, rel_tol,
+                                  narrow[i])
+            if split is None:
+                values[i], errors[i], converged[i] = sums[:k], sums[k:], [x <= 0.0 for x in excess]
+                panels[i] = b - a
+            else:
+                plans.append((i, a, b, split[:(MAX_PANELS - (b - a)) // 3] + a))
+        if not plans:
+            break
+        split = np.concatenate([s for _, _, _, s in plans])
         cuts = _quarters(los[split], his[split])
-        new_ve = _gk_panels(fn, cuts[:-1].ravel(), cuts[1:].ravel())
-        n = split.size
-        los = np.concatenate((los, cuts[1:-1].ravel()))
-        his = np.concatenate((his, cuts[2:].ravel()))
+        # each integrand's quarters together: its first quarters, then its
+        # second, third and fourth ones
+        quarters, c = [], 0
+        for _, _, _, s in plans:
+            quarters.append((cuts[:-1, c:c + s.size].ravel(), cuts[1:, c:c + s.size].ravel()))
+            c += s.size
+        new_ve = _gk_panels([fns[i] for i, _, _, _ in plans], *zip(*quarters))
+        # A first quarter takes its parent's place and the other three
+        # follow the integrand's group.
         his[split] = cuts[1]
-        ve = np.concatenate((ve, new_ve[:, n:]), 1)
-        ve[:, split] = new_ve[:, :n]
-        sums = ve.sum(1).tolist()
-        excess = [e - rel_tol * abs(t) for t, e in zip(sums, sums[k:])]
-    return (np.array(sums[:k]), np.array(sums[k:]), np.array(excess) <= 0.0,
-            int(los.size))
+        lo_parts, hi_parts, ve_parts, heads, groups, c, start = [], [], [], [], [], 0, 0
+        for (i, a, b, s), (lo, hi) in zip(plans, quarters):
+            m = s.size
+            lo_parts += [los[a:b], lo[m:]]
+            hi_parts += [his[a:b], hi[m:]]
+            ve_parts += [ve[:, a:b], new_ve[:, c + m:c + 4 * m]]
+            heads.append((s + (start - a), new_ve[:, c:c + m]))
+            groups.append((i, start, start + b - a + 3 * m))
+            c, start = c + 4 * m, start + b - a + 3 * m
+        los, his = np.concatenate(lo_parts), np.concatenate(hi_parts)
+        ve = np.concatenate(ve_parts, 1)
+        for at, quarter in heads:
+            ve[:, at] = quarter
+    return values, errors, converged, sum(panels), panels
+
+
+def _to_split(los, his, errs, sums, excess, rel_tol, narrow):
+    """The panels of one integrand that a round splits, by index: its
+    panels ranked by their largest error relative to that component's
+    target (stable sort, largest first), as many as the shortest prefix
+    whose summed estimates cover every component's excess over its
+    target.  None once refinement cannot converge: when no panel can be
+    split, or the error of those that cannot exceeds a target."""
+    scale = np.array([-1.0 / max(rel_tol * abs(t), _TINY) for t in sums[:len(errs)]])
+    order = np.argsort(np.minimum.reduce(errs * scale[:, None]), kind="stable")
+    if (his - los).min() <= narrow:
+        # A panel one float spacing wide rounds all 15 nodes to one value
+        # and would report zero error, so only panels whose quarters can
+        # be quartered again are split.
+        cuts = _quarters(los, his)
+        eighths = 0.5 * (cuts[:-1] + cuts[1:])
+        splittable = ((cuts[:-1] < eighths) & (eighths < cuts[1:])).all(0)
+        order = order[splittable[order]]
+        # Refinement moves a total by at most its error and never lowers
+        # the error of panels that cannot be split; once that error alone
+        # exceeds a component's target at the largest total refinement
+        # could reach, no further round can converge.
+        if order.size == 0 or (order.size < los.size and any(
+            stuck > rel_tol * (abs(t) + e)
+            for stuck, t, e in zip(errs[:, ~splittable].sum(1).tolist(), sums, sums[len(errs):])
+        )):
+            return None
+    covered = np.cumsum(errs[:, order], axis=1)
+    return order[:1 + max([int(c.searchsorted(x)) for c, x in zip(covered, excess)])]
 
 
 def _log_tail(length, shift, radius):
@@ -312,7 +410,7 @@ def _seed_edges(f, q, shift, radius):
     while v < radius and len(ladder) < 41:
         ladder.append(v)
         v *= 4.0
-    pts = {shift, *ladder, *(s * 2.0 ** (0.5 * j) for s in lengths for j in range(5))}
+    pts = {shift, *ladder, *[s * r for s in lengths for r in _HALF_OCTAVES]}
     phases = []
     for rate, width in f.cross_phases():
         reach = min(radius, math.sqrt(80.0 / (math.pi * width)))
@@ -320,7 +418,10 @@ def _seed_edges(f, q, shift, radius):
         phases.append(np.sqrt((2.0 / rate) * np.arange(1, count + 1)))
     if phases:
         pts.update(np.unique(np.concatenate(phases))[:MAX_PHASE_RUNGS].tolist())
-    return np.array(sorted(p for p in pts if p < radius) + [radius])
+    pts = sorted(pts)
+    del pts[bisect_left(pts, radius):]
+    pts.append(radius)
+    return np.array(pts)
 
 
 def check_exponent(q: float) -> None:
@@ -337,13 +438,21 @@ def check_tolerance(tol: float) -> None:
 
 
 def lq_norm_quad(f, exponents: tuple, tol: float) -> tuple[NormEstimate, ...]:
-    """L^q norms of ``f`` by certified truncation plus adaptive panels.
+    """L^q norms of ``f`` by certified truncation plus adaptive panels:
+    :func:`lq_norm_quad_batch` of ``f`` alone."""
+    return lq_norm_quad_batch((f,), exponents, tol)[0]
 
-    ``exponents`` is a tuple, and one :class:`NormEstimate` per exponent
-    is returned in order.  All exponents share one pass: one radius, the
-    largest any of them needs, and one mesh, refined until every
-    exponent converges, with one ``f.eval`` per round.  The seed round
-    picks the radius, so a pass rarely starts over.  The
+
+def lq_norm_quad_batch(fs, exponents: tuple, tol: float) -> list[tuple[NormEstimate, ...]]:
+    """L^q norms of each function of ``fs``, a tuple of
+    :class:`NormEstimate` per function, one per exponent in order.
+
+    Each function's exponents share one pass: one radius, the largest
+    any of them needs, and one mesh, refined until every exponent
+    converges, with one ``f.eval`` per round.  The seed round picks the
+    radius, so a pass rarely starts over.  The functions' passes run in
+    lockstep, each on a mesh of its own (see :func:`integrate_adaptive`),
+    so a function's estimates do not depend on the batch it is in.  The
     integrand is ``(|f|/M)**q`` with M the largest |f| on the first
     round's nodes, so it stays representable however far |f| lies below
     its envelope amplitude S; each exponent's tail bound carries the
@@ -353,12 +462,12 @@ def lq_norm_quad(f, exponents: tuple, tol: float) -> tuple[NormEstimate, ...]:
     Rounding noise in one exponent's integrand keeps a shared mesh
     refining and can fail an exponent that converges on its own mesh, so
     each exponent a shared pass misses is integrated again in a pass of
-    its own.  Raises :class:`ToleranceNotAchieved`, naming every
-    exponent that missed alone and carrying the tuple of best estimates
-    (the solo ones for those exponents), if the panel budget runs out
-    first; the message gives the largest radius and panel count of the
-    failed passes, panels of the half-line [0, radius] that the folded
-    integrand is refined on.
+    its own.  Raises :class:`ToleranceNotAchieved` for the first function
+    that still misses, naming every exponent that missed alone and
+    carrying the tuple of its best estimates (the solo ones for those
+    exponents), if the panel budget runs out first; the message gives
+    the largest radius and panel count of its failed passes, panels of
+    the half-line [0, radius] that the folded integrand is refined on.
     """
     exponents = tuple(map(float, exponents))
     if not exponents:
@@ -366,122 +475,175 @@ def lq_norm_quad(f, exponents: tuple, tol: float) -> tuple[NormEstimate, ...]:
     for e in exponents:
         check_exponent(e)
     check_tolerance(tol)
-    found, missed, radius, panels = _quad_pass(f, exponents, tol)
-    if missed and len(exponents) > 1:
-        retried, missed, radius, panels = missed, [], 0.0, 0
-        for i, _ in retried:
-            (found[i],), solo_missed, solo_radius, solo_panels = _quad_pass(
-                f, exponents[i:i + 1], tol)
-            missed += [(i, rel_err) for _, rel_err in solo_missed]
-            radius, panels = max(radius, solo_radius), max(panels, solo_panels)
-    if missed:
-        raise ToleranceNotAchieved(
-            f"{type(f).__name__} {', '.join(f'L^{exponents[i]:g}' for i, _ in missed)} "
-            f"norm{'s' if len(missed) > 1 else ''}: tolerance {tol:g} not achieved "
-            f"(relative error {', '.join(f'{r:.3g}' for _, r in missed)}, "
-            f"radius {radius:.6g}, {panels} panels)",
-            tuple(found),
-        )
-    return tuple(found)
+    fs, found = list(fs), []
+    for start in range(0, len(fs), BATCH_FUNCTIONS):
+        chunk = fs[start:start + BATCH_FUNCTIONS]
+        passes = _quad_passes(chunk, exponents, tol)
+        if len(exponents) > 1:
+            retries = {}
+            for j, p in enumerate(passes):
+                for i, _ in p.missed:
+                    retries.setdefault(i, []).append(j)
+                if p.missed:
+                    p.missed, p.radius, p.panels = [], 0.0, 0
+            for i in sorted(retries):
+                for j, solo in zip(retries[i], _quad_passes(
+                        [chunk[j] for j in retries[i]], exponents[i:i + 1], tol)):
+                    p = passes[j]
+                    p.found[i] = solo.found[0]
+                    p.missed += [(i, rel_err) for _, rel_err in solo.missed]
+                    p.radius, p.panels = max(p.radius, solo.radius), max(p.panels, solo.panels)
+        for f, p in zip(chunk, passes):
+            if p.missed:
+                raise ToleranceNotAchieved(
+                    f"{type(f).__name__} "
+                    f"{', '.join(f'L^{exponents[i]:g}' for i, _ in p.missed)} "
+                    f"norm{'s' if len(p.missed) > 1 else ''}: tolerance {tol:g} not achieved "
+                    f"(relative error {', '.join(f'{r:.3g}' for _, r in p.missed)}, "
+                    f"radius {p.radius:.6g}, {p.panels} panels)",
+                    tuple(p.found),
+                )
+            found.append(tuple(p.found))
+    return found
 
 
-def _quad_pass(f, exponents, tol):
-    """One shared pass of :func:`lq_norm_quad` over validated float
-    ``exponents``.  Returns ``(estimates, missed, radius, panels)``:
-    the list of estimates in order, the (index, relative error) of each
-    exponent that missed tol, the final radius and the panel count.
-    The integrand is folded, so the mesh and that count cover [0, radius]
-    only."""
-    scale, width_floor, shift = f.envelope()
-    if scale == 0.0:
-        return [NormEstimate(0.0, "quadrature", 0.0, e) for e in exponents], [], 0.0, 0
+class _Pass:
+    """One function's shared pass over validated float ``exponents``: its
+    folded integrand (the instance is callable), its radius and mesh, and,
+    once run, ``found`` (the estimates in order), ``missed`` (the index
+    and relative error of each exponent that missed tol), the final
+    ``radius`` and the ``panels`` of its mesh on [0, radius].
 
-    even = f.is_even()
-    # one exponent per row, broadcast over |f| of shape (npanels, 15),
-    # or (2, npanels, 15) with the mirror nodes
-    powers = np.array(exponents)[:, None, None]
-    if not even:
-        powers = powers[:, None]
-    peak = 0.0
+    The folded integrand takes |f| at x and -x in one f.eval, so every
+    panel on [0, R] stands for itself and its mirror image, and the peak
+    is read from both sides of the seed round.  An even f is evaluated at
+    x alone: f(-x) == f(x) to the bit, and p + p == 2*p.  Beyond a radius
+    R, |f/S(R)|**q lies below exp(-((|x|-shift)/L)**2), S(R) the envelope
+    amplitude there and L the decay length, whose tails _log_tail bounds.
+    The initial radius assumes the integral could undershoot the
+    envelope's own integral beyond shift, sqrt(pi)*L, by six orders
+    (cancellation), so its tail bound is tol/4 of that undershot
+    integral.  The seed round on it sets the peak, and where its totals
+    show a tail bound too large, they pick the radius: panels out to it
+    join the seeded ones, whose values are kept.  Where the tail bounds at
+    the refined totals still miss, those totals widen the seeded mesh the
+    same way and it is refined anew.
+    """
 
-    def integrand(x):
-        nonlocal peak
-        if even:
-            mag = np.abs(f.eval(x))
+    def __init__(self, f, exponents, tol):
+        self.f, self.exponents, self.tol = f, exponents, tol
+        self.scale, width_floor, self.shift = f.envelope()
+        self.missed, self.radius, self.panels = [], 0.0, 0
+        if self.scale == 0.0:
+            self.found = [NormEstimate(0.0, "quadrature", 0.0, e) for e in exponents]
+            return
+        self.even = f.is_even()
+        # one exponent per row, broadcast over |f| of shape (npanels, 15),
+        # or (2, npanels, 15) with the mirror nodes
+        self.powers = np.array(exponents)[:, None, None]
+        if not self.even:
+            self.powers = self.powers[:, None]
+        self.peak = 0.0
+        self.lengths = [_decay_length(e, width_floor) for e in exponents]
+        self.radius = self.shift + max(self.lengths) * math.sqrt(-math.log(0.25e-6 * tol))
+        self.edges = _seed_edges(f, max(exponents), self.shift, self.radius)
+
+    def __call__(self, x):
+        if self.even:
+            mag = np.abs(self.f.eval(x))
         else:
-            mag = np.abs(f.eval(np.concatenate((x, -x)))).reshape(2, *x.shape)
-        if not peak:
-            peak = float(mag.max()) or scale
-        power = np.power(mag / peak, powers)
-        return 2.0 * power if even else power.sum(1)
+            mag = np.abs(self.f.eval(np.concatenate((x, -x)))).reshape(2, *x.shape)
+        if not self.peak:
+            self.peak = float(mag.max()) or self.scale
+        power = np.power(mag / self.peak, self.powers)
+        return 2.0 * power if self.even else power.sum(1)
 
-    # The folded integrand takes |f| at x and -x in one f.eval, so every
-    # panel on [0, R] stands for itself and its mirror image, and the
-    # peak is read from both sides of the seed round.  An even f is
-    # evaluated at x alone: f(-x) == f(x) to the bit, and p + p == 2*p.
-    # Beyond a radius R, |f/S(R)|**q lies below exp(-((|x|-shift)/L)**2),
-    # S(R) the envelope amplitude there and L the decay length, whose
-    # tails _log_tail bounds.  The initial radius assumes the
-    # integral could undershoot the envelope's own integral beyond shift,
-    # sqrt(pi)*L, by six orders (cancellation), so its tail bound is
-    # tol/4 of that undershot integral.  The seed round on it sets the peak,
-    # and where its totals show a tail bound too large, they pick the
-    # radius: panels out to it join the seeded ones, whose values are
-    # kept.  Where the tail bounds at the refined totals still miss, those
-    # totals widen the seeded mesh the same way and it is refined anew.
-    lengths = [_decay_length(e, width_floor) for e in exponents]
-
-    def log_tails(radius):
-        amplitude = f.envelope(radius)[0]
+    def log_tails(self):
+        amplitude = self.f.envelope(self.radius)[0]
         if amplitude == 0.0:
-            return [-math.inf] * len(exponents)
-        log_ratio = math.log(amplitude) - math.log(peak)
-        return [_log_tail(n, shift, radius) + e * log_ratio
-                for n, e in zip(lengths, exponents)]
+            return [-math.inf] * len(self.exponents)
+        log_ratio = math.log(amplitude) - math.log(self.peak)
+        return [_log_tail(n, self.shift, self.radius) + e * log_ratio
+                for n, e in zip(self.lengths, self.exponents)]
 
-    def covered(tails, totals):
-        return min(totals) <= 0.0 or all(
-            t <= math.log(0.5 * tol * total) for t, total in zip(tails, totals))
+    def covered(self):
+        return min(self.totals) <= 0.0 or all(
+            t <= math.log(0.5 * self.tol * total) for t, total in zip(self.tails, self.totals))
 
-    def needed(totals):
+    def needed(self):
         """A radius that brings every tail bound to tol/4 of its total,
         from the envelope amplitude at radius 0, which bounds S(R) at
         every radius."""
-        log_ratio = math.log(scale) - math.log(peak)
-        return max(_tail_radius(n, shift, math.log(0.25 * tol * total) - e * log_ratio)
-                   for n, e, total in zip(lengths, exponents, totals))
+        log_ratio = math.log(self.scale) - math.log(self.peak)
+        return max(_tail_radius(n, self.shift, math.log(0.25 * self.tol * total) - e * log_ratio)
+                   for n, e, total in zip(self.lengths, self.exponents, self.totals))
 
-    radius = shift + max(lengths) * math.sqrt(-math.log(0.25e-6 * tol))
-    edges = _seed_edges(f, max(exponents), shift, radius)
-    first = _gk_panels(integrand, edges[:-1], edges[1:])
-    totals = first[:len(exponents)].sum(1).tolist()
-    tails = log_tails(radius)
+    def finish(self):
+        """The estimates from the refined totals and the tail bounds."""
+        self.found = []
+        for i, (e, log_tail, total, err, ok) in enumerate(zip(
+                self.exponents, self.tails, self.totals, self.errs, self.converged)):
+            if total <= 0.0:
+                self.found.append(NormEstimate(0.0, "quadrature", 0.0, e))
+                continue
+            rel_err = err / total + math.exp(min(log_tail - math.log(total), 700.0))
+            value = self.peak * total ** (1.0 / e)
+            self.found.append(NormEstimate(value, "quadrature", value * rel_err / e, e))
+            if not (ok and rel_err <= self.tol):
+                self.missed.append((i, rel_err))
+
+
+def _quad_passes(fs, exponents, tol):
+    """The shared :class:`_Pass` of each of ``fs``, run in lockstep: one
+    evaluation of every seed mesh, then radius rounds, each one
+    :func:`integrate_adaptive` call over the functions whose tail bounds
+    still miss."""
+    passes = [_Pass(f, exponents, tol) for f in fs]
+    todo = [p for p in passes if p.scale != 0.0]
+    if not todo:
+        return passes
+    bounds = list(accumulate((p.edges.size - 1 for p in todo), initial=0))
+    # the seed rounds of the passes in todo, one after the other
+    first = _gk_panels(todo, [p.edges[:-1] for p in todo], [p.edges[1:] for p in todo])
+    for p, a, b in zip(todo, bounds, bounds[1:]):
+        p.first = first[:, a:b]
+        p.totals = p.first[:len(exponents)].sum(1).tolist()
+        p.tails = p.log_tails()
     for _ in range(4):
-        wider = radius if covered(tails, totals) else needed(totals)
-        if wider > radius:
-            grown = _seed_edges(f, max(exponents), shift, wider)
-            outer = grown[grown > radius]
-            first = np.concatenate((first, _gk_panels(
-                integrand, np.concatenate(([radius], outer[:-1])), outer)), 1)
-            edges, radius = np.concatenate((edges, outer)), wider
-            tails = log_tails(radius)
-        totals, errs, converged, panels = integrate_adaptive(
-            integrand, edges, 0.5 * tol, first)
-        totals = totals.tolist()
-        if covered(tails, totals):
+        wider = []  # (pass, radius, edges beyond its radius) of each widening
+        for p in todo:
+            if not p.covered():
+                radius = p.needed()
+                if radius > p.radius:
+                    grown = _seed_edges(p.f, max(exponents), p.shift, radius)
+                    wider.append((p, radius, grown[grown > p.radius]))
+        if wider:
+            outer_first = _gk_panels([p for p, _, _ in wider],
+                                    [np.concatenate(([p.radius], o[:-1])) for p, _, o in wider],
+                                    [o for _, _, o in wider])
+            start = 0
+            for p, radius, o in wider:
+                p.first = np.concatenate((p.first, outer_first[:, start:start + o.size]), 1)
+                p.edges, p.radius = np.concatenate((p.edges, o)), radius
+                p.tails = p.log_tails()
+                start += o.size
+            first = None
+        if first is None:
+            first = np.concatenate([p.first for p in todo], 1)
+        values, errs, converged, _, panels = integrate_adaptive(
+            todo, [p.edges for p in todo], 0.5 * tol, first)
+        for p, v, e, c, n in zip(todo, values, errs, converged, panels):
+            p.totals, p.errs, p.converged, p.panels = v, e, c, n
+        uncovered = [p for p in todo if not p.covered()]
+        if not uncovered:
             break
-    found, missed = [], []
-    for i, (e, log_tail, total, err, ok) in enumerate(zip(
-            exponents, tails, totals, errs.tolist(), converged.tolist())):
-        if total <= 0.0:
-            found.append(NormEstimate(0.0, "quadrature", 0.0, e))
-            continue
-        rel_err = err / total + math.exp(min(log_tail - math.log(total), 700.0))
-        value = peak * total ** (1.0 / e)
-        found.append(NormEstimate(value, "quadrature", value * rel_err / e, e))
-        if not (ok and rel_err <= tol):
-            missed.append((i, rel_err))
-    return found, missed, radius, panels
+        if len(uncovered) < len(todo):
+            first = None
+        todo = uncovered
+    for p in passes:
+        if p.scale != 0.0:
+            p.finish()
+    return passes
 
 
 def sample(f, n: int, dx: float) -> SampledFunction:

@@ -9,11 +9,14 @@ reproduces every result bit for bit.
 
 The randomized checks (fq-lower, hy, interp, reduction) read one seeded
 batch of functions.  :func:`run_suite` draws it once and takes the norms
-of each function, and of its transform, once: one ``norms`` call over the
-union of the exponents that the selected checks read, whose values every
-check then reads.  Exponents that share a quadrature mesh can move each
-other's values in the last bits, so a row's last bits may depend on
-which checks were selected; each invocation still repeats byte-identically.
+of each function, and of its transform, once, over the union of the
+exponents that the selected checks read, whose values every check then
+reads; they go to quadrature in lockstep batches, one per union and
+run of functions.  Exponents
+that share a quadrature mesh can move each other's values in the last
+bits, so a row's last bits depend on its function's exponent union, and
+with it on which checks were selected, but not on which other functions
+share its batch.  Each invocation repeats byte-identically.
 """
 
 from __future__ import annotations
@@ -28,18 +31,19 @@ import numpy as np
 from .functionals import (
     beckner_constant,
     conjugate_exponent,
-    eval_Fq,
-    eval_Fqp,
+    eval_Fq_batch,
+    eval_Fqp_batch,
     fq_gc_lower_bound,
     gc_l2_norm_sq,
     gc_lq_lower_bound,
     gc_lq_upper_bound,
     interpolation_exponent,
-    norms,
+    norms_batch,
 )
 from .functionals import _in_range, _ratio  # shared exponent cap and F formula
 from .gaussian import ChirpParams, TwoScaleParams, closed_form_Fq_chirp, make_two_scale
 from .hermite import random_schwartz
+from .numerics import BATCH_FUNCTIONS
 
 # Norm tolerance used inside verification checks; one-sided inequality
 # slacks then only dip below zero by rounding, never by integration
@@ -161,14 +165,21 @@ def _norm_table(seed: int, requests) -> list:
     request, in request order: per request, one row per function of its
     first ``samples``, the pair (norms of f, norms of fhat), each a tuple
     in the order of its exponents.  The batch is drawn once, at the
-    largest count, and function i and its transform take their norms in
-    one ``norms`` call each, over the union of the exponents of the
-    requests whose count exceeds i."""
-    rows = []
-    for i, f in enumerate(_sample_functions(max(n for n, _ in requests), seed)):
-        union = tuple(dict.fromkeys(e for n, exps in requests if n > i for e in exps))
-        rows.append([dict(zip(union, (est.value for est in norms(g, union, QUAD_TOL))))
-                     for g in (f, f.ft())])
+    largest count, and function i and its transform take their norms
+    once each, over the union of the exponents of the requests whose
+    count exceeds i.  They go to ``norms_batch`` in runs that fill one
+    lockstep batch of numerics, so that only one run's transforms and
+    estimates are held at a time."""
+    functions = _sample_functions(max(n for n, _ in requests), seed)
+    run, sides = BATCH_FUNCTIONS // 2, []
+    for start in range(0, len(functions), run):
+        batch = []
+        for i, f in enumerate(functions[start:start + run], start):
+            union = tuple(dict.fromkeys(e for n, exps in requests if n > i for e in exps))
+            batch += [(f, union), (f.ft(), union)]
+        sides += [dict(zip(union, (est.value for est in ests)))
+                  for (_, union), ests in zip(batch, norms_batch(batch, QUAD_TOL))]
+    rows = [sides[j:j + 2] for j in range(0, len(sides), 2)]
     return [[tuple(tuple(side[e] for e in exps) for side in row) for row in rows[:n]]
             for n, exps in requests]
 
@@ -193,20 +204,19 @@ def verify_closed_forms() -> CheckResult:
     quadrature."""
     a_grid = (1.01, 1.1, 2.0, 10.0, 100.0)
     q_grid = (1.2, 1.5, 2.0, 3.0, 4.0, 8.0)
-    worst = math.inf
-    count = 0
-    for a in a_grid:
-        for q in q_grid:
+    c_grid = (0.1, 1.0, 2.0, 10.0, 100.0)
+    slacks = []
+    for q in q_grid:
+        reports = eval_Fq_batch([ChirpParams(a) for a in a_grid], q, "quadrature", QUAD_TOL)
+        for a, rep in zip(a_grid, reports):
             closed = closed_form_Fq_chirp(a, q)
-            quad = eval_Fq(ChirpParams(a), q, "quadrature", QUAD_TOL).value
-            worst = min(worst, -abs(closed - quad) / closed)
-            count += 1
-    for c in (0.1, 1.0, 2.0, 10.0, 100.0):
+            slacks.append(-abs(closed - rep.value) / closed)
+    found = norms_batch([(make_two_scale(TwoScaleParams(c)), (2.0,)) for c in c_grid],
+                        QUAD_TOL, "quadrature")
+    for c, (est,) in zip(c_grid, found):
         closed = gc_l2_norm_sq(c)
-        g = make_two_scale(TwoScaleParams(c))
-        quad = norms(g, (2.0,), QUAD_TOL, "quadrature")[0].value ** 2
-        worst = min(worst, -abs(closed - quad) / closed)
-        count += 1
+        slacks.append(-abs(closed - est.value ** 2) / closed)
+    worst, count = min(slacks), len(slacks)
     return _result("closed-forms", {"a_grid": list(a_grid), "q_grid": list(q_grid)},
                    count, worst, None, {})
 
@@ -318,8 +328,8 @@ def verify_asymptotics(q: float, p: float | None = None) -> CheckResult:
     _require_domain(name, q, p)
     grid = DIVERGENCE_GRID if p is None else VANISHING_GRID
     exponents = (q,) if p is None else (q, p)
-    evaluate = eval_Fq if p is None else eval_Fqp
-    reports = [evaluate(TwoScaleParams(c), *exponents, "auto", QUAD_TOL) for c in grid]
+    evaluate = eval_Fq_batch if p is None else eval_Fqp_batch
+    reports = evaluate([TwoScaleParams(c) for c in grid], *exponents, "auto", QUAD_TOL)
     values = [rep.value for rep in reports]
     bracket = _worst_bracket_slack(grid, reports, exponents)
     steps = [b - a if p is None else a - b for a, b in zip(values, values[1:])]

@@ -80,6 +80,25 @@ class TestSweep:
         assert res.rows[-1].value >= 50.0
         assert all(r.method == "auto" for r in res.rows)
 
+    def test_twoscale_rows_are_one_batch(self, monkeypatch):
+        # the L^3 norms of every row go to quadrature in one batch (L^6 is
+        # an exact sum), and each row equals the one-row sweep of its c
+        from uflab import functionals
+
+        batches = []
+        batch = functionals.lq_norm_quad_batch
+
+        def recorded(gs, exponents, tol):
+            batches.append((len(gs), exponents))
+            return batch(gs, exponents, tol)
+
+        monkeypatch.setattr(functionals, "lq_norm_quad_batch", recorded)
+        res = sweep("twoscale", 3.0, 6.0, grid="10:1e6:12log")
+        assert batches == [(12, (3.0,))]
+        for row in res.rows:
+            alone = sweep("twoscale", 3.0, 6.0, GridSpec(row.param, 2 * row.param, 2))
+            assert alone.rows[0] == row
+
     def test_fqp_sweep(self):
         res = sweep("chirp", 3.0, 6.0, grid="2:50:5log")
         assert all(r.p == 6.0 for r in res.rows)

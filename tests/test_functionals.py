@@ -34,7 +34,7 @@ from uflab.gaussian import (
     make_two_scale,
 )
 from uflab.hermite import HermiteExpansion
-from uflab.numerics import lq_norm_quad
+from uflab.numerics import lq_norm_quad, lq_norm_quad_batch
 
 class TestExponentHelpers:
     def test_conjugate_values(self):
@@ -309,14 +309,15 @@ class TestEvalFqp:
 
 def _counting_quadrature(monkeypatch):
     """Route every quadrature norm of ``functionals`` through a recorder;
-    returns the list of (function, exponents) calls."""
+    returns the list of (function, exponents) pairs, one per function of
+    each batch."""
     calls = []
 
-    def counted(g, exponents, tol):
-        calls.append((g, exponents))
-        return lq_norm_quad(g, exponents, tol)
+    def counted(gs, exponents, tol):
+        calls.extend((g, exponents) for g in gs)
+        return lq_norm_quad_batch(gs, exponents, tol)
 
-    monkeypatch.setattr(functionals, "lq_norm_quad", counted)
+    monkeypatch.setattr(functionals, "lq_norm_quad_batch", counted)
     return calls
 
 

@@ -57,6 +57,47 @@ def _seed_edges_reference(f, q, shift, radius):
     return np.append(pts[pts < radius], radius)
 
 
+def _integrate_reference(fn, edges, rel_tol):
+    """integrate_adaptive as first written, one integrand at a time: the
+    reference for the batched refinement."""
+    pts = np.asarray(edges, dtype=float)
+    los, his = pts[:-1], pts[1:]
+    narrow = 16.0 * np.spacing(max(-pts[0], pts[-1]))
+    ve = numerics._gk_panels([fn], [los], [his])
+    k = ve.shape[0] // 2
+    sums = ve.sum(1).tolist()
+    excess = [e - rel_tol * abs(t) for t, e in zip(sums, sums[k:])]
+    while los.size + 3 <= numerics.MAX_PANELS and max(excess) > 0.0:
+        errs = ve[k:]
+        rank = np.minimum.reduce([e * (-1.0 / max(rel_tol * abs(t), numerics._TINY))
+                                  for e, t in zip(errs, sums)])
+        order = np.argsort(rank, kind="stable")
+        if (his - los).min() <= narrow:
+            cuts = numerics._quarters(los, his)
+            eighths = 0.5 * (cuts[:-1] + cuts[1:])
+            splittable = ((cuts[:-1] < eighths) & (eighths < cuts[1:])).all(0)
+            order = order[splittable[order]]
+            if order.size == 0 or (order.size < los.size and any(
+                stuck > rel_tol * (abs(t) + e)
+                for stuck, t, e in zip(errs[:, ~splittable].sum(1).tolist(), sums, sums[k:])
+            )):
+                break
+        take = 1 + max([int(np.searchsorted(np.cumsum(e[order]), x))
+                        for e, x in zip(errs, excess)])
+        split = order[: min(take, (numerics.MAX_PANELS - los.size) // 3)]
+        cuts = numerics._quarters(los[split], his[split])
+        new_ve = numerics._gk_panels([fn], [cuts[:-1].ravel()], [cuts[1:].ravel()])
+        n = split.size
+        los = np.concatenate((los, cuts[1:-1].ravel()))
+        his = np.concatenate((his, cuts[2:].ravel()))
+        his[split] = cuts[1]
+        ve = np.concatenate((ve, new_ve[:, n:]), 1)
+        ve[:, split] = new_ve[:, :n]
+        sums = ve.sum(1).tolist()
+        excess = [e - rel_tol * abs(t) for t, e in zip(sums, sums[k:])]
+    return sums[:k], sums[k:], [x <= 0.0 for x in excess], int(los.size)
+
+
 class _Hooks:
     """``f`` behind the quadrature hooks, with ``is_even()`` as given,
     recording every array it is evaluated at."""
@@ -136,9 +177,10 @@ class TestIntegrateAdaptive:
         calls = []
         gk_panels = numerics._gk_panels
 
-        def recorded(fn, lo, hi):
-            calls.append(list(zip(lo.tolist(), hi.tolist())))
-            return gk_panels(fn, lo, hi)
+        def recorded(fns, los, his):
+            calls.append([(a, b) for lo, hi in zip(los, his)
+                          for a, b in zip(lo.tolist(), hi.tolist())])
+            return gk_panels(fns, los, his)
 
         monkeypatch.setattr(numerics, "_gk_panels", recorded)
         monkeypatch.setattr(numerics, "MAX_PANELS", max_panels)
@@ -471,9 +513,9 @@ class TestLqNormQuad:
         rounds = []
         panels = numerics._gk_panels
 
-        def counted(fn, lo, hi):
-            rounds.append(lo.size)
-            return panels(fn, lo, hi)
+        def counted(fns, los, his):
+            rounds.append(sum(lo.size for lo in los))
+            return panels(fns, los, his)
 
         monkeypatch.setattr(numerics, "_gk_panels", counted)
         try:
@@ -500,6 +542,12 @@ class TestLqNormQuad:
         f, tol = random_schwartz("hermite", 12, 26), 1e-10
         (est,) = lq_norm_quad(f, (64.0,), tol)
         assert len(integrals) == 2
+        # in a batch, the second round integrates that expansion alone
+        integrals.clear()
+        others = [random_schwartz("hermite", 12, seed) for seed in (3, 5)]
+        got = numerics.lq_norm_quad_batch([others[0], f, others[1]], (64.0,), tol)
+        assert [len(args[0]) for args in integrals] == [3, 1]
+        assert got[1] == (est,)
         edges = np.linspace(-12.0, 12.0, 97)
         peak = float(np.abs(f.eval(np.linspace(-12.0, 12.0, 2401))).max())
         power = lambda x: float(np.abs(f.eval(np.array([x]))[0]) / peak) ** 64
@@ -562,23 +610,26 @@ class TestLqNormQuad:
         # wide term alone, so no radius round follows the seed round: at
         # the sweep's tol the seed round is the only f.eval, and at 1e-10
         # refinement stays inside the seed radius (c below about 100
-        # split four of its panels once)
-        reach = []
+        # split four of its panels once); the sweep takes them in one
+        # batch, in which each function keeps its own f.eval calls
+        reach = {}
         evaluate = GaussianMixture.eval
 
         def counted(f, x):
-            reach.append(float(np.abs(x).max()))
+            reach.setdefault(id(f), []).append(float(np.abs(x).max()))
             return evaluate(f, x)
 
         monkeypatch.setattr(GaussianMixture, "eval", counted)
-        for c in np.logspace(1.0, 6.0, 50):
-            g = make_two_scale(TwoScaleParams(float(c)))
-            reach.clear()
-            lq_norm_quad(g, (3.0,), 1e-8)
-            assert len(reach) == 1, c
-            reach.clear()
-            lq_norm_quad(g, (3.0,), 1e-10)
-            assert len(reach) <= 2 and max(reach) == reach[0], c
+        grid = np.logspace(1.0, 6.0, 50).tolist()
+        gcs = [make_two_scale(TwoScaleParams(c)) for c in grid]
+        numerics.lq_norm_quad_batch(gcs, (3.0,), 1e-8)
+        for c, g in zip(grid, gcs):
+            assert len(reach[id(g)]) == 1, c
+        reach.clear()
+        numerics.lq_norm_quad_batch(gcs, (3.0,), 1e-10)
+        for c, g in zip(grid, gcs):
+            seen = reach[id(g)]
+            assert len(seen) <= 2 and max(seen) == seen[0], c
 
     def test_zero_tail_amplitude(self):
         # the widest term has amplitude 0, so the envelope amplitude
@@ -616,6 +667,136 @@ class TestLqNormQuad:
         tols = [1e-4, 5e-5, 2.5e-5, 1.25e-5, 6.25e-6]
         errs = [lq_norm_quad(f, (3.0,), t)[0].abs_error_estimate for t in tols]
         assert all(b <= a for a, b in zip(errs, errs[1:]))
+
+
+def _pass_bits(p):
+    """A pass's estimates, radius and panel count, compared exactly."""
+    return [(e.value, e.abs_error_estimate) for e in p.found], p.missed, p.radius, p.panels
+
+
+_NEAR_CANCELLING = GaussianMixture((ComplexGaussianTerm(1.0, 1.0),
+                                    ComplexGaussianTerm(-1.0 + 1e-9, 1.0 + 1e-9)))
+
+
+class TestBatch:
+    """lq_norm_quad_batch refines every function's mesh in lockstep; each
+    function's estimates are those it gets alone."""
+
+    def test_members_match_batches_of_one(self, monkeypatch):
+        # the randomized checks' functions and transforms at five
+        # exponents, and a g_c grid at one: values, error estimates, radii
+        # and panel counts equal those of batches of one, bit for bit, and
+        # so do the estimates of a batch run in slices of any size
+        from uflab.verifier import _sample_functions
+
+        mixed = [g for f in _sample_functions(40, 3) for g in (f, f.ft())]
+        gcs = [make_two_scale(TwoScaleParams(c)) for c in np.geomspace(10.0, 1e6, 30).tolist()]
+        for fs, exponents in ((mixed, (1.2, 1.3, 1.5, 4.0 / 3.0, 3.0)), (gcs, (3.0,))):
+            batch = numerics._quad_passes(fs, exponents, 1e-10)
+            for f, p in zip(fs, batch):
+                assert _pass_bits(p) == _pass_bits(numerics._quad_passes([f], exponents, 1e-10)[0])
+            for size in (1, 7, 64):
+                monkeypatch.setattr(numerics, "BATCH_FUNCTIONS", size)
+                assert numerics.lq_norm_quad_batch(fs, exponents, 1e-10) == [
+                    tuple(p.found) for p in batch]
+
+    @pytest.mark.parametrize("max_panels", [200, 100_000])
+    def test_batch_matches_one_integrand_at_a_time(self, monkeypatch, max_panels):
+        # the batched refinement against the loop it replaced, run on each
+        # integrand alone: the same totals, errors, convergence and panel
+        # counts, bit for bit, also where the budget or thin panels stop
+        # an integrand early
+        from uflab.verifier import _sample_functions
+
+        monkeypatch.setattr(numerics, "MAX_PANELS", max_panels)
+        fs = [g for f in _sample_functions(8, 5) for g in (f, f.ft())] + [
+            _NEAR_CANCELLING, make_two_scale(TwoScaleParams(30.0))]
+        exponents, tol = (1.5, 2.0, 3.0), 1e-10
+        batch = numerics.integrate_adaptive(
+            *zip(*((p, p.edges) for p in (numerics._Pass(f, exponents, tol) for f in fs))), tol)
+        for j, f in enumerate(fs):
+            p = numerics._Pass(f, exponents, tol)
+            assert _integrate_reference(p, p.edges, tol) == (
+                batch[0][j], batch[1][j], batch[2][j], batch[4][j])
+        jump = 1e6 + math.sqrt(2.0)
+        spikes = [lambda x: 1.0 / np.sqrt(np.abs(x)), lambda x: np.exp(-x * x),
+                  lambda x: np.where(x > jump, 1.0, 0.0), lambda x: np.abs(np.sin(40.0 * x))]
+        meshes = [(0.0, 1.0), (-8.0, 0.5, 8.0), (1e6, 1e6 + 2.0), (0.0, 0.1, 3.0)]
+        batch = numerics.integrate_adaptive(spikes, meshes, 1e-12)
+        for j, (fn, mesh) in enumerate(zip(spikes, meshes)):
+            assert _integrate_reference(fn, mesh, 1e-12) == (
+                batch[0][j], batch[1][j], batch[2][j], batch[4][j])
+
+    def test_batch_refines_in_lockstep(self, monkeypatch):
+        # one integrate_adaptive call and one evaluation per round for the
+        # whole batch, and one f.eval per function with new panels
+        from uflab.verifier import _sample_functions
+
+        fs = [g for f in _sample_functions(10, 4) for g in (f, f.ft())]
+        rounds, integrals = [], []
+        gk_panels, integrate = numerics._gk_panels, numerics.integrate_adaptive
+
+        def counted_panels(fns, los, his):
+            rounds.append([id(fn) for fn in fns])
+            return gk_panels(fns, los, his)
+
+        def counted_integrals(*args):
+            integrals.append(len(args[0]))
+            return integrate(*args)
+
+        monkeypatch.setattr(numerics, "_gk_panels", counted_panels)
+        monkeypatch.setattr(numerics, "integrate_adaptive", counted_integrals)
+        numerics.lq_norm_quad_batch(fs, (1.5, 3.0), 1e-10)
+        assert integrals[0] == len(rounds[0]) == len(fs)
+        assert len(integrals) <= 4 and all(n <= len(fs) for n in integrals)
+        assert all(len(set(ids)) == len(ids) for ids in rounds)
+        batch, alone = len(rounds), 0
+        for f in fs:
+            rounds.clear()
+            numerics.lq_norm_quad(f, (1.5, 3.0), 1e-10)
+            alone += len(rounds)
+        assert batch < alone
+
+    def test_missed_member_raises_its_own_message(self, monkeypatch):
+        # the near-cancelling pair misses 1e-8 at q = 2 within 200 panels;
+        # in a batch it raises what it raises alone, and the budget is per
+        # function, so the others keep the bits they get alone
+        from uflab.verifier import _sample_functions
+
+        monkeypatch.setattr(numerics, "MAX_PANELS", 200)
+        others = [g for f in _sample_functions(6, 3) for g in (f, f.ft())]
+        others += [make_two_scale(TwoScaleParams(c)) for c in (3.0, 300.0)]
+        for exponents in ((2.0,), (2.0, 3.0)):
+            with pytest.raises(ToleranceNotAchieved) as alone:
+                lq_norm_quad(_NEAR_CANCELLING, exponents, 1e-8)
+            batch = others[:5] + [_NEAR_CANCELLING] + others[5:]
+            with pytest.raises(ToleranceNotAchieved) as shared:
+                numerics.lq_norm_quad_batch(batch, exponents, 1e-8)
+            assert str(shared.value) == str(alone.value)
+            assert shared.value.estimate == alone.value.estimate
+            # the member ran out of its own budget: not one more split fits
+            panels = int(re.search(r"L\^2.* (\d+) panels\)$", str(shared.value))[1])
+            assert 200 - 3 < panels <= 200
+            # two members that refine to the budget together, beside the
+            # others: every member keeps the bits it gets alone
+            twin = GaussianMixture((ComplexGaussianTerm(7.0, 1.0),
+                                    ComplexGaussianTerm(-7.0 + 7e-9, 1.0 + 1e-9)))
+            passes = numerics._quad_passes(batch + [twin], exponents, 1e-8)
+            assert passes[5].missed and passes[-1].missed
+            for f, p in zip(batch + [twin], passes):
+                assert bool(p.missed) == (f is _NEAR_CANCELLING or f is twin)
+                assert _pass_bits(p) == _pass_bits(
+                    numerics._quad_passes([f], exponents, 1e-8)[0])
+
+    def test_zero_member_has_zero_norms(self):
+        zero, g = single(0.0, 1.0), make_two_scale(TwoScaleParams(3.0))
+        got = numerics.lq_norm_quad_batch([g, zero, g], (1.5, 3.0), 1e-10)
+        assert got[1] == (NormEstimate(0.0, "quadrature", 0.0, 1.5),
+                          NormEstimate(0.0, "quadrature", 0.0, 3.0))
+        assert got[0] == got[2] == lq_norm_quad(g, (1.5, 3.0), 1e-10)
+        assert numerics.lq_norm_quad_batch([zero], (2.0,), 1e-10) == [
+            lq_norm_quad(zero, (2.0,), 1e-10)]
+        assert numerics.lq_norm_quad_batch([], (2.0,), 1e-10) == []
 
 
 def _mp_hermite_rows(x, n):

@@ -10,7 +10,7 @@ import pytest
 from test_functionals import _counting_quadrature
 
 from uflab import verifier
-from uflab.functionals import conjugate_exponent, norms
+from uflab.functionals import conjugate_exponent, norms_batch
 from uflab.verifier import (
     _SUITE,
     SUITE_NAMES,
@@ -254,11 +254,11 @@ class TestSharedNorms:
         # than i functions: the first three the union, the rest fq-lower's
         seen = []
 
-        def recorded(g, exponents, tol):
-            seen.append(exponents)
-            return norms(g, exponents, tol)
+        def recorded(requests, tol):
+            seen.extend(exponents for _, exponents in requests)
+            return norms_batch(requests, tol)
 
-        monkeypatch.setattr(verifier, "norms", recorded)
+        monkeypatch.setattr(verifier, "norms_batch", recorded)
         monkeypatch.setattr(verifier, "_SUITE", tuple(
             replace(row, samples=5 if row.suite == "fq-lower" else 3) if row.exponents else row
             for row in _SUITE))
