@@ -27,18 +27,19 @@ The reported error estimate is the sum of the achieved panel estimates
 and the truncation bound, never the requested tolerance.
 
 ``lq_norm_quad_batch`` takes the norms of many functions in lockstep,
-and ``lq_norm_quad`` is its batch of one.  Each function keeps a mesh of
-its own, with its own peak, tail bounds, radius, ``MAX_PANELS`` budget
-and give-up rule, and reads only its own panels, with the numpy calls it
-makes alone, for every decision: its totals, the ranking of its panels,
-how many to split.  The batch shares the rest of a round: the quarters
-of every split, one panel-rule evaluation with one ``f.eval`` per
-function that has new panels, and the bookkeeping of the new panels.
-The panel rule's weighted sums are matrix products over one function's
-panels at a time, since BLAS rounds a row by where it sits in the array.
-So a function's estimates are bit for bit those of its batch of one.  A
-batch runs ``BATCH_FUNCTIONS`` functions at a time, which bounds the
-working arrays whatever the size of the batch.
+and ``lq_norm_quad`` is its batch of one.  Each function's integrand
+owns its mesh: its own panel arrays, peak, tail bounds, radius,
+``MAX_PANELS`` budget and give-up rule, and it reads only its own
+panels, with the numpy calls it makes alone, for every decision: its
+totals, the ranking of its panels, how many to split.  The batch shares
+only the evaluation of a round: one panel-rule call with one ``f.eval``
+per function that has new panels, whose error formula runs once over
+all of their columns.  The panel rule's weighted sums are matrix
+products over one function's panels at a time, since BLAS rounds a row
+by where it sits in the array.  So a function's estimates are bit for
+bit those of its batch of one.  A batch runs ``BATCH_FUNCTIONS``
+functions at a time, which bounds the working arrays whatever the size
+of the batch.
 
 Test functions plug in through five duck-typed hooks:
 
@@ -68,7 +69,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -175,11 +175,12 @@ _TINY = np.finfo(float).tiny
 
 
 def _gk_panels(fns, los, his):
-    """Kronrod values (rows 0..k-1) over QUADPACK-style error estimates
-    (rows k..2k-1) of the k components of integrands on panels: those of
-    ``fns[j]`` are ``[los[j][i], his[j][i]]``, and it is called once on
-    an (npanels, 15) array of their nodes.  The columns follow the
-    integrands, each one's panels in order."""
+    """Per integrand, a ``(2k, npanels)`` block of Kronrod values (rows
+    0..k-1) over QUADPACK-style error estimates (rows k..2k-1) of its k
+    components on its panels: those of ``fns[j]`` are
+    ``[los[j][i], his[j][i]]``, and it is called once on an (npanels, 15)
+    array of their nodes.  The error formula runs once over the columns
+    of all integrands, and the blocks are slices of its result."""
     kds, resascs = [], []
     for fn, lo, hi in zip(fns, los, his):
         half = 0.5 * (hi - lo)[:, None]
@@ -201,7 +202,12 @@ def _gk_panels(fns, los, his):
     ratio = np.divide(200.0 * np.abs(kd[..., 1]), resasc, out=np.zeros(ik.shape),
                       where=resasc > 0.0)
     err = resasc * np.minimum(1.0, ratio ** 1.5)
-    return np.concatenate((ik, np.maximum(err, 50.0 * _EPS * np.abs(ik))))
+    ve = np.concatenate((ik, np.maximum(err, 50.0 * _EPS * np.abs(ik))))
+    blocks, a = [], 0
+    for lo in los:
+        blocks.append(ve[:, a:a + lo.size])
+        a += lo.size
+    return blocks
 
 
 def _quarters(lo, hi):
@@ -211,28 +217,25 @@ def _quarters(lo, hi):
     return np.array((lo, 0.5 * (lo + q2), q2, 0.5 * (q2 + hi), hi))
 
 
-def integrate_adaptive(fn, edges, rel_tol, first=None):
-    """Adaptively integrate the k components of ``fn`` over
-    [edges[0], edges[-1]] on one shared mesh, starting from the panels
-    between consecutive ``edges`` (ascending).
+def integrate_adaptive(fns, edges, rel_tol, first=None):
+    """Adaptively integrate each of the integrands ``fns``, all with the
+    same number k of components, each on a mesh of its own, starting from
+    the panels between consecutive points of its ``edges`` (ascending),
+    and refine them in lockstep: each round evaluates the new panels of
+    every integrand that has any in one :func:`_gk_panels` call.
 
-    ``fn`` maps an array x to values of shape ``(k, *x.shape)``, or of
-    x's own shape when k = 1.  ``first``, when given, is the first
-    round ``_gk_panels([fn], [edges[:-1]], [edges[1:]])``, already
-    evaluated by the caller.  Returns ``(values, err_estimates,
-    converged, panels)``, the first three arrays of shape (k,);
-    component i has converged when its estimate is at most
-    ``rel_tol * |values[i]|``.
-
-    ``fn`` may also be a list of n integrands with the same k, with
-    ``edges`` a list of theirs and ``first`` the first round of all of
-    them, one integrand's panels after the other's: a batch, refined in
-    lockstep, each integrand on a mesh of its own.  Then the first three
-    items are lists of n rows of k, ``panels`` is the batch's total, and
-    a fifth item lists each integrand's panel count.  Each round
-    evaluates the new panels of every integrand that has any in one
-    :func:`_gk_panels` call, and every integrand's mesh and results are
-    bit for bit the ones it gets alone.
+    ``fns[j]`` maps an array x to values of shape ``(k, *x.shape)``, or
+    of x's own shape when k = 1; its components share its mesh.
+    ``first``, when given, is the first round ``_gk_panels(fns, [e[:-1]
+    for e in edges], [e[1:] for e in edges])``, already evaluated by the
+    caller; neither its blocks nor ``edges`` are written.  Returns
+    ``(values, err_estimates, converged, panels, counts)``: the first
+    three lists of one row of k per integrand, ``panels`` the total
+    panel count and ``counts`` each integrand's.  Component i of an
+    integrand has converged when its estimate is at most
+    ``rel_tol * |values[i]|``.  An integrand reads only its own panels
+    for every decision, so its mesh and results are bit for bit those
+    it gets alone.
 
     Each round ranks an integrand's panels by their largest error
     relative to that component's target (stable sort, largest first),
@@ -249,79 +252,49 @@ def integrate_adaptive(fn, edges, rel_tol, first=None):
     and the other three follow the integrand's panels, so every sum runs
     in a fixed order and results are reproducible run to run.
     """
-    if callable(fn):
-        values, errs, converged, panels, _ = _refine([fn], [edges], rel_tol, first)
-        return np.array(values[0]), np.array(errs[0]), np.array(converged[0]), panels
-    return _refine(fn, edges, rel_tol, first)
-
-
-def _refine(fns, edges, rel_tol, first):
-    """The batch form of :func:`integrate_adaptive`.  The panels of the
-    integrands still refining lie in one array, grouped by integrand,
-    each group in the order the integrand keeps it alone; an integrand
-    that stops leaves the array."""
-    meshes = None
+    meshes = [np.asarray(e, dtype=float) for e in edges]
     if first is None:
-        meshes = [np.asarray(e, dtype=float) for e in edges]
         first = _gk_panels(fns, [m[:-1] for m in meshes], [m[1:] for m in meshes])
-    n, k, ve = len(fns), first.shape[0] // 2, first
+    n, k = len(fns), first[0].shape[0] // 2
     values, errors, converged, panels = [None] * n, [None] * n, [None] * n, [0] * n
-    bounds = list(accumulate((len(e) - 1 for e in edges), initial=0))
-    # (integrand, start, stop) of each group still refining
-    groups, los, his = list(zip(range(n), bounds, bounds[1:])), None, None
+    # (integrand, panel los, his and values over errors) of each one refining
+    live = [(i, m[:-1], m[1:], ve) for i, (m, ve) in enumerate(zip(meshes, first))]
     while True:
-        plans = []  # (integrand, start, stop, panels to split) of each group that splits
-        for i, a, b in groups:
+        splits = []  # (integrand, los, his, ve, panels to split) of each one that splits
+        for i, lo, hi, ve in live:
             # Per-integrand totals, targets and excesses are Python floats:
             # k is a handful, and numpy calls on k-vectors cost more than
             # loops.
-            sums = ve[:, a:b].sum(1).tolist()
+            sums = ve.sum(1).tolist()
             excess = [e - rel_tol * abs(t) for t, e in zip(sums, sums[k:])]
             split = None
-            if max(excess) > 0.0 and b - a + 3 <= MAX_PANELS:
-                if los is None:
-                    meshes = meshes or [np.asarray(e, dtype=float) for e in edges]
-                    los = np.concatenate([m[:-1] for m in meshes])
-                    his = np.concatenate([m[1:] for m in meshes])
-                    # Midpoints, quarter and eighth points are each off by
-                    # at most half a float spacing of the largest |x|, so
-                    # a panel wider than 16 such spacings always has
-                    # distinct eighth points.
-                    narrow = [16.0 * math.ulp(max(-m[0], m[-1])) for m in meshes]
-                split = _to_split(los[a:b], his[a:b], ve[k:, a:b], sums, excess, rel_tol,
-                                  narrow[i])
+            if max(excess) > 0.0 and lo.size + 3 <= MAX_PANELS:
+                # Midpoints, quarter and eighth points are each off by at
+                # most half a float spacing of the largest |x|, so a panel
+                # wider than 16 such spacings always has distinct eighth
+                # points.
+                narrow = 16.0 * math.ulp(max(-meshes[i][0], meshes[i][-1]))
+                split = _to_split(lo, hi, ve[k:], sums, excess, rel_tol, narrow)
             if split is None:
                 values[i], errors[i], converged[i] = sums[:k], sums[k:], [x <= 0.0 for x in excess]
-                panels[i] = b - a
+                panels[i] = lo.size
             else:
-                plans.append((i, a, b, split[:(MAX_PANELS - (b - a)) // 3] + a))
-        if not plans:
+                splits.append((i, lo, hi, ve, split[:(MAX_PANELS - lo.size) // 3]))
+        if not splits:
             break
-        split = np.concatenate([s for _, _, _, s in plans])
-        cuts = _quarters(los[split], his[split])
-        # each integrand's quarters together: its first quarters, then its
-        # second, third and fourth ones
-        quarters, c = [], 0
-        for _, _, _, s in plans:
-            quarters.append((cuts[:-1, c:c + s.size].ravel(), cuts[1:, c:c + s.size].ravel()))
-            c += s.size
-        new_ve = _gk_panels([fns[i] for i, _, _, _ in plans], *zip(*quarters))
-        # A first quarter takes its parent's place and the other three
-        # follow the integrand's group.
-        his[split] = cuts[1]
-        lo_parts, hi_parts, ve_parts, heads, groups, c, start = [], [], [], [], [], 0, 0
-        for (i, a, b, s), (lo, hi) in zip(plans, quarters):
+        cuts = [_quarters(lo[s], hi[s]) for _, lo, hi, _, s in splits]
+        new_ves = _gk_panels([fns[i] for i, *_ in splits], [c[:-1].ravel() for c in cuts],
+                             [c[1:].ravel() for c in cuts])
+        live = []
+        for (i, lo, hi, ve, s), c, new_ve in zip(splits, cuts, new_ves):
+            # The other three quarters follow the integrand's panels on new
+            # arrays; only then does a first quarter take its parent's
+            # place, so the caller's edges and first blocks are not written.
             m = s.size
-            lo_parts += [los[a:b], lo[m:]]
-            hi_parts += [his[a:b], hi[m:]]
-            ve_parts += [ve[:, a:b], new_ve[:, c + m:c + 4 * m]]
-            heads.append((s + (start - a), new_ve[:, c:c + m]))
-            groups.append((i, start, start + b - a + 3 * m))
-            c, start = c + 4 * m, start + b - a + 3 * m
-        los, his = np.concatenate(lo_parts), np.concatenate(hi_parts)
-        ve = np.concatenate(ve_parts, 1)
-        for at, quarter in heads:
-            ve[:, at] = quarter
+            lo, hi = np.concatenate((lo, c[1:-1].ravel())), np.concatenate((hi, c[2:].ravel()))
+            ve = np.concatenate((ve, new_ve[:, m:]), 1)
+            hi[s], ve[:, s] = c[1], new_ve[:, :m]
+            live.append((i, lo, hi, ve))
     return values, errors, converged, sum(panels), panels
 
 
@@ -602,12 +575,10 @@ def _quad_passes(fs, exponents, tol):
     todo = [p for p in passes if p.scale != 0.0]
     if not todo:
         return passes
-    bounds = list(accumulate((p.edges.size - 1 for p in todo), initial=0))
-    # the seed rounds of the passes in todo, one after the other
-    first = _gk_panels(todo, [p.edges[:-1] for p in todo], [p.edges[1:] for p in todo])
-    for p, a, b in zip(todo, bounds, bounds[1:]):
-        p.first = first[:, a:b]
-        p.totals = p.first[:len(exponents)].sum(1).tolist()
+    for p, first in zip(todo, _gk_panels(todo, [p.edges[:-1] for p in todo],
+                                          [p.edges[1:] for p in todo])):
+        p.first = first  # the seed round's block of the pass
+        p.totals = first[:len(exponents)].sum(1).tolist()
         p.tails = p.log_tails()
     for _ in range(4):
         wider = []  # (pass, radius, edges beyond its radius) of each widening
@@ -621,24 +592,17 @@ def _quad_passes(fs, exponents, tol):
             outer_first = _gk_panels([p for p, _, _ in wider],
                                     [np.concatenate(([p.radius], o[:-1])) for p, _, o in wider],
                                     [o for _, _, o in wider])
-            start = 0
-            for p, radius, o in wider:
-                p.first = np.concatenate((p.first, outer_first[:, start:start + o.size]), 1)
+            for (p, radius, o), outer in zip(wider, outer_first):
+                p.first = np.concatenate((p.first, outer), 1)
                 p.edges, p.radius = np.concatenate((p.edges, o)), radius
                 p.tails = p.log_tails()
-                start += o.size
-            first = None
-        if first is None:
-            first = np.concatenate([p.first for p in todo], 1)
         values, errs, converged, _, panels = integrate_adaptive(
-            todo, [p.edges for p in todo], 0.5 * tol, first)
+            todo, [p.edges for p in todo], 0.5 * tol, [p.first for p in todo])
         for p, v, e, c, n in zip(todo, values, errs, converged, panels):
             p.totals, p.errs, p.converged, p.panels = v, e, c, n
         uncovered = [p for p in todo if not p.covered()]
         if not uncovered:
             break
-        if len(uncovered) < len(todo):
-            first = None
         todo = uncovered
     for p in passes:
         if p.scale != 0.0:

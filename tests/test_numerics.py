@@ -57,13 +57,21 @@ def _seed_edges_reference(f, q, shift, radius):
     return np.append(pts[pts < radius], radius)
 
 
+def _integrate_one(fn, edges, rel_tol):
+    """integrate_adaptive of the one integrand ``fn``: its values, error
+    estimates and convergence as arrays of shape (k,), and its panel
+    count."""
+    values, errs, converged, panels, _ = integrate_adaptive([fn], [edges], rel_tol)
+    return np.array(values[0]), np.array(errs[0]), np.array(converged[0]), panels
+
+
 def _integrate_reference(fn, edges, rel_tol):
     """integrate_adaptive as first written, one integrand at a time: the
     reference for the batched refinement."""
     pts = np.asarray(edges, dtype=float)
     los, his = pts[:-1], pts[1:]
     narrow = 16.0 * np.spacing(max(-pts[0], pts[-1]))
-    ve = numerics._gk_panels([fn], [los], [his])
+    (ve,) = numerics._gk_panels([fn], [los], [his])
     k = ve.shape[0] // 2
     sums = ve.sum(1).tolist()
     excess = [e - rel_tol * abs(t) for t, e in zip(sums, sums[k:])]
@@ -86,7 +94,7 @@ def _integrate_reference(fn, edges, rel_tol):
                         for e, x in zip(errs, excess)])
         split = order[: min(take, (numerics.MAX_PANELS - los.size) // 3)]
         cuts = numerics._quarters(los[split], his[split])
-        new_ve = numerics._gk_panels([fn], [cuts[:-1].ravel()], [cuts[1:].ravel()])
+        (new_ve,) = numerics._gk_panels([fn], [cuts[:-1].ravel()], [cuts[1:].ravel()])
         n = split.size
         los = np.concatenate((los, cuts[1:-1].ravel()))
         his = np.concatenate((his, cuts[2:].ravel()))
@@ -124,7 +132,7 @@ class _Hooks:
 
 class TestIntegrateAdaptive:
     def test_gaussian_integral(self):
-        val, err, converged, _ = integrate_adaptive(
+        val, err, converged, _ = _integrate_one(
             lambda x: np.exp(-math.pi * x * x), (-10.0, 10.0), 1e-13
         )
         assert converged
@@ -137,7 +145,7 @@ class TestIntegrateAdaptive:
         fn = lambda x: np.exp(-1e6 * x * x)
         ladder = [s * 4.0 ** k * 1e-3 for k in range(8) for s in (1, -1)]
         ladder = sorted([-50.0, 0.0, 50.0, *ladder])
-        val, _, converged, _ = integrate_adaptive(fn, ladder, 1e-10)
+        val, _, converged, _ = _integrate_one(fn, ladder, 1e-10)
         assert converged
         assert val == pytest.approx(math.sqrt(math.pi / 1e6), rel=1e-10)
 
@@ -146,27 +154,27 @@ class TestIntegrateAdaptive:
         # must report non-convergence instead of a silent wrong answer
         monkeypatch.setattr(numerics, "MAX_PANELS", 4)
         fn = lambda x: 1.0 / np.sqrt(np.abs(x))
-        _, _, converged, panels = integrate_adaptive(fn, (0.0, 1.0), 1e-12)
+        _, _, converged, panels = _integrate_one(fn, (0.0, 1.0), 1e-12)
         assert not converged
         assert panels <= 4
 
     def test_singular_integrand_converges_with_budget(self):
         fn = lambda x: 1.0 / np.sqrt(np.abs(x))
-        val, _, converged, _ = integrate_adaptive(fn, (0.0, 1.0), 1e-10)
+        val, _, converged, _ = _integrate_one(fn, (0.0, 1.0), 1e-10)
         assert converged
         assert val == pytest.approx(2.0, rel=1e-9)
 
     def test_deterministic(self):
         fn = lambda x: np.exp(-x * x) * np.cos(x) ** 2
-        a = integrate_adaptive(fn, (-8.0, 8.0), 1e-12)
-        b = integrate_adaptive(fn, (-8.0, 8.0), 1e-12)
+        a = _integrate_one(fn, (-8.0, 8.0), 1e-12)
+        b = _integrate_one(fn, (-8.0, 8.0), 1e-12)
         assert a == b
 
     @pytest.mark.parametrize("max_panels", [1, 2, 3, 5, 17, 100])
     def test_never_exceeds_max_panels(self, monkeypatch, max_panels):
         monkeypatch.setattr(numerics, "MAX_PANELS", max_panels)
         fn = lambda x: 1.0 / np.sqrt(np.abs(x))
-        _, _, _, panels = integrate_adaptive(fn, (0.0, 1.0), 1e-12)
+        _, _, _, panels = _integrate_one(fn, (0.0, 1.0), 1e-12)
         assert panels <= max_panels
 
     @pytest.mark.parametrize("max_panels", [1, 2, 3, 5, 17, 100, 100_000])
@@ -185,7 +193,7 @@ class TestIntegrateAdaptive:
         monkeypatch.setattr(numerics, "_gk_panels", recorded)
         monkeypatch.setattr(numerics, "MAX_PANELS", max_panels)
         fn = lambda x: 1.0 / np.sqrt(np.abs(x))
-        _, _, _, panels = integrate_adaptive(fn, (0.0, 0.25, 1.0), 1e-12)
+        _, _, _, panels = _integrate_one(fn, (0.0, 0.25, 1.0), 1e-12)
         seed, *rounds = calls
         mesh = set(seed)
         assert mesh == {(0.0, 0.25), (0.25, 1.0)}
@@ -208,11 +216,11 @@ class TestIntegrateAdaptive:
         # two widths on one mesh: each converges to its own closed form,
         # and the sharper one decides the panels
         fn = lambda x: np.exp(-math.pi * np.array([1.0, 16.0])[:, None, None] * x * x)
-        vals, errs, converged, panels = integrate_adaptive(fn, (-10.0, 10.0), 1e-12)
+        vals, errs, converged, panels = _integrate_one(fn, (-10.0, 10.0), 1e-12)
         assert converged.tolist() == [True, True]
         assert vals.tolist() == pytest.approx([1.0, 0.25], rel=1e-12)
         assert all(errs <= 1e-12 * vals)
-        _, _, _, sharp_panels = integrate_adaptive(lambda x: fn(x)[1], (-10.0, 10.0), 1e-12)
+        _, _, _, sharp_panels = _integrate_one(lambda x: fn(x)[1], (-10.0, 10.0), 1e-12)
         assert panels >= sharp_panels
 
     def test_unsplittable_stop_is_per_component(self):
@@ -221,7 +229,7 @@ class TestIntegrateAdaptive:
         # to MAX_PANELS
         jump = 1e6 + math.sqrt(2.0)
         fn = lambda x: np.array([np.ones_like(x), np.where(x > jump, 1.0, 0.0)])
-        vals, errs, converged, panels = integrate_adaptive(fn, (1e6, 1e6 + 2.0), 1e-13)
+        vals, errs, converged, panels = _integrate_one(fn, (1e6, 1e6 + 2.0), 1e-13)
         assert converged.tolist() == [True, False]
         assert panels < 1000
         assert vals[0] == pytest.approx(2.0, rel=1e-13)
@@ -235,7 +243,7 @@ class TestIntegrateAdaptive:
         # collapsed nodes as exact.
         jump = 1e6 + math.sqrt(2.0)
         fn = lambda x: np.where(x > jump, 1.0, 0.0)
-        val, err, converged, panels = integrate_adaptive(fn, (1e6, 1e6 + 2.0), 1e-13)
+        val, err, converged, panels = _integrate_one(fn, (1e6, 1e6 + 2.0), 1e-13)
         assert not converged
         assert panels < 1000
         assert err > 1e-13 * val
@@ -714,6 +722,8 @@ class TestBatch:
         exponents, tol = (1.5, 2.0, 3.0), 1e-10
         batch = numerics.integrate_adaptive(
             *zip(*((p, p.edges) for p in (numerics._Pass(f, exponents, tol) for f in fs))), tol)
+        # the total panel count is an int, as perfbench's tracer reads it
+        assert type(batch[3]) is int and batch[3] == sum(batch[4])
         for j, f in enumerate(fs):
             p = numerics._Pass(f, exponents, tol)
             assert _integrate_reference(p, p.edges, tol) == (
@@ -726,6 +736,33 @@ class TestBatch:
         for j, (fn, mesh) in enumerate(zip(spikes, meshes)):
             assert _integrate_reference(fn, mesh, 1e-12) == (
                 batch[0][j], batch[1][j], batch[2][j], batch[4][j])
+
+    def test_caller_first_and_edges_are_not_written(self, monkeypatch):
+        # a split writes its first quarters into arrays of the integrand's
+        # own, never into the caller's seed blocks or edges, which
+        # _quad_passes reads again when a pass starts over at a wider radius
+        jump = 1e6 + math.sqrt(2.0)
+        fns = [lambda x: 1.0 / np.sqrt(np.abs(x)), lambda x: np.exp(-x * x),
+               lambda x: np.where(x > jump, 1.0, 0.0)]
+        edges = [np.array(m) for m in ((0.0, 1.0), (-8.0, 0.5, 8.0), (1e6, 1e6 + 2.0))]
+        first = numerics._gk_panels(fns, [e[:-1] for e in edges], [e[1:] for e in edges])
+        before = [a.tobytes() for a in (*first, *edges)]
+        got = numerics.integrate_adaptive(fns, edges, 1e-12, first)
+        assert [a.tobytes() for a in (*first, *edges)] == before
+        assert min(got[4]) > 3 and got == numerics.integrate_adaptive(fns, edges, 1e-12)
+        # the start-over of this expansion at q = 64 hands the seeded blocks
+        # and edges of its first integral, widened, to a second one
+        unchanged, integrate = [], numerics.integrate_adaptive
+
+        def checked(fns, edges, rel_tol, first):
+            before = [a.tobytes() for a in (*first, *edges)]
+            result = integrate(fns, edges, rel_tol, first)
+            unchanged.append([a.tobytes() for a in (*first, *edges)] == before)
+            return result
+
+        monkeypatch.setattr(numerics, "integrate_adaptive", checked)
+        lq_norm_quad(random_schwartz("hermite", 12, 26), (64.0,), 1e-10)
+        assert unchanged == [True, True]
 
     def test_batch_refines_in_lockstep(self, monkeypatch):
         # one integrate_adaptive call and one evaluation per round for the
