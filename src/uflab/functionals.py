@@ -6,11 +6,13 @@ The central quantity is the scale-invariant ratio
     F_qp(f)  = ||f||_q * ||fhat||_q / (||f||_p * ||fhat||_p),
 
 Every norm comes from :func:`norms`, or :func:`norms_batch` over many
-functions at once, which takes an exact route where one exists (the
-closed form of a single Gaussian/chirp term, the finite Gaussian sum of
-``|f|**q`` for a mixture at even integer q, and ``sum |c_n|**2`` for a
-Hermite expansion at q = 2) and certified quadrature everywhere else;
-``method`` can also force either route or cross-check the two.
+``(g, exponents)`` requests at once, which takes an exact route where one
+exists (the closed form of a single Gaussian/chirp term, the finite
+Gaussian sum of ``|f|**q`` for a mixture at even integer q, and
+``sum |c_n|**2`` for a Hermite expansion at q = 2) and certified
+quadrature everywhere else, one quadrature request per function with the
+exponents it has no exact route for; ``method`` can also force either
+route or cross-check the two.
 Alongside the evaluators live the elementary bounds for the two-scale
 family g_c and the sharp Hausdorff-Young constant.
 """
@@ -219,13 +221,13 @@ def norms(g, exponents, tol: float, method: str = "auto") -> tuple[NormEstimate,
 
 def norms_batch(requests, tol: float, method: str = "auto") -> list[tuple[NormEstimate, ...]]:
     """:func:`norms` of each ``(g, exponents)`` request, in order.  The
-    functions that leave the same tuple of exponents to quadrature take
-    those norms in one ``lq_norm_quad_batch`` call, whose estimates do
-    not depend on the batch."""
+    exponents each request leaves to quadrature go, one request per
+    function, to one ``lq_norm_quad_batch`` call, whose estimates do not
+    depend on the batch."""
     check_tolerance(tol)
     if method not in ("auto", "closed-form", "quadrature"):
         raise ValueError(f"norm method must be auto, closed-form or quadrature, got {method!r}")
-    exact, groups = [], {}
+    exact, quad = [], {}
     for j, (g, exponents) in enumerate(requests):
         found = [None if method == "quadrature" else _exact_norm(g, q, tol) for q in exponents]
         missing = tuple(dict.fromkeys(q for q, est in zip(exponents, found) if est is None))
@@ -237,12 +239,10 @@ def norms_batch(requests, tol: float, method: str = "auto") -> list[tuple[NormEs
             )
         exact.append(found)
         if missing:
-            groups.setdefault(missing, []).append(j)
-    for missing, members in groups.items():
-        for j, found in zip(members, lq_norm_quad_batch(
-                [requests[j][0] for j in members], missing, tol)):
-            quad = dict(zip(missing, found))
-            exact[j] = [est or quad[q] for q, est in zip(requests[j][1], exact[j])]
+            quad[j] = (g, missing)
+    for (j, (_, missing)), found in zip(quad.items(), lq_norm_quad_batch(quad.values(), tol)):
+        by_q = dict(zip(missing, found))
+        exact[j] = [est or by_q[q] for q, est in zip(requests[j][1], exact[j])]
     return [tuple(found) for found in exact]
 
 

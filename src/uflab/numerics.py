@@ -26,19 +26,20 @@ one pass.
 The reported error estimate is the sum of the achieved panel estimates
 and the truncation bound, never the requested tolerance.
 
-``lq_norm_quad_batch`` takes the norms of many functions in lockstep,
-and ``lq_norm_quad`` is its batch of one.  Each function's integrand
-owns its mesh: its own panel arrays, peak, tail bounds, radius,
+``lq_norm_quad_batch`` takes many ``(f, exponents)`` requests in
+lockstep, each with exponents of its own, and ``lq_norm_quad`` is its
+batch of one.  Each request's integrand owns its mesh: its own
+components, one per exponent, panel arrays, peak, tail bounds, radius,
 ``MAX_PANELS`` budget and give-up rule, and it reads only its own
 panels, with the numpy calls it makes alone, for every decision: its
 totals, the ranking of its panels, how many to split.  The batch shares
 only the evaluation of a round: one panel-rule call with one ``f.eval``
-per function that has new panels, whose error formula runs once over
+per request that has new panels, whose error formula runs once over
 all of their columns.  The panel rule's weighted sums are matrix
-products over one function's panels at a time, since BLAS rounds a row
-by where it sits in the array.  So a function's estimates are bit for
+products over one request's panels at a time, since BLAS rounds a row
+by where it sits in the array.  So a request's estimates are bit for
 bit those of its batch of one.  A batch runs ``BATCH_FUNCTIONS``
-functions at a time, which bounds the working arrays whatever the size
+requests at a time, which bounds the working arrays whatever the size
 of the batch.
 
 Test functions plug in through five duck-typed hooks:
@@ -73,9 +74,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_PANELS = 100_000
-# Most functions whose passes run in lockstep: a larger batch runs in
+# Most requests whose passes run in lockstep: a larger batch runs in
 # slices of this many, one after the other, so that its working arrays
-# do not grow with it.
+# do not grow with it.  A slice's solo retries, one exponent each, carry
+# no more integrand components than its shared passes did.
 BATCH_FUNCTIONS = 64
 TOL_FLOOR = 1e-13
 TOL_CEIL = 1e-2
@@ -179,8 +181,9 @@ def _gk_panels(fns, los, his):
     0..k-1) over QUADPACK-style error estimates (rows k..2k-1) of its k
     components on its panels: those of ``fns[j]`` are
     ``[los[j][i], his[j][i]]``, and it is called once on an (npanels, 15)
-    array of their nodes.  The error formula runs once over the columns
-    of all integrands, and the blocks are slices of its result."""
+    array of their nodes.  The error formula runs once over the
+    ``(k*npanels, 2)`` columns of all integrands, whatever each one's k,
+    and each block is sliced back out of its result."""
     kds, resascs = [], []
     for fn, lo, hi in zip(fns, los, his):
         half = 0.5 * (hi - lo)[:, None]
@@ -192,21 +195,21 @@ def _gk_panels(fns, los, his):
         fx = np.asarray(fn(xs), dtype=float).reshape(-1, *xs.shape) * half
         kd = fx @ _KD_WEIGHTS
         kds.append(kd)
-        resascs.append(np.abs(fx - 0.5 * kd[..., :1]) @ _K15_WEIGHTS)
-    kd = np.concatenate(kds, 1)
-    ik = kd[..., 0]
-    resasc = np.concatenate(resascs, 1)
+        resascs.append((np.abs(fx - 0.5 * kd[..., :1]) @ _K15_WEIGHTS).ravel())
+    kd = np.concatenate([kd.reshape(-1, 2) for kd in kds])
+    ik = kd[:, 0]
+    resasc = np.concatenate(resascs)
     # A constant panel has resasc 0 and ratio 0 here: its |ik - ig| is
     # rounding (the two weight sums differ by about 16 eps), which the
     # 50 eps floor covers.
-    ratio = np.divide(200.0 * np.abs(kd[..., 1]), resasc, out=np.zeros(ik.shape),
+    ratio = np.divide(200.0 * np.abs(kd[:, 1]), resasc, out=np.zeros(ik.shape),
                       where=resasc > 0.0)
     err = resasc * np.minimum(1.0, ratio ** 1.5)
-    ve = np.concatenate((ik, np.maximum(err, 50.0 * _EPS * np.abs(ik))))
+    ve = np.concatenate((ik, np.maximum(err, 50.0 * _EPS * np.abs(ik)))).reshape(2, -1)
     blocks, a = [], 0
-    for lo in los:
-        blocks.append(ve[:, a:a + lo.size])
-        a += lo.size
+    for k, n, _ in (kd.shape for kd in kds):
+        blocks.append(ve[:, a:a + k * n].reshape(2 * k, n))
+        a += k * n
     return blocks
 
 
@@ -218,19 +221,20 @@ def _quarters(lo, hi):
 
 
 def integrate_adaptive(fns, edges, rel_tol, first=None):
-    """Adaptively integrate each of the integrands ``fns``, all with the
-    same number k of components, each on a mesh of its own, starting from
-    the panels between consecutive points of its ``edges`` (ascending),
-    and refine them in lockstep: each round evaluates the new panels of
-    every integrand that has any in one :func:`_gk_panels` call.
+    """Adaptively integrate each of the integrands ``fns``, each on a
+    mesh of its own, starting from the panels between consecutive points
+    of its ``edges`` (ascending), and refine them in lockstep: each round
+    evaluates the new panels of every integrand that has any in one
+    :func:`_gk_panels` call.
 
     ``fns[j]`` maps an array x to values of shape ``(k, *x.shape)``, or
-    of x's own shape when k = 1; its components share its mesh.
+    of x's own shape when k = 1, k the number of its components, which
+    share its mesh.
     ``first``, when given, is the first round ``_gk_panels(fns, [e[:-1]
     for e in edges], [e[1:] for e in edges])``, already evaluated by the
     caller; neither its blocks nor ``edges`` are written.  Returns
     ``(values, err_estimates, converged, panels, counts)``: the first
-    three lists of one row of k per integrand, ``panels`` the total
+    three lists of one row of its k per integrand, ``panels`` the total
     panel count and ``counts`` each integrand's.  Component i of an
     integrand has converged when its estimate is at most
     ``rel_tol * |values[i]|``.  An integrand reads only its own panels
@@ -255,13 +259,14 @@ def integrate_adaptive(fns, edges, rel_tol, first=None):
     meshes = [np.asarray(e, dtype=float) for e in edges]
     if first is None:
         first = _gk_panels(fns, [m[:-1] for m in meshes], [m[1:] for m in meshes])
-    n, k = len(fns), first[0].shape[0] // 2
+    n = len(fns)
     values, errors, converged, panels = [None] * n, [None] * n, [None] * n, [0] * n
     # (integrand, panel los, his and values over errors) of each one refining
     live = [(i, m[:-1], m[1:], ve) for i, (m, ve) in enumerate(zip(meshes, first))]
     while True:
         splits = []  # (integrand, los, his, ve, panels to split) of each one that splits
         for i, lo, hi, ve in live:
+            k = len(ve) // 2
             # Per-integrand totals, targets and excesses are Python floats:
             # k is a handful, and numpy calls on k-vectors cost more than
             # loops.
@@ -412,20 +417,21 @@ def check_tolerance(tol: float) -> None:
 
 def lq_norm_quad(f, exponents: tuple, tol: float) -> tuple[NormEstimate, ...]:
     """L^q norms of ``f`` by certified truncation plus adaptive panels:
-    :func:`lq_norm_quad_batch` of ``f`` alone."""
-    return lq_norm_quad_batch((f,), exponents, tol)[0]
+    :func:`lq_norm_quad_batch` of the one request ``(f, exponents)``."""
+    return lq_norm_quad_batch([(f, exponents)], tol)[0]
 
 
-def lq_norm_quad_batch(fs, exponents: tuple, tol: float) -> list[tuple[NormEstimate, ...]]:
-    """L^q norms of each function of ``fs``, a tuple of
-    :class:`NormEstimate` per function, one per exponent in order.
+def lq_norm_quad_batch(requests, tol: float) -> list[tuple[NormEstimate, ...]]:
+    """L^q norms of each ``(f, exponents)`` request, a tuple of
+    :class:`NormEstimate` per request, one per exponent in order.
 
-    Each function's exponents share one pass: one radius, the largest
+    Each request's exponents share one pass: one radius, the largest
     any of them needs, and one mesh, refined until every exponent
     converges, with one ``f.eval`` per round.  The seed round picks the
-    radius, so a pass rarely starts over.  The functions' passes run in
-    lockstep, each on a mesh of its own (see :func:`integrate_adaptive`),
-    so a function's estimates do not depend on the batch it is in.  The
+    radius, so a pass rarely starts over.  The passes run in lockstep,
+    each on a mesh of its own with one component per exponent (see
+    :func:`integrate_adaptive`), so a request's estimates do not depend
+    on the batch it is in, nor on the exponents of the others.  The
     integrand is ``(|f|/M)**q`` with M the largest |f| on the first
     round's nodes, so it stays representable however far |f| lies below
     its envelope amplitude S; each exponent's tail bound carries the
@@ -435,42 +441,39 @@ def lq_norm_quad_batch(fs, exponents: tuple, tol: float) -> list[tuple[NormEstim
     Rounding noise in one exponent's integrand keeps a shared mesh
     refining and can fail an exponent that converges on its own mesh, so
     each exponent a shared pass misses is integrated again in a pass of
-    its own.  Raises :class:`ToleranceNotAchieved` for the first function
+    its own.  Raises :class:`ToleranceNotAchieved` for the first request
     that still misses, naming every exponent that missed alone and
     carrying the tuple of its best estimates (the solo ones for those
     exponents), if the panel budget runs out first; the message gives
     the largest radius and panel count of its failed passes, panels of
     the half-line [0, radius] that the folded integrand is refined on.
     """
-    exponents = tuple(map(float, exponents))
-    if not exponents:
-        raise ValueError("no norm exponent given")
-    for e in exponents:
-        check_exponent(e)
+    requests = [(f, tuple(map(float, exponents))) for f, exponents in requests]
+    for _, exponents in requests:
+        if not exponents:
+            raise ValueError("no norm exponent given")
+        for e in exponents:
+            check_exponent(e)
     check_tolerance(tol)
-    fs, found = list(fs), []
-    for start in range(0, len(fs), BATCH_FUNCTIONS):
-        chunk = fs[start:start + BATCH_FUNCTIONS]
-        passes = _quad_passes(chunk, exponents, tol)
-        if len(exponents) > 1:
-            retries = {}
-            for j, p in enumerate(passes):
-                for i, _ in p.missed:
-                    retries.setdefault(i, []).append(j)
-                if p.missed:
-                    p.missed, p.radius, p.panels = [], 0.0, 0
-            for i in sorted(retries):
-                for j, solo in zip(retries[i], _quad_passes(
-                        [chunk[j] for j in retries[i]], exponents[i:i + 1], tol)):
-                    p = passes[j]
-                    p.found[i] = solo.found[0]
-                    p.missed += [(i, rel_err) for _, rel_err in solo.missed]
-                    p.radius, p.panels = max(p.radius, solo.radius), max(p.panels, solo.panels)
-        for f, p in zip(chunk, passes):
+    found = []
+    for start in range(0, len(requests), BATCH_FUNCTIONS):
+        passes = _quad_passes(requests[start:start + BATCH_FUNCTIONS], tol)
+        # Every exponent that a shared pass of the slice missed, integrated
+        # again alone: one batch of single-exponent passes.
+        retries = [(p, i) for p in passes if len(p.exponents) > 1 for i, _ in p.missed]
+        for p, _ in retries:
+            p.missed, p.radius, p.panels = [], 0.0, 0
+        for (p, i), solo in zip(retries, _quad_passes(
+                [(p.f, p.exponents[i:i + 1]) for p, i in retries], tol)):
+            p.found[i] = solo.found[0]
+            if solo.missed:
+                p.missed.append((i, solo.missed[0][1]))
+                p.radius, p.panels = max(p.radius, solo.radius), max(p.panels, solo.panels)
+        for p in passes:
             if p.missed:
                 raise ToleranceNotAchieved(
-                    f"{type(f).__name__} "
-                    f"{', '.join(f'L^{exponents[i]:g}' for i, _ in p.missed)} "
+                    f"{type(p.f).__name__} "
+                    f"{', '.join(f'L^{p.exponents[i]:g}' for i, _ in p.missed)} "
                     f"norm{'s' if len(p.missed) > 1 else ''}: tolerance {tol:g} not achieved "
                     f"(relative error {', '.join(f'{r:.3g}' for _, r in p.missed)}, "
                     f"radius {p.radius:.6g}, {p.panels} panels)",
@@ -481,11 +484,12 @@ def lq_norm_quad_batch(fs, exponents: tuple, tol: float) -> list[tuple[NormEstim
 
 
 class _Pass:
-    """One function's shared pass over validated float ``exponents``: its
-    folded integrand (the instance is callable), its radius and mesh, and,
-    once run, ``found`` (the estimates in order), ``missed`` (the index
-    and relative error of each exponent that missed tol), the final
-    ``radius`` and the ``panels`` of its mesh on [0, radius].
+    """One request's shared pass, ``f`` over its validated float
+    ``exponents``: its folded integrand (the instance is callable), its
+    radius and mesh, and, once run, ``found`` (the estimates in order),
+    ``missed`` (the index and relative error of each exponent that missed
+    tol), the final ``radius`` and the ``panels`` of its mesh on
+    [0, radius].
 
     The folded integrand takes |f| at x and -x in one f.eval, so every
     panel on [0, R] stands for itself and its mirror image, and the peak
@@ -566,19 +570,19 @@ class _Pass:
                 self.missed.append((i, rel_err))
 
 
-def _quad_passes(fs, exponents, tol):
-    """The shared :class:`_Pass` of each of ``fs``, run in lockstep: one
-    evaluation of every seed mesh, then radius rounds, each one
-    :func:`integrate_adaptive` call over the functions whose tail bounds
-    still miss."""
-    passes = [_Pass(f, exponents, tol) for f in fs]
+def _quad_passes(requests, tol):
+    """The shared :class:`_Pass` of each ``(f, exponents)`` request, run
+    in lockstep: one evaluation of every seed mesh, then radius rounds,
+    each one :func:`integrate_adaptive` call over the passes whose tail
+    bounds still miss."""
+    passes = [_Pass(f, exponents, tol) for f, exponents in requests]
     todo = [p for p in passes if p.scale != 0.0]
     if not todo:
         return passes
     for p, first in zip(todo, _gk_panels(todo, [p.edges[:-1] for p in todo],
                                           [p.edges[1:] for p in todo])):
         p.first = first  # the seed round's block of the pass
-        p.totals = first[:len(exponents)].sum(1).tolist()
+        p.totals = first[:len(p.exponents)].sum(1).tolist()
         p.tails = p.log_tails()
     for _ in range(4):
         wider = []  # (pass, radius, edges beyond its radius) of each widening
@@ -586,7 +590,7 @@ def _quad_passes(fs, exponents, tol):
             if not p.covered():
                 radius = p.needed()
                 if radius > p.radius:
-                    grown = _seed_edges(p.f, max(exponents), p.shift, radius)
+                    grown = _seed_edges(p.f, max(p.exponents), p.shift, radius)
                     wider.append((p, radius, grown[grown > p.radius]))
         if wider:
             outer_first = _gk_panels([p for p, _, _ in wider],

@@ -11,8 +11,8 @@ The randomized checks (fq-lower, hy, interp, reduction) read one seeded
 batch of functions.  :func:`run_suite` draws it once and takes the norms
 of each function, and of its transform, once, over the union of the
 exponents that the selected checks read, whose values every check then
-reads; they go to quadrature in lockstep batches, one per union and
-run of functions.  Exponents
+reads; they go to quadrature in lockstep batches, one per run of
+functions, in which each function carries its own union.  Exponents
 that share a quadrature mesh can move each other's values in the last
 bits, so a row's last bits depend on its function's exponent union, and
 with it on which checks were selected, but not on which other functions

@@ -88,13 +88,14 @@ class TestSweep:
         batches = []
         batch = functionals.lq_norm_quad_batch
 
-        def recorded(gs, exponents, tol):
-            batches.append((len(gs), exponents))
-            return batch(gs, exponents, tol)
+        def recorded(requests, tol):
+            requests = list(requests)
+            batches.append((len(requests), {exponents for _, exponents in requests}))
+            return batch(requests, tol)
 
         monkeypatch.setattr(functionals, "lq_norm_quad_batch", recorded)
         res = sweep("twoscale", 3.0, 6.0, grid="10:1e6:12log")
-        assert batches == [(12, (3.0,))]
+        assert batches == [(12, {(3.0,)})]
         for row in res.rows:
             alone = sweep("twoscale", 3.0, 6.0, GridSpec(row.param, 2 * row.param, 2))
             assert alone.rows[0] == row

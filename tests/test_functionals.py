@@ -309,13 +309,13 @@ class TestEvalFqp:
 
 def _counting_quadrature(monkeypatch):
     """Route every quadrature norm of ``functionals`` through a recorder;
-    returns the list of (function, exponents) pairs, one per function of
-    each batch."""
+    returns the list of (function, exponents) requests of every batch."""
     calls = []
 
-    def counted(gs, exponents, tol):
-        calls.extend((g, exponents) for g in gs)
-        return lq_norm_quad_batch(gs, exponents, tol)
+    def counted(requests, tol):
+        requests = list(requests)
+        calls.extend(requests)
+        return lq_norm_quad_batch(requests, tol)
 
     monkeypatch.setattr(functionals, "lq_norm_quad_batch", counted)
     return calls

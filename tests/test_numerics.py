@@ -446,13 +446,17 @@ class TestLqNormQuad:
             str(exc.value),
         )
 
-    def test_shared_pass_retries_missed_exponents_alone(self):
+    def test_shared_pass_retries_missed_exponents_alone(self, monkeypatch):
         # |f| is about 1e-9 of its terms: rounding noise at q = 40 and 64
         # refines the shared mesh to the panel budget and fails L^8 there
-        # too, though L^8 converges on a mesh of its own
+        # too, though L^8 converges on a mesh of its own; the message
+        # gives the largest radius and panel count of the failed solo
+        # passes, not those of the L^8 pass that converged
         f = GaussianMixture((ComplexGaussianTerm(1.0, 1.0),
                              ComplexGaussianTerm(-1.0 + 1e-9, 1.0 + 1e-9)))
         (alone,) = lq_norm_quad(f, (8.0,), 1e-6)
+        failed = numerics._quad_passes([(f, (40.0,)), (f, (64.0,))], 1e-6)
+        assert all(p.missed for p in failed)
         with pytest.raises(ToleranceNotAchieved) as exc:
             lq_norm_quad(f, (8.0, 40.0, 64.0), 1e-6)
         assert re.fullmatch(
@@ -460,8 +464,26 @@ class TestLqNormQuad:
             r"\(relative error \S+, \S+, radius \S+, \d+ panels\)",
             str(exc.value),
         )
+        assert str(exc.value).endswith(
+            f"radius {max(p.radius for p in failed):.6g}, "
+            f"{max(p.panels for p in failed)} panels)")
         assert [est.q for est in exc.value.estimate] == [8.0, 40.0, 64.0]
         assert exc.value.estimate[0] == alone
+        # two members of one slice whose shared passes miss at different
+        # exponent indices, (0, 1, 2) and (1, 2, 3): every exponent they
+        # miss is retried in one batch of solo passes
+        calls, passes = [], numerics._quad_passes
+
+        def recorded(requests, tol):
+            calls.append([exponents for _, exponents in requests])
+            return passes(requests, tol)
+
+        monkeypatch.setattr(numerics, "_quad_passes", recorded)
+        with pytest.raises(ToleranceNotAchieved) as shared:
+            numerics.lq_norm_quad_batch([(f, (8.0, 40.0, 64.0)), (f, (1.5, 3.0, 8.0, 16.0))], 1e-6)
+        assert str(shared.value) == str(exc.value)
+        assert calls == [[(8.0, 40.0, 64.0), (1.5, 3.0, 8.0, 16.0)],
+                         [(8.0,), (40.0,), (64.0,), (3.0,), (8.0,), (16.0,)]]
 
     def test_seed_edges_follow_scales_and_phases(self):
         # a ratio-4 ladder, five half-octave rungs per decay length, and
@@ -553,7 +575,7 @@ class TestLqNormQuad:
         # in a batch, the second round integrates that expansion alone
         integrals.clear()
         others = [random_schwartz("hermite", 12, seed) for seed in (3, 5)]
-        got = numerics.lq_norm_quad_batch([others[0], f, others[1]], (64.0,), tol)
+        got = numerics.lq_norm_quad_batch([(g, (64.0,)) for g in (others[0], f, others[1])], tol)
         assert [len(args[0]) for args in integrals] == [3, 1]
         assert got[1] == (est,)
         edges = np.linspace(-12.0, 12.0, 97)
@@ -630,11 +652,11 @@ class TestLqNormQuad:
         monkeypatch.setattr(GaussianMixture, "eval", counted)
         grid = np.logspace(1.0, 6.0, 50).tolist()
         gcs = [make_two_scale(TwoScaleParams(c)) for c in grid]
-        numerics.lq_norm_quad_batch(gcs, (3.0,), 1e-8)
+        numerics.lq_norm_quad_batch([(g, (3.0,)) for g in gcs], 1e-8)
         for c, g in zip(grid, gcs):
             assert len(reach[id(g)]) == 1, c
         reach.clear()
-        numerics.lq_norm_quad_batch(gcs, (3.0,), 1e-10)
+        numerics.lq_norm_quad_batch([(g, (3.0,)) for g in gcs], 1e-10)
         for c, g in zip(grid, gcs):
             seen = reach[id(g)]
             assert len(seen) <= 2 and max(seen) == seen[0], c
@@ -687,25 +709,30 @@ _NEAR_CANCELLING = GaussianMixture((ComplexGaussianTerm(1.0, 1.0),
 
 
 class TestBatch:
-    """lq_norm_quad_batch refines every function's mesh in lockstep; each
-    function's estimates are those it gets alone."""
+    """lq_norm_quad_batch refines every request's mesh in lockstep; each
+    request's estimates are those it gets alone."""
 
     def test_members_match_batches_of_one(self, monkeypatch):
         # the randomized checks' functions and transforms at five
-        # exponents, and a g_c grid at one: values, error estimates, radii
-        # and panel counts equal those of batches of one, bit for bit, and
-        # so do the estimates of a batch run in slices of any size
+        # exponents, a g_c grid at one, and both with exponent tuples of
+        # one to three exponents mixed in one batch: values, error
+        # estimates, radii and panel counts equal those of batches of one,
+        # bit for bit, and so do the estimates of a batch run in slices of
+        # any size
         from uflab.verifier import _sample_functions
 
         mixed = [g for f in _sample_functions(40, 3) for g in (f, f.ft())]
         gcs = [make_two_scale(TwoScaleParams(c)) for c in np.geomspace(10.0, 1e6, 30).tolist()]
-        for fs, exponents in ((mixed, (1.2, 1.3, 1.5, 4.0 / 3.0, 3.0)), (gcs, (3.0,))):
-            batch = numerics._quad_passes(fs, exponents, 1e-10)
-            for f, p in zip(fs, batch):
-                assert _pass_bits(p) == _pass_bits(numerics._quad_passes([f], exponents, 1e-10)[0])
+        tuples = [(1.5,), (3.0, 1.2), (1.3, 4.0, 2.0)]
+        for requests in ([(f, (1.2, 1.3, 1.5, 4.0 / 3.0, 3.0)) for f in mixed],
+                         [(g, (3.0,)) for g in gcs],
+                         [(f, tuples[j % 3]) for j, f in enumerate(mixed[:24] + gcs[::3])]):
+            batch = numerics._quad_passes(requests, 1e-10)
+            for r, p in zip(requests, batch):
+                assert _pass_bits(p) == _pass_bits(numerics._quad_passes([r], 1e-10)[0])
             for size in (1, 7, 64):
                 monkeypatch.setattr(numerics, "BATCH_FUNCTIONS", size)
-                assert numerics.lq_norm_quad_batch(fs, exponents, 1e-10) == [
+                assert numerics.lq_norm_quad_batch(requests, 1e-10) == [
                     tuple(p.found) for p in batch]
 
     @pytest.mark.parametrize("max_panels", [200, 100_000])
@@ -713,25 +740,29 @@ class TestBatch:
         # the batched refinement against the loop it replaced, run on each
         # integrand alone: the same totals, errors, convergence and panel
         # counts, bit for bit, also where the budget or thin panels stop
-        # an integrand early
+        # an integrand early, and where the integrands of one batch have
+        # different numbers of components
         from uflab.verifier import _sample_functions
 
         monkeypatch.setattr(numerics, "MAX_PANELS", max_panels)
         fs = [g for f in _sample_functions(8, 5) for g in (f, f.ft())] + [
             _NEAR_CANCELLING, make_two_scale(TwoScaleParams(30.0))]
-        exponents, tol = (1.5, 2.0, 3.0), 1e-10
-        batch = numerics.integrate_adaptive(
-            *zip(*((p, p.edges) for p in (numerics._Pass(f, exponents, tol) for f in fs))), tol)
-        # the total panel count is an int, as perfbench's tracer reads it
-        assert type(batch[3]) is int and batch[3] == sum(batch[4])
-        for j, f in enumerate(fs):
-            p = numerics._Pass(f, exponents, tol)
-            assert _integrate_reference(p, p.edges, tol) == (
-                batch[0][j], batch[1][j], batch[2][j], batch[4][j])
+        tol = 1e-10
+        for tuples in ([(1.5, 2.0, 3.0)], [(1.5, 2.0, 3.0), (3.0,), (4.0, 1.5)]):
+            requests = [(f, tuples[j % len(tuples)]) for j, f in enumerate(fs)]
+            batch = numerics.integrate_adaptive(
+                *zip(*((p, p.edges) for p in (numerics._Pass(*r, tol) for r in requests))), tol)
+            # the total panel count is an int, as perfbench's tracer reads it
+            assert type(batch[3]) is int and batch[3] == sum(batch[4])
+            for j, r in enumerate(requests):
+                p = numerics._Pass(*r, tol)
+                assert _integrate_reference(p, p.edges, tol) == (
+                    batch[0][j], batch[1][j], batch[2][j], batch[4][j])
         jump = 1e6 + math.sqrt(2.0)
         spikes = [lambda x: 1.0 / np.sqrt(np.abs(x)), lambda x: np.exp(-x * x),
-                  lambda x: np.where(x > jump, 1.0, 0.0), lambda x: np.abs(np.sin(40.0 * x))]
-        meshes = [(0.0, 1.0), (-8.0, 0.5, 8.0), (1e6, 1e6 + 2.0), (0.0, 0.1, 3.0)]
+                  lambda x: np.where(x > jump, 1.0, 0.0), lambda x: np.abs(np.sin(40.0 * x)),
+                  lambda x: np.array((np.exp(-x * x), np.abs(np.sin(40.0 * x))))]
+        meshes = [(0.0, 1.0), (-8.0, 0.5, 8.0), (1e6, 1e6 + 2.0), (0.0, 0.1, 3.0), (0.0, 0.1, 3.0)]
         batch = numerics.integrate_adaptive(spikes, meshes, 1e-12)
         for j, (fn, mesh) in enumerate(zip(spikes, meshes)):
             assert _integrate_reference(fn, mesh, 1e-12) == (
@@ -783,7 +814,7 @@ class TestBatch:
 
         monkeypatch.setattr(numerics, "_gk_panels", counted_panels)
         monkeypatch.setattr(numerics, "integrate_adaptive", counted_integrals)
-        numerics.lq_norm_quad_batch(fs, (1.5, 3.0), 1e-10)
+        numerics.lq_norm_quad_batch([(f, (1.5, 3.0)) for f in fs], 1e-10)
         assert integrals[0] == len(rounds[0]) == len(fs)
         assert len(integrals) <= 4 and all(n <= len(fs) for n in integrals)
         assert all(len(set(ids)) == len(ids) for ids in rounds)
@@ -808,7 +839,7 @@ class TestBatch:
                 lq_norm_quad(_NEAR_CANCELLING, exponents, 1e-8)
             batch = others[:5] + [_NEAR_CANCELLING] + others[5:]
             with pytest.raises(ToleranceNotAchieved) as shared:
-                numerics.lq_norm_quad_batch(batch, exponents, 1e-8)
+                numerics.lq_norm_quad_batch([(f, exponents) for f in batch], 1e-8)
             assert str(shared.value) == str(alone.value)
             assert shared.value.estimate == alone.value.estimate
             # the member ran out of its own budget: not one more split fits
@@ -818,22 +849,22 @@ class TestBatch:
             # others: every member keeps the bits it gets alone
             twin = GaussianMixture((ComplexGaussianTerm(7.0, 1.0),
                                     ComplexGaussianTerm(-7.0 + 7e-9, 1.0 + 1e-9)))
-            passes = numerics._quad_passes(batch + [twin], exponents, 1e-8)
+            passes = numerics._quad_passes([(f, exponents) for f in batch + [twin]], 1e-8)
             assert passes[5].missed and passes[-1].missed
             for f, p in zip(batch + [twin], passes):
                 assert bool(p.missed) == (f is _NEAR_CANCELLING or f is twin)
                 assert _pass_bits(p) == _pass_bits(
-                    numerics._quad_passes([f], exponents, 1e-8)[0])
+                    numerics._quad_passes([(f, exponents)], 1e-8)[0])
 
     def test_zero_member_has_zero_norms(self):
         zero, g = single(0.0, 1.0), make_two_scale(TwoScaleParams(3.0))
-        got = numerics.lq_norm_quad_batch([g, zero, g], (1.5, 3.0), 1e-10)
+        got = numerics.lq_norm_quad_batch([(f, (1.5, 3.0)) for f in (g, zero, g)], 1e-10)
         assert got[1] == (NormEstimate(0.0, "quadrature", 0.0, 1.5),
                           NormEstimate(0.0, "quadrature", 0.0, 3.0))
         assert got[0] == got[2] == lq_norm_quad(g, (1.5, 3.0), 1e-10)
-        assert numerics.lq_norm_quad_batch([zero], (2.0,), 1e-10) == [
+        assert numerics.lq_norm_quad_batch([(zero, (2.0,))], 1e-10) == [
             lq_norm_quad(zero, (2.0,), 1e-10)]
-        assert numerics.lq_norm_quad_batch([], (2.0,), 1e-10) == []
+        assert numerics.lq_norm_quad_batch([], 1e-10) == []
 
 
 def _mp_hermite_rows(x, n):
