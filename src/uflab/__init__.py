@@ -38,7 +38,7 @@ from .functionals import (
     norms,
 )
 from .verifier import run_suite
-from .explore import estimate_image_interval, minimize_Fq
+from .explore import minimize_Fq
 
 __all__ = [
     "__version__",
@@ -48,5 +48,5 @@ __all__ = [
     "lq_norm_quad", "dft_approx", "sample",
     "closed_form_Fq_chirp", "closed_form_Fqp_chirp", "beckner_constant",
     "fq_gc_lower_bound", "random_schwartz",
-    "run_suite", "estimate_image_interval", "minimize_Fq",
+    "run_suite", "minimize_Fq",
 ]

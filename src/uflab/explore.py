@@ -1,5 +1,5 @@
-"""Parameter sweeps, image-interval estimates, and direct-search
-minimization of the uncertainty ratios.
+"""Parameter sweeps and direct-search minimization of the uncertainty
+ratios.
 
 Sweeps over the chirp family run in the squared parameter t = a*a (the
 natural variable of the closed forms) and are evaluated in closed form
@@ -21,7 +21,6 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from . import verifier
 from .functionals import (
     _check_exponent,
     beckner_constant,
@@ -33,7 +32,6 @@ from .gaussian import (
     ChirpParams,
     ComplexGaussianTerm,
     GaussianMixture,
-    MIN_CHIRP_MARGIN,
     TwoScaleParams,
 )
 from .numerics import ToleranceNotAchieved
@@ -177,86 +175,6 @@ def sweep(
               "both" if i % _SPOT_CHECK_EVERY == 0 else "closed-form", tol)[0]
         for i, v in enumerate(values)
     ])
-
-
-@dataclass(frozen=True)
-class IntervalReport:
-    """Observed envelope of ratio values for fixed exponents, with trend
-    flags and the proved floor where one exists."""
-
-    q: float
-    p: float | None
-    observed_min: float
-    observed_max: float
-    divergence_flag: bool
-    vanishing_flag: bool
-    proved_lower_bound: float | None
-
-
-def _strictly_monotone(values, sign: int) -> bool:
-    return all(sign * (b - a) > 0.0 for a, b in zip(values, values[1:]))
-
-
-# Chirp grid points and quadrature tolerance of estimate_image_interval.
-_INTERVAL_POINTS = 17
-_INTERVAL_TOL = 1e-8
-
-
-def estimate_image_interval(q: float, p: float | None = None) -> IntervalReport:
-    """Sweep both families and report the observed value envelope.
-
-    Along the chirps the ratio is a constant times ((t+1)/(t-1))**r,
-    r = 1/q - 1/p (p = 2 for F_q), so as t -> 1+ it diverges for r > 0
-    and vanishes for r < 0.  That trend is flagged when the chirp values
-    are strictly monotone and their log-log slope against t - 1 over the
-    first four grid points lies within 1% of -r.  The two-scale trends
-    come from the verifier's asymptotics check: divergence of F_q for
-    q > 2, vanishing of F_qp for 1/p + 1/q < 1.
-    The proved lower bound is 1/B_q for q < 2, 1 at q = 2, and 1 for the
-    two-exponent case with 1/p + 1/q >= 1; otherwise none is known.
-    """
-    # Geometric in t - 1, not t, so the grid actually probes the guarded
-    # corner above the a > 1 margin as well as the flat tail.
-    t_min = (1.0 + 2.0 * MIN_CHIRP_MARGIN) ** 2
-    dt = np.geomspace(t_min - 1.0, 1e6, _INTERVAL_POINTS)
-    t_grid = 1.0 + dt
-    chirp_vals = [row.value for row in
-                  _rows("chirp", t_grid.tolist(), q, p, "closed-form", _INTERVAL_TOL)]
-
-    if p is None and q < 2.0:
-        c_grid = np.geomspace(0.1, 10.0, 9)
-    elif p is None:
-        c_grid = np.concatenate([np.geomspace(0.1, 10.0, 5), verifier.DIVERGENCE_GRID[1:]])
-    else:
-        c_grid = np.concatenate([np.geomspace(0.1, 10.0, 5), verifier.VANISHING_GRID[1:]])
-    ts_vals = [row.value for row in
-               _rows("twoscale", c_grid.tolist(), q, p, "auto", _INTERVAL_TOL)]
-
-    all_vals = chirp_vals + ts_vals
-    rate = 1.0 / q - 1.0 / (2.0 if p is None else p)
-    slope = float(np.polyfit(np.log(dt[:4]), np.log(chirp_vals[:4]), 1)[0])
-    chirp_trend = (rate != 0.0 and _strictly_monotone(chirp_vals, -1 if rate > 0.0 else +1)
-                   and abs(slope + rate) <= 0.01 * abs(rate))
-    divergence = chirp_trend and rate > 0.0
-    vanishing = chirp_trend and rate < 0.0
-    if p is None:
-        if q > 2.0:
-            divergence = divergence or verifier.verify_asymptotics(q).passed
-        proved = None if q > 2.0 else (1.0 if q == 2.0 else 1.0 / beckner_constant(q))
-    else:
-        if 1.0 / q + 1.0 / p < 1.0:
-            vanishing = vanishing or verifier.verify_asymptotics(q, p).passed
-        proved = 1.0 if 1.0 / q + 1.0 / p >= 1.0 else None
-
-    return IntervalReport(
-        q,
-        p,
-        min(all_vals),
-        max(all_vals),
-        divergence,
-        vanishing,
-        proved,
-    )
 
 
 # Random restarts draw log-uniform widths from this range; each start's

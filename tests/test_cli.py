@@ -132,6 +132,15 @@ class TestUsageErrors:
         assert out == ""
         assert "tolerance must lie" in err
 
+    # A spacing whose grid span n*dx or dual span 1/dx is not finite is
+    # rejected by name, before the grid is built or sampled.
+    @pytest.mark.parametrize("dx, shown", [("1e308", "1e+308"), ("1e-320", "1e-320")])
+    def test_rejected_dx_names_given_value(self, capsys, dx, shown):
+        code, out, err = run(capsys, "ftcheck", "--family", "gaussian", "--dx", dx)
+        assert code == 2
+        assert out == ""
+        assert "usage" in err and f"got {shown}\n" in err
+
 
 class TestEval:
     def test_chirp_both_methods(self, capsys):

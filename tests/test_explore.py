@@ -1,4 +1,4 @@
-"""Sweeps, image-interval estimation, and the F_q minimizer."""
+"""Sweeps and the F_q minimizer."""
 
 import io
 import math
@@ -14,7 +14,6 @@ from uflab.explore import (
     MinimizeFamilySpec,
     OptimizerConfig,
     SweepResult,
-    estimate_image_interval,
     minimize_Fq,
     sweep,
 )
@@ -103,6 +102,11 @@ class TestSweep:
     def test_fqp_sweep(self):
         res = sweep("chirp", 3.0, 6.0, grid="2:50:5log")
         assert all(r.p == 6.0 for r in res.rows)
+        # 1/q - 1/p > 0: the chirp ratio grows toward t = 1
+        assert all(b.value < a.value for a, b in zip(res.rows, res.rows[1:]))
+        # on the line 1/q + 1/p = 1, Hausdorff-Young keeps F_qp >= 1
+        res = sweep("twoscale", 1.5, 3.0, grid="0.1:10:9log")
+        assert all(r.p == 3.0 and r.value >= 1.0 - 1e-6 for r in res.rows)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
@@ -134,54 +138,6 @@ class TestSerialization:
         assert len(d["rows"]) == 2
         assert d["rows"][0]["family"] == "chirp"
         assert d["rows"][0]["value"] == res.rows[0].value
-
-
-class TestImageInterval:
-    def test_q4_divergence_and_small_values(self):
-        rep = estimate_image_interval(4.0)
-        assert rep.divergence_flag
-        assert rep.observed_min < 0.05
-        assert rep.observed_max > 10.0
-        assert rep.proved_lower_bound is None
-
-    def test_q15_floor(self):
-        rep = estimate_image_interval(1.5)
-        assert rep.proved_lower_bound == pytest.approx(1.0491150634216482, rel=1e-12)
-        assert rep.observed_min >= rep.proved_lower_bound - 1e-6
-        assert rep.observed_min <= 1.07926
-        assert rep.divergence_flag  # chirp blows up toward t = 1
-        assert not rep.vanishing_flag
-
-    def test_q2_degenerate(self):
-        rep = estimate_image_interval(2.0)
-        assert rep.proved_lower_bound == 1.0
-        assert rep.observed_min == pytest.approx(1.0, rel=1e-7)
-        assert rep.observed_max == pytest.approx(1.0, rel=1e-7)
-        assert not rep.divergence_flag and not rep.vanishing_flag
-
-    def test_qp_vanishing(self):
-        rep = estimate_image_interval(3.0, 6.0)
-        assert rep.vanishing_flag  # 1/3 + 1/6 < 1
-        assert rep.divergence_flag
-        assert rep.proved_lower_bound is None
-
-    def test_qp_scaling_boundary_keeps_floor(self):
-        rep = estimate_image_interval(1.5, 3.0)
-        assert rep.proved_lower_bound == 1.0  # 1/q + 1/p = 1
-        assert rep.observed_min >= 1.0 - 1e-6
-
-    @pytest.mark.parametrize("q, p, divergence, vanishing", [
-        (2.5, 3.0, True, True),   # chirps diverge, g_c vanishes (1/q + 1/p < 1)
-        (1.9, None, True, False),  # chirps diverge
-        (2.2, None, True, True),   # g_c diverges, chirps vanish
-        (2.5, None, True, True),
-    ])
-    def test_chirp_trend_at_slow_rates(self, q, p, divergence, vanishing):
-        # near t = 1 the chirp ratio moves as (t - 1)**-(1/q - 1/p), so
-        # over the whole grid only by (5e5)**|1/q - 1/p|, about 1.4x at
-        # q = 1.9; the slope test flags it all the same
-        rep = estimate_image_interval(q, p)
-        assert (rep.divergence_flag, rep.vanishing_flag) == (divergence, vanishing)
 
 
 class TestMinimize:

@@ -1072,6 +1072,9 @@ class TestSampledFunction:
             SampledFunction(16, -0.1, np.zeros(16, dtype=complex))
         with pytest.raises(ValueError):
             SampledFunction(16, 0.1, np.zeros(8, dtype=complex))  # length mismatch
+        for dx in (1e308, 1e-320):  # n*dx, then 1/dx, is not finite
+            with pytest.raises(ValueError, match=re.escape(f"got {dx!r}") + "$"):
+                SampledFunction(16, dx, np.zeros(16, dtype=complex))
 
     def test_grids(self):
         s = SampledFunction(16, 0.5, np.zeros(16, dtype=complex))

@@ -25,7 +25,7 @@ def readme_imports():
 
 def test_all_is_the_readme_surface():
     assert readme_imports() == set(uflab.__all__) - {"__version__"}
-    assert len(uflab.__all__) == 22
+    assert len(uflab.__all__) == 21
 
 
 def test_all_names_resolve():
@@ -46,13 +46,15 @@ def test_no_submodule_in_all():
 def test_removed_free_functions_absent():
     for name in ("fourier_transform", "eval_mixture", "mixture_l2_norm",
                  "bound_report", "BoundReport", "TestFunctionSpec",
-                 "hermite_ft_coeffs", "norm_from_samples", "hermite_eval"):
+                 "hermite_ft_coeffs", "norm_from_samples", "hermite_eval",
+                 "estimate_image_interval", "IntervalReport"):
         assert name not in uflab.__all__
         assert not hasattr(uflab, name)
     assert not hasattr(numerics, "norm_from_samples")
     assert not hasattr(hermite, "hermite_eval")
     assert not hasattr(numerics.SampledFunction, "xi_spacing")
     assert not hasattr(explore.SweepResult, "to_csv")
+    assert not hasattr(explore, "estimate_image_interval")
 
 
 def test_module_entry_points_resolve():

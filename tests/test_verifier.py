@@ -153,7 +153,8 @@ class TestAsymptotics:
             assert not r.passed
             assert r.worst_slack == r.observed["worst_bracket_slack"] < -0.5
 
-    @pytest.mark.parametrize("q, p", [(64.0, None), (1.5, 4.0), (1.9, 2.2), (1.1, 12.0)])
+    @pytest.mark.parametrize("q, p", [(64.0, None), (2.2, None), (2.5, None), (1.5, 4.0),
+                                      (1.9, 2.2), (2.5, 3.0), (1.1, 12.0)])
     def test_bracket_holds_at_overrides(self, q, p):
         # q < 2 checks the upper side alone at q, both sides at p > 2
         for r in run_suite(("asymptotics",), q=q, p=p):
