@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .explore import GridSpec, MinimizeFamilySpec, OptimizerConfig, minimize_Fq, sweep
-from .functionals import _resolve, eval_Fq, eval_Fqp
+from .functionals import _resolve, eval_batch
 from .gaussian import ChirpParams, ComplexGaussianTerm, TwoScaleParams
 from .numerics import ToleranceNotAchieved, dft_approx, sample, truncation_radius
 from .verifier import SUITE_NAMES, run_suite
@@ -128,11 +128,7 @@ def _json_text(obj: dict) -> str:
 
 def _cmd_eval(args) -> int:
     params, _ = _family_object(args)
-    method = _METHOD_MAP[args.method]
-    if args.p is None:
-        report = eval_Fq(params, args.q, method, args.tol)
-    else:
-        report = eval_Fqp(params, args.q, args.p, method, args.tol)
+    report = eval_batch((params,), args.q, args.p, _METHOD_MAP[args.method], args.tol)[0]
     doc = {"schema": EVAL_SCHEMA, "family": args.family, **asdict(report)}
     _emit(_json_text(doc), args.out)
     return 0

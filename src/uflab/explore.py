@@ -5,9 +5,11 @@ Sweeps over the chirp family run in the squared parameter t = a*a (the
 natural variable of the closed forms) and are evaluated in closed form
 with periodic quadrature spot checks; sweeps over the two-scale family
 let each norm take its own route (method "auto": the exact Gaussian sum
-at even integer exponents, quadrature otherwise).  Results serialize to
-CSV with 17 significant digits, enough to round-trip doubles exactly,
-and to JSON.
+at even integer exponents, quadrature otherwise).  Either way the rows
+come from whole-grid :func:`~uflab.functionals.eval_batch` calls, and
+only numerics decides how many quadrature requests refine together.
+Results serialize to CSV with 17 significant digits, enough to
+round-trip doubles exactly, and to JSON.
 """
 
 from __future__ import annotations
@@ -21,13 +23,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .functionals import (
-    _check_exponent,
-    beckner_constant,
-    eval_Fq,
-    eval_Fq_batch,
-    eval_Fqp_batch,
-)
+from .functionals import _check_exponent, beckner_constant, eval_batch, eval_Fq
 from .gaussian import (
     ChirpParams,
     ComplexGaussianTerm,
@@ -112,32 +108,15 @@ class SweepResult:
             )
         return buf.getvalue()
 
-    @classmethod
-    def from_csv(cls, stream) -> "SweepResult":
-        reader = csv.reader(stream)
-        header = next(reader)
-        if tuple(header) != CSV_HEADER:
-            raise ValueError(f"unexpected sweep header {header!r}")
-        schema = None
-        rows = []
-        for rec in reader:
-            schema = rec[0]
-            rows.append(SweepRow(*(
-                v if f.type == "str" else float(v) for f, v in zip(fields(SweepRow), rec[1:])
-            )))
-        return cls(schema or SWEEP_SCHEMA, rows)
-
 
 def _rows(family: str, params, q, p, method, tol) -> list[SweepRow]:
     """One sweep row per parameter of the family, t = a*a for the chirp
-    and c for the two-scale family, from the evaluator's reports, whose
-    norms are taken in one batch.  The error estimate is the
-    exact/quadrature discrepancy when both routes ran, else the value
-    times the summed relative error estimates of the four norms."""
+    and c for the two-scale family, from the :func:`eval_batch` reports
+    of all of them.  The error estimate is the exact/quadrature
+    discrepancy when both routes ran, else the value times the summed
+    relative error estimates of the four norms."""
     make = ChirpParams.from_t if family == "chirp" else TwoScaleParams
-    fs = [make(param) for param in params]
-    reports = (eval_Fq_batch(fs, q, method, tol) if p is None
-               else eval_Fqp_batch(fs, q, p, method, tol))
+    reports = eval_batch([make(param) for param in params], q, p, method, tol)
     rows = []
     for param, rep in zip(params, reports):
         err = rep.discrepancy
@@ -157,11 +136,12 @@ def sweep(
 ) -> SweepResult:
     """Evaluate the ratio along a parameter grid.
 
-    family 'chirp' sweeps t = a*a (closed form, quadrature spot checks
-    on every ``_SPOT_CHECK_EVERY``-th row); family 'twoscale' sweeps c
-    with method "auto", so even integer exponents are summed exactly and
-    the others integrated, all rows in one batch.  Rows come back
-    ordered by the swept parameter.
+    family 'chirp' sweeps t = a*a in closed form, and every
+    ``_SPOT_CHECK_EVERY``-th row again with method "both", its spot
+    checks in one batch; family 'twoscale' sweeps c with method "auto",
+    so even integer exponents are summed exactly and the others
+    integrated, all rows in one batch.  Rows come back ordered by the
+    swept parameter.
     """
     if isinstance(grid, str):
         grid = GridSpec.parse(grid)
@@ -170,11 +150,9 @@ def sweep(
     values = grid.values().tolist()
     if family == "twoscale":
         return SweepResult(SWEEP_SCHEMA, _rows(family, values, q, p, "auto", tol))
-    return SweepResult(SWEEP_SCHEMA, [
-        _rows(family, [v], q, p,
-              "both" if i % _SPOT_CHECK_EVERY == 0 else "closed-form", tol)[0]
-        for i, v in enumerate(values)
-    ])
+    rows = _rows(family, values, q, p, "closed-form", tol)
+    rows[::_SPOT_CHECK_EVERY] = _rows(family, values[::_SPOT_CHECK_EVERY], q, p, "both", tol)
+    return SweepResult(SWEEP_SCHEMA, rows)
 
 
 # Random restarts draw log-uniform widths from this range; each start's

@@ -5,14 +5,17 @@ The central quantity is the scale-invariant ratio
     F_q(f)   = ||f||_q * ||fhat||_q / (||f||_2 * ||fhat||_2),
     F_qp(f)  = ||f||_q * ||fhat||_q / (||f||_p * ||fhat||_p),
 
-Every norm comes from :func:`norms`, or :func:`norms_batch` over many
-``(g, exponents)`` requests at once, which takes an exact route where one
-exists (the closed form of a single Gaussian/chirp term, the finite
-Gaussian sum of ``|f|**q`` for a mixture at even integer q, and
-``sum |c_n|**2`` for a Hermite expansion at q = 2) and certified
-quadrature everywhere else, one quadrature request per function with the
-exponents it has no exact route for; ``method`` can also force either
-route or cross-check the two.
+F_q being F_qp at p = 2.  Every ratio comes from :func:`eval_batch`,
+for a whole batch of inputs at once; :func:`eval_Fq` and
+:func:`eval_Fqp` are its batch of one.  Every norm comes from
+:func:`norms`, or :func:`norms_batch` over many ``(g, exponents)``
+requests at once, which takes an exact route where one exists (the
+closed form of a single Gaussian/chirp term, the finite Gaussian sum of
+``|f|**q`` for a mixture at even integer q, and ``sum |c_n|**2`` for a
+Hermite expansion at q = 2) and certified quadrature everywhere else,
+one quadrature request per function with the exponents it has no exact
+route for; ``method`` can also force either route or cross-check the
+two.
 Alongside the evaluators live the elementary bounds for the two-scale
 family g_c and the sharp Hausdorff-Young constant.
 """
@@ -255,9 +258,27 @@ def _ratio(fq: float, hq: float, fp: float, hp: float) -> float:
     return (fq / fp) * (hq / hp)
 
 
-def _eval_ratios(fs, q, p, method, tol) -> list[FunctionalReport]:
-    """The report of each input of ``fs``; their norms are taken in one
-    :func:`norms_batch` call per route."""
+def eval_batch(fs, q: float, p: float | None = None, method: str = "auto",
+               tol: float = 1e-10) -> list[FunctionalReport]:
+    """The report of each input of ``fs``, in order: F_q, with the L^2
+    pair in the denominator, when ``p`` is None, and else F_qp, which
+    requires q < p.
+
+    An input may be chirp/two-scale parameters, a term, a mixture, or a
+    Hermite expansion.  ``method`` "auto" lets :func:`norms` pick each
+    norm's route; "closed-form" requires an exact route for all four
+    (ValueError otherwise); "quadrature" integrates all four; "both"
+    evaluates exactly and records the relative discrepancy from
+    quadrature.  The norms of all inputs are taken in one
+    :func:`norms_batch` call per route.
+    """
+    _check_exponent(q)
+    if p is None:
+        p = 2.0
+    else:
+        _check_exponent(p, "p")
+        if not p > q:
+            raise ValueError(f"need q < p, got q={q}, p={p}")
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     pairs = [_resolve(f) for f in fs]
@@ -284,40 +305,14 @@ def _eval_ratios(fs, q, p, method, tol) -> list[FunctionalReport]:
 
 
 def eval_Fq(f, q: float, method: str = "auto", tol: float = 1e-10) -> FunctionalReport:
-    """F_q(f) with the L^2 pair in the denominator.
-
-    ``f`` may be chirp/two-scale parameters, a term, a mixture, or a
-    Hermite expansion.  ``method`` "auto" lets :func:`norms` pick each
-    norm's route; "closed-form" requires an exact route for all four
-    (ValueError otherwise); "quadrature" integrates all four; "both"
-    evaluates exactly and records the relative discrepancy from
-    quadrature.
-    """
-    return eval_Fq_batch((f,), q, method, tol)[0]
-
-
-def eval_Fq_batch(fs, q: float, method: str = "auto",
-                  tol: float = 1e-10) -> list[FunctionalReport]:
-    """:func:`eval_Fq` of each input of ``fs``, in order, with the norms
-    of all of them taken in one batch."""
-    _check_exponent(q)
-    return _eval_ratios(fs, q, 2.0, method, tol)
+    """F_q(f) with the L^2 pair in the denominator: :func:`eval_batch`
+    of ``f`` alone."""
+    return eval_batch((f,), q, None, method, tol)[0]
 
 
 def eval_Fqp(
     f, q: float, p: float, method: str = "auto", tol: float = 1e-10
 ) -> FunctionalReport:
-    """F_qp(f) with the L^p pair in the denominator; requires q < p."""
-    return eval_Fqp_batch((f,), q, p, method, tol)[0]
-
-
-def eval_Fqp_batch(fs, q: float, p: float, method: str = "auto",
-                   tol: float = 1e-10) -> list[FunctionalReport]:
-    """:func:`eval_Fqp` of each input of ``fs``, in order, with the norms
-    of all of them taken in one batch."""
-    _check_exponent(q)
-    _check_exponent(p, "p")
-    if not p > q:
-        raise ValueError(f"need q < p, got q={q}, p={p}")
-    return _eval_ratios(fs, q, p, method, tol)
-
+    """F_qp(f) with the L^p pair in the denominator, q < p:
+    :func:`eval_batch` of ``f`` alone."""
+    return eval_batch((f,), q, p, method, tol)[0]

@@ -11,12 +11,14 @@ The randomized checks (fq-lower, hy, interp, reduction) read one seeded
 batch of functions.  :func:`run_suite` draws it once and takes the norms
 of each function, and of its transform, once, over the union of the
 exponents that the selected checks read, whose values every check then
-reads; they go to quadrature in lockstep batches, one per run of
-functions, in which each function carries its own union.  Exponents
-that share a quadrature mesh can move each other's values in the last
-bits, so a row's last bits depend on its function's exponent union, and
-with it on which checks were selected, but not on which other functions
-share its batch.  Each invocation repeats byte-identically.
+reads; the whole table goes to :func:`~uflab.functionals.norms_batch`
+in one call, in which each function carries its own union, and numerics
+alone decides how many of its quadrature requests refine in lockstep.
+Exponents that share a quadrature mesh can move each other's values in
+the last bits, so a row's last bits depend on its function's exponent
+union, and with it on which checks were selected, but not on which
+other functions share its batch.  Each invocation repeats
+byte-identically.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ import numpy as np
 from .functionals import (
     beckner_constant,
     conjugate_exponent,
-    eval_Fq_batch,
-    eval_Fqp_batch,
+    eval_batch,
     fq_gc_lower_bound,
     gc_l2_norm_sq,
     gc_lq_lower_bound,
@@ -43,7 +44,6 @@ from .functionals import (
 from .functionals import _in_range, _ratio  # shared exponent cap and F formula
 from .gaussian import ChirpParams, TwoScaleParams, closed_form_Fq_chirp, make_two_scale
 from .hermite import random_schwartz
-from .numerics import BATCH_FUNCTIONS
 
 # Norm tolerance used inside verification checks; one-sided inequality
 # slacks then only dip below zero by rounding, never by integration
@@ -167,18 +167,13 @@ def _norm_table(seed: int, requests) -> list:
     in the order of its exponents.  The batch is drawn once, at the
     largest count, and function i and its transform take their norms
     once each, over the union of the exponents of the requests whose
-    count exceeds i.  They go to ``norms_batch`` in runs that fill one
-    lockstep batch of numerics, so that only one run's transforms and
-    estimates are held at a time."""
-    functions = _sample_functions(max(n for n, _ in requests), seed)
-    run, sides = BATCH_FUNCTIONS // 2, []
-    for start in range(0, len(functions), run):
-        batch = []
-        for i, f in enumerate(functions[start:start + run], start):
-            union = tuple(dict.fromkeys(e for n, exps in requests if n > i for e in exps))
-            batch += [(f, union), (f.ft(), union)]
-        sides += [dict(zip(union, (est.value for est in ests)))
-                  for (_, union), ests in zip(batch, norms_batch(batch, QUAD_TOL))]
+    count exceeds i, all of them in one ``norms_batch`` call."""
+    batch = []
+    for i, f in enumerate(_sample_functions(max(n for n, _ in requests), seed)):
+        union = tuple(dict.fromkeys(e for n, exps in requests if n > i for e in exps))
+        batch += [(f, union), (f.ft(), union)]
+    sides = [dict(zip(union, (est.value for est in ests)))
+             for (_, union), ests in zip(batch, norms_batch(batch, QUAD_TOL))]
     rows = [sides[j:j + 2] for j in range(0, len(sides), 2)]
     return [[tuple(tuple(side[e] for e in exps) for side in row) for row in rows[:n]]
             for n, exps in requests]
@@ -207,7 +202,7 @@ def verify_closed_forms() -> CheckResult:
     c_grid = (0.1, 1.0, 2.0, 10.0, 100.0)
     slacks = []
     for q in q_grid:
-        reports = eval_Fq_batch([ChirpParams(a) for a in a_grid], q, "quadrature", QUAD_TOL)
+        reports = eval_batch([ChirpParams(a) for a in a_grid], q, None, "quadrature", QUAD_TOL)
         for a, rep in zip(a_grid, reports):
             closed = closed_form_Fq_chirp(a, q)
             slacks.append(-abs(closed - rep.value) / closed)
@@ -328,8 +323,7 @@ def verify_asymptotics(q: float, p: float | None = None) -> CheckResult:
     _require_domain(name, q, p)
     grid = DIVERGENCE_GRID if p is None else VANISHING_GRID
     exponents = (q,) if p is None else (q, p)
-    evaluate = eval_Fq_batch if p is None else eval_Fqp_batch
-    reports = evaluate([TwoScaleParams(c) for c in grid], *exponents, "auto", QUAD_TOL)
+    reports = eval_batch([TwoScaleParams(c) for c in grid], q, p, "auto", QUAD_TOL)
     values = [rep.value for rep in reports]
     bracket = _worst_bracket_slack(grid, reports, exponents)
     steps = [b - a if p is None else a - b for a, b in zip(values, values[1:])]

@@ -1,8 +1,9 @@
 """Sweeps and the F_q minimizer."""
 
+import csv
 import io
 import math
-from dataclasses import asdict
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from uflab.explore import (
     GridSpec,
     MinimizeFamilySpec,
     OptimizerConfig,
-    SweepResult,
     minimize_Fq,
     sweep,
 )
@@ -99,6 +99,32 @@ class TestSweep:
             alone = sweep("twoscale", 3.0, 6.0, GridSpec(row.param, 2 * row.param, 2))
             assert alone.rows[0] == row
 
+    def test_chirp_spot_checks_are_one_batch(self, monkeypatch):
+        # rows 0, 8, 16 and 24 are spot-checked by quadrature in one
+        # batch, f and fhat of each (the closed-form passes send none),
+        # and each row equals the one-row sweep of its t
+        from uflab import functionals
+
+        batches = []
+        batch = functionals.lq_norm_quad_batch
+
+        def recorded(requests, tol):
+            requests = list(requests)
+            if requests:
+                batches.append(len(requests))
+            return batch(requests, tol)
+
+        monkeypatch.setattr(functionals, "lq_norm_quad_batch", recorded)
+        res = sweep("chirp", 4.0, grid="1.1:100:25log")
+        assert batches == [8]
+        assert [i for i, r in enumerate(res.rows) if r.method == "both"] == [0, 8, 16, 24]
+        for i, row in enumerate(res.rows):
+            alone = sweep("chirp", 4.0, grid=GridSpec(row.param, 2 * row.param, 2))
+            if i % 8 == 0:
+                assert alone.rows[0] == row
+            else:
+                assert replace(alone.rows[0], method=row.method, err_est=row.err_est) == row
+
     def test_fqp_sweep(self):
         res = sweep("chirp", 3.0, 6.0, grid="2:50:5log")
         assert all(r.p == 6.0 for r in res.rows)
@@ -116,9 +142,12 @@ class TestSweep:
 class TestSerialization:
     def test_csv_roundtrip_exact(self):
         res = sweep("chirp", 4.0, grid="1.1:50:9log")
-        text = res.csv_text()
-        back = SweepResult.from_csv(io.StringIO(text))
-        assert back == res
+        records = list(csv.reader(io.StringIO(res.csv_text())))[1:]
+        assert len(records) == len(res.rows)
+        for record, row in zip(records, res.rows):
+            assert record[0] == res.schema
+            for text, value in zip(record[1:], astuple(row)):
+                assert (text == value) if isinstance(value, str) else (float(text) == value)
 
     def test_csv_header(self):
         text = sweep("chirp", 3.0, grid="2:3:2").csv_text()
@@ -126,10 +155,6 @@ class TestSerialization:
             "schema,family,param,q,p,norm_f_q,norm_fhat_q,norm_f_p,norm_fhat_p,"
             "value,method,err_est"
         )
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(ValueError):
-            SweepResult.from_csv(io.StringIO("schema,family\nx,y\n"))
 
     def test_json_dict(self):
         res = sweep("chirp", 4.0, grid="2:3:2")

@@ -15,6 +15,7 @@ from uflab.functionals import (
     EXPONENT_MIN,
     beckner_constant,
     conjugate_exponent,
+    eval_batch,
     eval_Fq,
     eval_Fqp,
     fq_gc_lower_bound,
@@ -33,7 +34,7 @@ from uflab.gaussian import (
     closed_form_Fq_chirp,
     make_two_scale,
 )
-from uflab.hermite import HermiteExpansion
+from uflab.hermite import HermiteExpansion, random_schwartz
 from uflab.numerics import lq_norm_quad, lq_norm_quad_batch
 
 class TestExponentHelpers:
@@ -305,6 +306,37 @@ class TestEvalFqp:
         a = eval_Fqp(f, 1.5, 2.0, "quadrature", 1e-10).value
         b = eval_Fq(f, 1.5, "quadrature", 1e-10).value
         assert a == pytest.approx(b, rel=1e-12)
+
+
+class TestEvalBatch:
+    # one input of each kind; the Hermite expansion has no exact route
+    # at q = 4 or p = 6, so the exact methods run without it
+    BATCH = (ChirpParams(2.0), TwoScaleParams(3.0), ComplexGaussianTerm(0.5 - 1j, 2.0 + 1j),
+             random_schwartz("gaussian-mixture", 3, 5), random_schwartz("hermite", 4, 5))
+
+    @pytest.mark.parametrize("p", [None, 6.0])
+    @pytest.mark.parametrize("method", ["auto", "closed-form", "quadrature", "both"])
+    def test_reports_equal_batches_of_one(self, method, p):
+        exact = method in ("closed-form", "both")
+        fs = self.BATCH[:-1] if exact else self.BATCH
+        reports = eval_batch(fs, 4.0, p, method)
+        assert reports == [eval_batch((f,), 4.0, p, method)[0] for f in fs]
+        assert [(r.q, r.p, r.method) for r in reports] == [(4.0, p or 2.0, method)] * len(fs)
+        fq, hq, fp, hp = reports[1].norms  # self-dual g_c: norms taken once
+        assert hq is fq and hp is fp
+        if exact:
+            with pytest.raises(ValueError, match="no exact route .* HermiteExpansion"):
+                eval_batch(self.BATCH, 4.0, p, method)
+
+    def test_rejects_exponents(self):
+        with pytest.raises(ValueError, match=r"need q < p, got q=4.0, p=4.0"):
+            eval_batch(self.BATCH, 4.0, 4.0)
+        with pytest.raises(ValueError, match=r"need q < p, got q=4.0, p=3.0"):
+            eval_batch(self.BATCH, 4.0, 3.0)
+        with pytest.raises(ValueError, match=r"p must lie in \[1.001, 64.0\], got 65.0"):
+            eval_batch(self.BATCH, 4.0, 65.0)
+        with pytest.raises(ValueError, match=r"q must lie in \[1.001, 64.0\], got 1.0"):
+            eval_batch(self.BATCH, 1.0, 6.0)
 
 
 def _counting_quadrature(monkeypatch):

@@ -54,7 +54,10 @@ def test_removed_free_functions_absent():
     assert not hasattr(hermite, "hermite_eval")
     assert not hasattr(numerics.SampledFunction, "xi_spacing")
     assert not hasattr(explore.SweepResult, "to_csv")
+    assert not hasattr(explore.SweepResult, "from_csv")
     assert not hasattr(explore, "estimate_image_interval")
+    for name in ("eval_Fq_batch", "eval_Fqp_batch", "_eval_ratios"):
+        assert not hasattr(functionals, name)
 
 
 def test_module_entry_points_resolve():

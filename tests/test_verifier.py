@@ -250,6 +250,20 @@ class TestSharedNorms:
         assert all(sum(g == h for g, _ in calls) <= 1 for h in batch)
         assert all(g in batch and set(qs) <= _UNION for g, qs in calls)
 
+    def test_whole_table_is_one_call(self, monkeypatch):
+        # 40 functions and their transforms go to norms_batch together;
+        # how many refine in lockstep is numerics' decision alone
+        seen = []
+
+        def recorded(requests, tol):
+            seen.append(len(requests))
+            return norms_batch(requests, tol)
+
+        monkeypatch.setattr(verifier, "norms_batch", recorded)
+        run_suite(("fq-lower",), samples=40, seed=2)
+        assert seen == [80]
+        assert not hasattr(verifier, "BATCH_FUNCTIONS")
+
     def test_mixed_counts(self, monkeypatch):
         # function i carries the exponents of the checks that read more
         # than i functions: the first three the union, the rest fq-lower's
