@@ -138,11 +138,9 @@ def random_schwartz(family: str, size: int, seed: int):
                 terms.append(ComplexGaussianTerm(amp, complex(w, im)))
             f = GaussianMixture(tuple(terms))
         else:
-            coeffs = tuple(
-                complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-                for _ in range(size + 1)
-            )
-            f = HermiteExpansion(coeffs)
+            # one draw of all parts, paired (re, im) in the order scalar draws take
+            pairs = rng.uniform(-1.0, 1.0, size=2 * (size + 1)).reshape(-1, 2).tolist()
+            f = HermiteExpansion(tuple(complex(re, im) for re, im in pairs))
         # ||f||_2 from the m = 1 sum of power_parts, S times its root
         if f.envelope()[0] * math.sqrt(max(sum(f.power_parts(1)).real, 0.0)) >= L2_REJECT_FLOOR:
             return f

@@ -33,11 +33,12 @@ components, one per exponent, panel arrays, peak, tail bounds, radius,
 ``MAX_PANELS`` budget and give-up rule, and it reads only its own
 panels, with the numpy calls it makes alone, for every decision: its
 totals, the ranking of its panels, how many to split.  The batch shares
-only the evaluation of a round: one panel-rule call with one ``f.eval``
-per request that has new panels, whose error formula runs once over
-all of their columns.  The panel rule's weighted sums are matrix
-products over one request's panels at a time, since BLAS rounds a row
-by where it sits in the array.  So a request's estimates are bit for
+only the evaluation of a round: one panel-rule call, which computes the
+nodes of all new panels in one array and calls ``f.eval`` once per
+request that has new panels, on that request's rows; its error formula
+runs once over all of their columns.  The panel rule's weighted sums
+are matrix products over one request's panels at a time, since BLAS
+rounds a row by where it sits in the array.  So a request's estimates are bit for
 bit those of its batch of one.  A batch runs ``BATCH_FUNCTIONS``
 requests at a time, which bounds the working arrays whatever the size
 of the batch.
@@ -183,13 +184,17 @@ def _gk_panels(fns, los, his):
     0..k-1) over QUADPACK-style error estimates (rows k..2k-1) of its k
     components on its panels: those of ``fns[j]`` are
     ``[los[j][i], his[j][i]]``, and it is called once on an (npanels, 15)
-    array of their nodes.  The error formula runs once over the
-    ``(k*npanels, 2)`` columns of all integrands, whatever each one's k,
-    and each block is sliced back out of its result."""
-    kds, resascs = [], []
-    for fn, lo, hi in zip(fns, los, his):
-        half = 0.5 * (hi - lo)[:, None]
-        xs = 0.5 * (hi + lo)[:, None] + half * _K15_NODES
+    array of their nodes.  The nodes of all panels are computed at once,
+    and each integrand gets its contiguous rows.  The error formula runs
+    once over the ``(k*npanels, 2)`` columns of all integrands, whatever
+    each one's k, and each block is sliced back out of its result."""
+    lo, hi = np.concatenate(los), np.concatenate(his)
+    halves = 0.5 * (hi - lo)[:, None]
+    nodes = 0.5 * (hi + lo)[:, None] + halves * _K15_NODES
+    kds, resascs, a = [], [], 0
+    for fn, n in zip(fns, map(len, los)):
+        xs, half = nodes[a:a + n], halves[a:a + n]
+        a += n
         # Values times the half-width: each row's weighted sum is an
         # integral.  The sums are matrix products over one integrand's
         # panels: BLAS rounds a row differently by where it sits in the

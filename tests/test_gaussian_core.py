@@ -3,6 +3,8 @@ norms and ratios, checked against independent quadrature oracles."""
 
 import cmath
 import math
+import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -11,6 +13,7 @@ from scipy.integrate import quad
 
 from uflab.functionals import eval_Fq, norms
 from uflab.gaussian import (
+    MAX_POWER_PARTS,
     MIN_CHIRP_MARGIN,
     ChirpParams,
     ComplexGaussianTerm,
@@ -19,6 +22,7 @@ from uflab.gaussian import (
     closed_form_Fq_chirp,
     closed_form_Fqp_chirp,
     make_chirp,
+    _multiset_plan,
     make_two_scale,
     term_lq_norm,
 )
@@ -31,6 +35,47 @@ def lq_oracle(term, q):
     val, _ = quad(lambda x: (amp * math.exp(-math.pi * rez * x * x)) ** q,
                   -np.inf, np.inf)
     return val ** (1.0 / q)
+
+
+def power_parts_reference(g, m):
+    """GaussianMixture.power_parts as a dict over nondecreasing index
+    tuples, each grown from its prefix and its widths summed anew."""
+    scale = g.envelope()[0] or 1.0
+    amps = [t.amplitude / scale for t in g.terms]
+    merged = {}
+    for tj, aj in zip(g.terms, amps):
+        for tk, ak in zip(g.terms, amps):
+            w = tj.width + tk.width.conjugate()
+            merged[w] = merged.get(w, 0j) + aj * ak.conjugate()
+    if (math.comb(len(merged) + m - 1, m) > MAX_POWER_PARTS
+            or not all(cmath.isfinite(m * w) for w in merged)):
+        return None
+    widths, amps = tuple(merged), tuple(merged.values())
+    power = {(): 1.0 + 0.0j}
+    for _ in range(m):
+        power = {key + (i,): amp * amps[i] * (len(key) + 1) / (key.count(i) + 1)
+                 for key, amp in power.items()
+                 for i in range(key[-1] if key else 0, len(widths))}
+    return tuple(amp / cmath.sqrt(sum(widths[i] for i in key))
+                 for key, amp in power.items())
+
+
+def bits(parts):
+    """The exact bits of a tuple of complex numbers, signed zeros apart."""
+    return None if parts is None else tuple((z.real.hex(), z.imag.hex()) for z in parts)
+
+
+def two_scale_terms_build(c):
+    """Whether the parent rule accepts c: c > 0 and c*c > 0, then the two
+    terms of g_c built with their own checks."""
+    if not (c > 0.0 and c * c > 0.0):
+        return False
+    try:
+        ComplexGaussianTerm(c ** -0.5, 1.0 / (c * c))
+        ComplexGaussianTerm(c ** 0.5, c * c)
+    except ValueError:
+        return False
+    return True
 
 
 class TestConstruction:
@@ -129,6 +174,31 @@ class TestConstruction:
             with pytest.raises(ValueError, match="two-scale parameter"):
                 TwoScaleParams(c)
 
+    def test_two_scale_validation_matches_its_terms(self):
+        # every float near an edge of a check the terms make: pi/(c*c)
+        # and pi*c*c overflowing (the range ends), 1/(c*c) and c*c
+        # overflowing, c*c underflowing to 0
+        big = sys.float_info.max
+        anchors = [1.3219564750381271e-154, 7.564545572282618e153, math.sqrt(big),
+                   1.0 / math.sqrt(big), math.sqrt(5e-324), math.sqrt(math.pi / big)]
+        cases = [0.0, -0.0, -1.0, 5e-324, math.nan, math.inf, -math.inf, 1.0]
+        for anchor in anchors:
+            below = above = anchor
+            for _ in range(4):
+                cases += [below, above]
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+        for c in cases:
+            if two_scale_terms_build(c):
+                assert TwoScaleParams(c).c == c
+            else:
+                with pytest.raises(ValueError) as info:
+                    TwoScaleParams(c)
+                assert str(info.value) == (f"two-scale parameter needs c > 0 with finite "
+                                           f"pi*c*c and pi/(c*c), got {c}")
+        accepted = [c for c in cases if two_scale_terms_build(c)]
+        assert 1.3219564750381271e-154 in accepted and 7.564545572282618e153 in accepted
+        assert len(accepted) < len(cases)
+
     def test_g1_is_doubled_gaussian(self):
         mix = make_two_scale(TwoScaleParams(1.0))
         assert mix.eval(0.0) == pytest.approx(2.0, rel=1e-15)
@@ -204,6 +274,86 @@ class TestEval:
                     for side in (beyond, -beyond):
                         assert np.all(np.abs(g.eval(side))
                                       <= bound * (1.0 + 1e-13) + np.finfo(float).tiny)
+
+
+    def test_overflowing_exponent_gives_zero_without_warning(self):
+        # the exponent of the narrow term of g_c at c = 1e150 overflows to
+        # -inf far out, and the term is 0 there, alone or in its mixture
+        c = 1e150
+        x = np.concatenate(([0.0], np.geomspace(1e-10, 1e10, 41)))
+        narrow, g = ComplexGaussianTerm(c ** 0.5, c * c), make_two_scale(TwoScaleParams(c))
+        with np.errstate(over="ignore"):
+            overflows = np.isinf((-math.pi * c * c) * x * x)
+        assert overflows.any() and not overflows.all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lone, mixture, wide = narrow.eval(x), g.eval(x), g.terms[0].eval(x)
+        assert np.all(lone[overflows] == 0.0) and np.all(lone[~overflows] >= 0.0)
+        np.testing.assert_array_equal(mixture[overflows], wide[overflows])
+
+
+class TestEnvelopeCache:
+    def test_origin_envelope_is_computed_once_and_exact(self):
+        # at radius 0 every excess-decay factor is exp(-0.0) = 1
+        for seed in range(20):
+            f = random_schwartz("gaussian-mixture", 1 + seed % 4, seed)
+            for g in (f, f.ft(), make_two_scale(TwoScaleParams(10.0 ** (seed - 10)))):
+                floor = min(t.width.real for t in g.terms)
+                recomputed = (sum(abs(t.amplitude) * math.exp(
+                    -(math.pi * (t.width.real - floor) * 0.0) * 0.0) for t in g.terms),
+                    floor, 0.0)
+                assert g.envelope() is g.envelope(0.0)
+                assert [v.hex() for v in g.envelope()] == [v.hex() for v in recomputed]
+
+    def test_cache_leaves_equality_and_hash(self):
+        g, h = (make_two_scale(TwoScaleParams(3.0)) for _ in range(2))
+        g.envelope()
+        assert "_origin_envelope" in vars(g) and "_origin_envelope" not in vars(h)
+        assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+
+
+class TestPowerParts:
+    def test_matches_reference_expansion(self):
+        mixtures = [make_two_scale(TwoScaleParams(c)) for c in np.geomspace(1e-6, 1e6, 25)]
+        for seed in range(20):
+            f = random_schwartz("gaussian-mixture", 1 + seed % 4, seed)
+            mixtures += [f, f.ft()]
+        expanded = 0
+        for g in mixtures:
+            for m in range(1, 5):
+                got = g.power_parts(m)
+                assert bits(got) == bits(power_parts_reference(g, m))
+                expanded += got is not None
+        # at most the ten four-term mixtures exceed the cap, at m = 4
+        assert expanded >= 4 * len(mixtures) - 10
+
+    def test_deepest_level(self):
+        # g_c at q = 64: comb(3 + 31, 32) = 561 multisets of 32 of its 3
+        # merged widths
+        for c in (1e-150, 0.3, 3.0, 1e150):
+            g = make_two_scale(TwoScaleParams(c))
+            got = g.power_parts(32)
+            assert len(got) == 561 and bits(got) == bits(power_parts_reference(g, 32))
+
+    def test_none_cases_unchanged(self):
+        # 16 merged widths give comb(19, 4) = 3876 parts at m = 4, over
+        # the cap; m times the widest of g_c at c = 7e153 overflows
+        four = GaussianMixture(tuple(ComplexGaussianTerm(a, z) for a, z in (
+            (1.0, 1 + 1j), (0.5j, 2 - 1j), (-0.3, 0.5 + 2j), (0.2 + 0.1j, 3 + 0.5j))))
+        huge = make_two_scale(TwoScaleParams(7e153))
+        for g, m in ((four, 4), (huge, 2)):
+            assert g.power_parts(m) is None and power_parts_reference(g, m) is None
+        assert bits(four.power_parts(3)) == bits(power_parts_reference(four, 3))
+        assert bits(huge.power_parts(1)) == bits(power_parts_reference(huge, 1))
+
+    def test_plan_is_computed_once_per_size(self):
+        _multiset_plan.cache_clear()
+        for _ in range(3):
+            for c in (2.0, 5.0):
+                make_two_scale(TwoScaleParams(c)).power_parts(3)
+        info = _multiset_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 5)
+        assert [len(level) for level in _multiset_plan(3, 3)] == [3, 6, 10]
 
 
 class TestFourierTransform:

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from uflab.functionals import norms
 from uflab.gaussian import GaussianMixture
-from uflab.hermite import N_MAX, HermiteExpansion, random_schwartz
+from uflab.hermite import L2_REJECT_FLOOR, N_MAX, HermiteExpansion, random_schwartz
 from uflab.numerics import dft_approx, lq_norm_quad, sample
 
 
@@ -197,6 +197,30 @@ class TestRandomSchwartz:
             f = random_schwartz("gaussian-mixture", 4, seed=seed)
             for term in f.terms:
                 assert 0.2 <= term.width.real <= 5.0
+
+    def test_hermite_draws_match_scalar_draws(self):
+        # the reference: one scalar draw each for the real and the
+        # imaginary part of every coefficient, redrawn below the L^2 floor
+        for seed in range(50):
+            for size in range(1, 10):
+                rng = np.random.default_rng(seed)
+                while True:
+                    f = HermiteExpansion(tuple(
+                        complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+                        for _ in range(size + 1)))
+                    if (f.envelope()[0] * math.sqrt(max(sum(f.power_parts(1)).real, 0.0))
+                            >= L2_REJECT_FLOOR):
+                        break
+                assert random_schwartz("hermite", size, seed) == f
+                # one array draw leaves the generator where the scalar
+                # draws do, so a redraw starts from the same state
+                one = np.random.default_rng(seed)
+                pairs = one.uniform(-1.0, 1.0, size=2 * (size + 1)).reshape(-1, 2).tolist()
+                scalar = np.random.default_rng(seed)
+                assert [complex(re, im) for re, im in pairs] == [
+                    complex(scalar.uniform(-1.0, 1.0), scalar.uniform(-1.0, 1.0))
+                    for _ in range(size + 1)]
+                assert one.bit_generator.state == scalar.bit_generator.state
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
