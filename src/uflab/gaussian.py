@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .numerics import check_exponent
+from .numerics import check_exponent, spread
 
 # Chirps closer to the degenerate width a = 1 than this are rejected:
 # Re z = a*a - 1 collapses and every L^q norm of the term blows up.
@@ -60,19 +60,8 @@ class ComplexGaussianTerm:
             raise ValueError("term amplitude must be finite")
 
     def eval(self, x):
-        # Far out on a very wide or very narrow term the exponent
-        # overflows to -inf, and exp(-inf) = 0 is the term's value.
-        with np.errstate(over="ignore"):
-            return self._values(np.asarray(x))
-
-    def _values(self, x):
-        """The term at the array x; the caller turns numpy's overflow
-        warning off, as :meth:`eval` does."""
-        if self.width.imag == 0.0:
-            # real arithmetic, and a real array for a real amplitude
-            amp = self.amplitude.real if self.amplitude.imag == 0.0 else self.amplitude
-            return amp * np.exp((-math.pi * self.width.real) * x * x)
-        return self.amplitude * np.exp(-math.pi * self.width * x * x)
+        """The term at x: the one-term mixture's value."""
+        return GaussianMixture((self,)).eval(x)
 
     def ft(self) -> "ComplexGaussianTerm":
         """Exact transform ``(A/sqrt(z), 1/z)``."""
@@ -97,13 +86,32 @@ class GaussianMixture:
             raise ValueError("mixture needs at least one term")
 
     def eval(self, x):
+        """The mixture at an array x of any shape: its evaluator's batch of
+        one."""
         x = np.asarray(x)
-        # the overflow setting of a term's eval, made once for all terms
-        with np.errstate(over="ignore"):
-            acc = self.terms[0]._values(x)
-            for term in self.terms[1:]:
-                acc = acc + term._values(x)
-        return acc
+        return self.evaluator([self], x.ravel(), [x.size]).reshape(x.shape)
+
+    @property
+    def evaluator(self) -> "MixtureEvaluator":
+        """The evaluator of every mixture whose terms have the kinds of
+        this one's, in order."""
+        return MixtureEvaluator(tuple(kind for kind, _, _ in self._kernels))
+
+    @cached_property
+    def _kernels(self):
+        """``(kind, coefficient, amplitude)`` of each term, whose value is
+        ``amplitude * exp(coefficient * x * x)``: in real arithmetic for a
+        real width, and as a real array for a real amplitude too; computed
+        once, since the terms are frozen."""
+        kernels = []
+        for t in self.terms:
+            if t.width.imag != 0.0:
+                kernels.append(("complex width", -math.pi * t.width, t.amplitude))
+            elif t.amplitude.imag != 0.0:
+                kernels.append(("real width", -math.pi * t.width.real, t.amplitude))
+            else:
+                kernels.append(("real", -math.pi * t.width.real, t.amplitude.real))
+        return tuple(kernels)
 
     def envelope(self, radius=0.0):
         """(S, w, 0.0) with |f(x)| <= S * exp(-pi*w*x*x) for |x| >= radius:
@@ -180,6 +188,36 @@ class GaussianMixture:
                 [power[p] * amps[i] * length / count for p, i, length, count in level],
                 [width_sums[p] + widths[i] for p, i, _, _ in level])
         return tuple(amp / cmath.sqrt(w) for amp, w in zip(power, width_sums))
+
+
+@dataclass(frozen=True)
+class MixtureEvaluator:
+    """Values of many mixtures in one array pass, for mixtures whose terms
+    have the kinds ``kinds`` in order (see ``GaussianMixture._kernels``),
+    so that each term keeps the real or complex ``exp`` of its kind."""
+
+    kinds: tuple[str, ...]
+
+    def __call__(self, fs, x, counts):
+        """``fs[i]`` at its ``counts[i]`` consecutive points of the flat
+        array x, concatenated in order.  Term j of every mixture is
+        evaluated at once, its coefficient and amplitude spread over its
+        mixture's points, and the terms are summed in order, so each
+        point's value is bit for bit that of its mixture alone."""
+        acc = None
+        # Far out on a very wide or very narrow term the exponent
+        # overflows to -inf, and exp(-inf) = 0 is the term's value.
+        with np.errstate(over="ignore"):
+            for j in range(len(self.kinds)):
+                _, coef, amp = zip(*(f._kernels[j] for f in fs))
+                # amplitude * exp((coefficient * x) * x), each product in
+                # the order written: a complex product rounds by its
+                # operands' order
+                arg = spread(coef, counts) * x
+                arg *= x
+                values = np.multiply(spread(amp, counts), np.exp(arg, out=arg))
+                acc = values if acc is None else acc + values
+        return acc
 
 
 @lru_cache

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import ComplexGaussianTerm, GaussianMixture
+from .numerics import spread
 
 N_MAX = 32
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -64,10 +65,27 @@ class HermiteExpansion:
         return len(self.coefficients) - 1
 
     def eval(self, x):
+        """The expansion at an array x of any shape: its evaluator's batch
+        of one."""
+        x = np.asarray(x, dtype=float)
+        return self.evaluator([self], x.ravel(), [x.size]).reshape(x.shape)
+
+    @staticmethod
+    def evaluator(fs, x, counts):
+        """``fs[i]`` at its ``counts[i]`` consecutive points of the flat
+        array x, concatenated in order, in one pass of the recurrence to
+        the largest degree among them.  A lower degree is padded with
+        zero coefficients, whose products add ±0 to sums that start at
+        +0 and so are never -0: each point's value is bit for bit that of
+        its expansion alone."""
+        degree = max(f.degree for f in fs)
+        coefficients = np.zeros((degree + 1, len(fs)), dtype=complex)
+        for i, f in enumerate(fs):
+            coefficients[:f.degree + 1, i] = f.coefficients
         y = _SQRT_2PI * np.asarray(x, dtype=float)
         acc = np.zeros(y.shape, dtype=complex)
-        for c, row in zip(self.coefficients, _basis_rows(self.degree, y)):
-            acc += c * row
+        for c, row in zip(coefficients, _basis_rows(degree, y)):
+            acc += spread(c, counts) * row
         return acc
 
     def ft(self) -> "HermiteExpansion":

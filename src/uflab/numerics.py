@@ -18,7 +18,7 @@ is ``2 * (|f(x)|/M)**q``, the same bits.  The finite interval is then
 handled adaptively with an embedded Gauss7/Kronrod15 pair per panel,
 refined in rounds: each round splits every panel it selects into
 quarters and evaluates all of their nodes, at x (and -x unless f is
-even), in a single ``f.eval`` call.  The integrand
+even), at once.  The integrand
 is array-valued, one component per exponent of a norm request, all on
 one shared mesh (Shampine, "Vectorized adaptive quadrature in MATLAB",
 2008), so ``lq_norm_quad`` computes ||f||_q for a tuple of exponents in
@@ -34,18 +34,28 @@ components, one per exponent, panel arrays, peak, tail bounds, radius,
 panels, with the numpy calls it makes alone, for every decision: its
 totals, the ranking of its panels, how many to split.  The batch shares
 only the evaluation of a round: one panel-rule call, which computes the
-nodes of all new panels in one array and calls ``f.eval`` once per
-request that has new panels, on that request's rows; its error formula
-runs once over all of their columns.  The panel rule's weighted sums
-are matrix products over one request's panels at a time, since BLAS
-rounds a row by where it sits in the array.  So a request's estimates are bit for
-bit those of its batch of one.  A batch runs ``BATCH_FUNCTIONS``
-requests at a time, which bounds the working arrays whatever the size
-of the batch.
+nodes of all new panels in one array and evaluates the requests that
+have new panels one family at a time, the requests whose functions
+share an evaluator, a parity and exponents: one evaluator call on all
+of their nodes, then |f|, the powers, the fold and the half-width
+products each once over the family's values.  Each of these is
+elementwise and rounds a value as it does alone; the error formula runs
+once over the columns of all requests.  The panel rule's weighted sums
+alone are matrix products over one request's panels at a time, since
+BLAS rounds a row by where it sits in the array.  So a request's
+estimates are bit for bit those of its batch of one.  A batch runs
+``BATCH_FUNCTIONS`` requests at a time, which bounds the working arrays
+whatever the size of the batch.
 
 Test functions plug in through five duck-typed hooks:
 
-* ``f.eval(x)``            pointwise (complex) values at an array x of any shape,
+* ``f.evaluator``          the family evaluator f shares with the functions
+                           one array pass can evaluate with it, hashable;
+                           ``evaluator(fs, x, counts)`` gives the values of
+                           ``fs[i]`` at its ``counts[i]`` consecutive points
+                           of the flat array x, concatenated, each bit for
+                           bit as ``fs[i]`` alone (f.eval is its batch of
+                           one),
 * ``f.envelope(radius=0.0)``
                            ``(S, w, shift)`` as above, with
                            |f(x)| <= S * exp(-pi*w*(|x|-shift)**2) for
@@ -71,6 +81,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -183,29 +194,53 @@ def _gk_panels(fns, los, his):
     """Per integrand, a ``(2k, npanels)`` block of Kronrod values (rows
     0..k-1) over QUADPACK-style error estimates (rows k..2k-1) of its k
     components on its panels: those of ``fns[j]`` are
-    ``[los[j][i], his[j][i]]``, and it is called once on an (npanels, 15)
-    array of their nodes.  The nodes of all panels are computed at once,
-    and each integrand gets its contiguous rows.  The error formula runs
-    once over the ``(k*npanels, 2)`` columns of all integrands, whatever
-    each one's k, and each block is sliced back out of its result."""
-    lo, hi = np.concatenate(los), np.concatenate(his)
+    ``[los[j][i], his[j][i]]``.
+
+    The integrands are evaluated one family at a time: those with equal
+    ``family`` keys make one call ``stack(members, x, counts)`` of their
+    ``stack``, on the ``(npanels, 15)`` array x of the nodes of all of
+    their panels, ``counts[i]`` consecutive rows for ``members[i]``,
+    which returns a new float array of their values, of shape ``(k,
+    npanels, 15)``, or x's own shape when k = 1.  A plain function of x
+    is a family of its own, called on its nodes.  The nodes of all panels are computed at once, and each
+    family's values are multiplied by their half-widths at once, so that
+    each row's weighted sum is an integral.  The sums are matrix products
+    over one integrand's panels at a time: BLAS rounds a row differently
+    by where it sits in the array, and an integrand's rows sit where they
+    sit alone.  The error formula runs once over the ``(k*npanels, 2)``
+    columns of all integrands, whatever each one's k, and each block is
+    sliced back out of its result."""
+    families = {}
+    for j, fn in enumerate(fns):
+        families.setdefault(getattr(fn, "family", fn), []).append(j)
+    order = [j for js in families.values() for j in js]
+    lo, hi = np.concatenate([los[j] for j in order]), np.concatenate([his[j] for j in order])
     halves = 0.5 * (hi - lo)[:, None]
     nodes = 0.5 * (hi + lo)[:, None] + halves * _K15_NODES
-    kds, resascs, a = [], [], 0
-    for fn, n in zip(fns, map(len, los)):
-        xs, half = nodes[a:a + n], halves[a:a + n]
-        a += n
-        # Values times the half-width: each row's weighted sum is an
-        # integral.  The sums are matrix products over one integrand's
-        # panels: BLAS rounds a row differently by where it sits in the
-        # array, and an integrand's rows sit where they sit alone.
-        fx = np.asarray(fn(xs), dtype=float).reshape(-1, *xs.shape) * half
-        kd = fx @ _KD_WEIGHTS
-        kds.append(kd)
-        resascs.append((np.abs(fx - 0.5 * kd[..., :1]) @ _K15_WEIGHTS).ravel())
-    kd = np.concatenate([kd.reshape(-1, 2) for kd in kds])
+    # per family: its integrands, their runs of its panels, and its
+    # (k, npanels) slabs of Kronrod and Kronrod-minus-Gauss sums and resasc
+    slabs, a = [], 0
+    for js in families.values():
+        stack, counts = getattr(fns[js[0]], "stack", _called), [len(los[j]) for j in js]
+        runs = _runs(counts)
+        b = a + runs[-1][1]
+        x = nodes[a:b]
+        fx = stack([fns[j] for j in js], x, counts).reshape(-1, *x.shape)
+        fx *= halves[a:b]
+        a = b
+        sums = np.empty((*fx.shape[:2], 2))
+        for s, e in runs:
+            np.matmul(fx[:, s:e], _KD_WEIGHTS, out=sums[:, s:e])
+        # fx turns into |fx - ik/2|, whose weighted sums are resasc
+        fx -= 0.5 * sums[..., :1]
+        np.abs(fx, out=fx)
+        resasc = np.empty(fx.shape[:2])
+        for s, e in runs:
+            np.matmul(fx[:, s:e], _K15_WEIGHTS, out=resasc[:, s:e])
+        slabs.append((js, runs, sums, resasc))
+    kd = np.concatenate([sums.reshape(-1, 2) for _, _, sums, _ in slabs])
+    resasc = np.concatenate([resasc.ravel() for *_, resasc in slabs])
     ik = kd[:, 0]
-    resasc = np.concatenate(resascs)
     # A constant panel has resasc 0 and ratio 0 here: its |ik - ig| is
     # rounding (the two weight sums differ by about 16 eps), which the
     # 50 eps floor covers.
@@ -213,11 +248,36 @@ def _gk_panels(fns, los, his):
                       where=resasc > 0.0)
     err = resasc * np.minimum(1.0, ratio ** 1.5)
     ve = np.concatenate((ik, np.maximum(err, 50.0 * _EPS * np.abs(ik)))).reshape(2, -1)
-    blocks, a = [], 0
-    for k, n, _ in (kd.shape for kd in kds):
-        blocks.append(ve[:, a:a + k * n].reshape(2 * k, n))
+    blocks, a = [None] * len(fns), 0
+    for js, runs, sums, _ in slabs:
+        k, n = sums.shape[:2]
+        family = ve[:, a:a + k * n].reshape(2, k, n)
         a += k * n
+        for j, (s, e) in zip(js, runs):
+            blocks[j] = family[:, :, s:e].reshape(2 * k, e - s)
     return blocks
+
+
+def _called(fns, x, counts):
+    """The stack of a plain function of x, a family of its own: its
+    values at the nodes x of all of its panels, as a new float array."""
+    return np.array(fns[0](x), dtype=float)
+
+
+def _runs(counts):
+    """The ``(start, end)`` of each of the consecutive runs of ``counts``
+    items."""
+    ends = list(accumulate(counts))
+    return list(zip([0] + ends[:-1], ends))
+
+
+def spread(values, counts):
+    """``values[i]`` over each of ``counts[i]`` consecutive points, for a
+    family evaluator: ``values[0]`` itself when there is one, which
+    broadcasts over the points at no cost, else an array."""
+    if len(values) == 1:
+        return values[0]
+    return np.repeat(values, counts)
 
 
 def _quarters(lo, hi):
@@ -232,11 +292,13 @@ def integrate_adaptive(fns, edges, rel_tol, first=None):
     mesh of its own, starting from the panels between consecutive points
     of its ``edges`` (ascending), and refine them in lockstep: each round
     evaluates the new panels of every integrand that has any in one
-    :func:`_gk_panels` call.
+    :func:`_gk_panels` call, one stacked evaluation per family.
 
     ``fns[j]`` maps an array x to values of shape ``(k, *x.shape)``, or
     of x's own shape when k = 1, k the number of its components, which
-    share its mesh.
+    share its mesh; or it is one of a family, evaluated with the others
+    by its ``stack`` (see :func:`_gk_panels`), as the passes of
+    :func:`lq_norm_quad_batch` are.
     ``first``, when given, is the first round ``_gk_panels(fns, [e[:-1]
     for e in edges], [e[1:] for e in edges])``, already evaluated by the
     caller; neither its blocks nor ``edges`` are written.  Returns
@@ -434,7 +496,7 @@ def lq_norm_quad_batch(requests, tol: float) -> list[tuple[NormEstimate, ...]]:
 
     Each request's exponents share one pass: one radius, the largest
     any of them needs, and one mesh, refined until every exponent
-    converges, with one ``f.eval`` per round.  The seed round picks the
+    converges, evaluated once per round.  The seed round picks the
     radius, so a pass rarely starts over.  The passes run in lockstep,
     each on a mesh of its own with one component per exponent (see
     :func:`integrate_adaptive`), so a request's estimates do not depend
@@ -492,13 +554,14 @@ def lq_norm_quad_batch(requests, tol: float) -> list[tuple[NormEstimate, ...]]:
 
 class _Pass:
     """One request's shared pass, ``f`` over its validated float
-    ``exponents``: its folded integrand (the instance is callable), its
-    radius and mesh, and, once run, ``found`` (the estimates in order),
+    ``exponents``: its folded integrand (evaluated by :meth:`stack`, for
+    the passes of its ``family`` at once), its radius and mesh, and, once
+    run, ``found`` (the estimates in order),
     ``missed`` (the index and relative error of each exponent that missed
     tol), the final ``radius`` and the ``panels`` of its mesh on
     [0, radius].
 
-    The folded integrand takes |f| at x and -x in one f.eval, so every
+    The folded integrand takes |f| at x and -x in one evaluation, so every
     panel on [0, R] stands for itself and its mirror image, and the peak
     is read from both sides of the seed round.  An even f is evaluated at
     x alone: f(-x) == f(x) to the bit, and p + p == 2*p.  Beyond a radius
@@ -522,25 +585,52 @@ class _Pass:
             self.found = [NormEstimate(0.0, "quadrature", 0.0, e) for e in exponents]
             return
         self.even = f.is_even()
-        # one exponent per row, broadcast over |f| of shape (npanels, 15),
-        # or (2, npanels, 15) with the mirror nodes
-        self.powers = np.array(exponents)[:, None, None]
-        if not self.even:
-            self.powers = self.powers[:, None]
+        # the key of the passes that one call of stack evaluates together
+        self.family = (f.evaluator, self.even, exponents)
         self.peak = 0.0
         self.lengths = [_decay_length(e, width_floor) for e in exponents]
         self.radius = self.shift + max(self.lengths) * math.sqrt(-math.log(0.25e-6 * tol))
         self.edges = _seed_edges(f, max(exponents), self.shift, self.radius)
 
-    def __call__(self, x):
-        if self.even:
-            mag = np.abs(self.f.eval(x))
+    @staticmethod
+    def stack(passes, x, counts):
+        """The folded integrands of ``passes``, one family, as the stack
+        of :func:`_gk_panels`: ``passes[i]`` on its ``counts[i]``
+        consecutive rows of the node array x.
+
+        The family's evaluator takes the functions at all of x, and at
+        -x too when they are not even, in one call.  |f|, each pass's peak
+        in its first round, the ratios to the peaks, the powers and the
+        fold then run once over the whole family, each elementwise, so
+        every value is bit for bit the one a pass gets alone.  Each power
+        is one np.power call with its exponent alone: within one call of
+        three or more exponents numpy rounds a square by pow(x, 2.0), on
+        small arrays only, and alone by x*x."""
+        lead, sizes = passes[0], [15 * n for n in counts]
+        evaluate, fs = lead.family[0], [p.f for p in passes]
+        if lead.even:
+            mag = np.abs(evaluate(fs, x.ravel(), sizes))[None]
         else:
-            mag = np.abs(self.f.eval(np.concatenate((x, -x)))).reshape(2, *x.shape)
-        if not self.peak:
-            self.peak = float(mag.max()) or self.scale
-        power = np.power(mag / self.peak, self.powers)
-        return 2.0 * power if self.even else power.sum(1)
+            mag = np.abs(evaluate(fs + fs, np.concatenate((x, -x)).ravel(),
+                                  sizes + sizes)).reshape(2, -1)
+        fresh = [(i, p) for i, p in enumerate(passes) if not p.peak]
+        if fresh:
+            # the largest |f| on both sides of a pass's first round
+            if len(passes) == 1:
+                top = [float(mag.max())]
+            else:
+                starts = [0, *accumulate(sizes[:-1])]
+                top = np.maximum.reduceat(mag, starts, axis=1).max(0).tolist()
+            for i, p in fresh:
+                p.peak = top[i] or p.scale
+        mag /= spread([p.peak for p in passes], sizes)
+        power = np.empty((len(lead.exponents), *mag.shape))
+        for e, out in zip(lead.exponents, power):
+            np.power(mag, e, out=out)
+        if lead.even:
+            power *= 2.0
+            return power
+        return power[:, 0] + power[:, 1]
 
     def log_tails(self):
         amplitude = self.f.envelope(self.radius)[0]
@@ -622,9 +712,10 @@ def _quad_passes(requests, tol):
 
 
 def sample(f, n: int, dx: float) -> SampledFunction:
-    """Evaluate ``f`` on the centered n-point grid with spacing dx."""
+    """Evaluate ``f`` on the centered n-point grid with spacing dx: its
+    evaluator's batch of one."""
     probe = SampledFunction(n, float(dx), np.zeros(n, dtype=complex))
-    values = np.asarray(f.eval(probe.x_grid()), dtype=complex)
+    values = np.asarray(f.evaluator([f], probe.x_grid(), [n]), dtype=complex)
     return SampledFunction(n, float(dx), values)
 
 

@@ -312,6 +312,27 @@ class TestEnvelopeCache:
         assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
 
 
+class TestEvaluator:
+    def test_one_evaluator_per_sequence_of_term_kinds(self):
+        # g_c of any c has two real terms; a real width may carry a
+        # complex amplitude, and a chirp's width is complex
+        gcs = [make_two_scale(TwoScaleParams(c)) for c in (1e-150, 3.0, 7e153)]
+        assert all(g.evaluator == gcs[0].evaluator for g in gcs)
+        assert gcs[0].evaluator.kinds == ("real", "real")
+        chirped = GaussianMixture((ComplexGaussianTerm(1.0, 1.0),
+                                   ComplexGaussianTerm(1j, 2.0 + 3.0j)))
+        turned = GaussianMixture((ComplexGaussianTerm(1j, 1.0),))
+        assert chirped.evaluator.kinds == ("real", "complex width")
+        assert turned.evaluator.kinds == ("real width",)
+        assert len({gcs[0].evaluator, chirped.evaluator, turned.evaluator}) == 3
+
+    def test_eval_keeps_the_shape_of_x(self):
+        g = make_two_scale(TwoScaleParams(3.0))
+        x = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+        assert g.eval(x).shape == (3, 4) and g.eval(0.5).shape == ()
+        np.testing.assert_array_equal(g.eval(x).ravel(), g.evaluator([g], x.ravel(), [12]))
+
+
 class TestPowerParts:
     def test_matches_reference_expansion(self):
         mixtures = [make_two_scale(TwoScaleParams(c)) for c in np.geomspace(1e-6, 1e6, 25)]

@@ -3,18 +3,23 @@
 import cmath
 import math
 import re
+import warnings
+from functools import partial
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from uflab import numerics
+from uflab import hermite, numerics
 from uflab.functionals import norms
 from uflab.gaussian import (
     ChirpParams,
     ComplexGaussianTerm,
     GaussianMixture,
+    MixtureEvaluator,
     TwoScaleParams,
     make_chirp,
     make_two_scale,
@@ -108,14 +113,16 @@ def _integrate_reference(fn, edges, rel_tol):
 
 class _Hooks:
     """``f`` behind the quadrature hooks, with ``is_even()`` as given,
-    recording every array it is evaluated at."""
+    recording every array its family evaluator is called at."""
 
     def __init__(self, f, even):
         self.f, self.even, self.seen = f, even, []
 
-    def eval(self, x):
+    def evaluator(self, fs, x, counts):
+        # a bound method, equal only to itself: each instance is a family
+        # of its own, so every array seen here is this function's
         self.seen.append(np.array(x))
-        return self.f.eval(x)
+        return self.f.evaluator([h.f for h in fs], x, counts)
 
     def envelope(self, radius=0.0):
         return self.f.envelope(radius)
@@ -638,18 +645,20 @@ class TestLqNormQuad:
     def test_one_eval_per_two_scale_norm(self, monkeypatch):
         # the tail majorant at the initial radius bounds g_c's tail by its
         # wide term alone, so no radius round follows the seed round: at
-        # the sweep's tol the seed round is the only f.eval, and at 1e-10
-        # refinement stays inside the seed radius (c below about 100
-        # split four of its panels once); the sweep takes them in one
-        # batch, in which each function keeps its own f.eval calls
+        # the sweep's tol the seed round is the only evaluation of each
+        # g_c, and at 1e-10 refinement stays inside the seed radius (c
+        # below about 100 split four of its panels once); the sweep takes
+        # them in one batch, whose rounds evaluate each g_c at most once,
+        # on its own points of the family evaluator's call
         reach = {}
-        evaluate = GaussianMixture.eval
+        evaluate = MixtureEvaluator.__call__
 
-        def counted(f, x):
-            reach.setdefault(id(f), []).append(float(np.abs(x).max()))
-            return evaluate(f, x)
+        def counted(evaluator, fs, x, counts):
+            for f, points in zip(fs, np.split(x, np.cumsum(counts)[:-1])):
+                reach.setdefault(id(f), []).append(float(np.abs(points).max()))
+            return evaluate(evaluator, fs, x, counts)
 
-        monkeypatch.setattr(GaussianMixture, "eval", counted)
+        monkeypatch.setattr(MixtureEvaluator, "__call__", counted)
         grid = np.logspace(1.0, 6.0, 50).tolist()
         gcs = [make_two_scale(TwoScaleParams(c)) for c in grid]
         numerics.lq_norm_quad_batch([(g, (3.0,)) for g in gcs], 1e-8)
@@ -797,16 +806,28 @@ class TestBatch:
 
     def test_batch_refines_in_lockstep(self, monkeypatch):
         # one integrate_adaptive call and one evaluation per round for the
-        # whole batch, and one f.eval per function with new panels
+        # whole batch, in which no pass comes twice, and which calls each
+        # family evaluator once per parity (the exponents are the same for
+        # all), on every function of that family with new panels: an even
+        # one once, an odd one twice, at its nodes and their mirror images
         from uflab.verifier import _sample_functions
 
         fs = [g for f in _sample_functions(10, 4) for g in (f, f.ft())]
         rounds, integrals = [], []
         gk_panels, integrate = numerics._gk_panels, numerics.integrate_adaptive
+        mixtures, expansions = MixtureEvaluator.__call__, HermiteExpansion.evaluator
 
         def counted_panels(fns, los, his):
-            rounds.append([id(fn) for fn in fns])
+            rounds.append((list(fns), []))
             return gk_panels(fns, los, his)
+
+        def counted_mixtures(evaluator, members, x, counts):
+            rounds[-1][1].append((evaluator, [id(f) for f in members]))
+            return mixtures(evaluator, members, x, counts)
+
+        def counted_expansions(members, x, counts):
+            rounds[-1][1].append((expansions, [id(f) for f in members]))
+            return expansions(members, x, counts)
 
         def counted_integrals(*args):
             integrals.append(len(args[0]))
@@ -814,10 +835,17 @@ class TestBatch:
 
         monkeypatch.setattr(numerics, "_gk_panels", counted_panels)
         monkeypatch.setattr(numerics, "integrate_adaptive", counted_integrals)
+        monkeypatch.setattr(MixtureEvaluator, "__call__", counted_mixtures)
+        monkeypatch.setattr(HermiteExpansion, "evaluator", staticmethod(counted_expansions))
         numerics.lq_norm_quad_batch([(f, (1.5, 3.0)) for f in fs], 1e-10)
-        assert integrals[0] == len(rounds[0]) == len(fs)
+        assert integrals[0] == len(rounds[0][0]) == len(fs)
         assert len(integrals) <= 4 and all(n <= len(fs) for n in integrals)
-        assert all(len(set(ids)) == len(ids) for ids in rounds)
+        for members, calls in rounds:
+            assert len(set(map(id, members))) == len(members)
+            families = [(evaluator, len(set(ids)) == len(ids)) for evaluator, ids in calls]
+            assert len(set(families)) == len(families)
+            assert sorted(i for _, ids in calls for i in ids) == sorted(
+                id(p.f) for p in members for _ in range(1 if p.f.is_even() else 2))
         batch, alone = len(rounds), 0
         for f in fs:
             rounds.clear()
@@ -865,6 +893,156 @@ class TestBatch:
         assert numerics.lq_norm_quad_batch([(zero, (2.0,))], 1e-10) == [
             lq_norm_quad(zero, (2.0,), 1e-10)]
         assert numerics.lq_norm_quad_batch([], 1e-10) == []
+
+
+def _fold_reference(p, x):
+    """The folded integrand of the pass p at the node array x, one pass
+    at a time: the reference for ``_Pass.stack``.  Each exponent's power
+    is one np.power call with that exponent alone: numpy rounds a square
+    by its scalar fast path, x*x, but inside one call with three or more
+    exponents it takes pow(x, 2.0), and on small arrays only."""
+    if p.even:
+        mag = np.abs(p.f.eval(x))
+    else:
+        mag = np.abs(p.f.eval(np.concatenate((x, -x)))).reshape(2, *x.shape)
+    if not p.peak:
+        p.peak = float(mag.max()) or p.scale
+    power = np.array([np.power(mag / p.peak, e) for e in p.exponents])
+    return 2.0 * power if p.even else power.sum(1)
+
+
+def _gk_panels_reference(fns, los, his):
+    """numerics._gk_panels as first written, with one evaluation per
+    integrand, ``fns[j]`` called on the nodes of its own panels: the
+    reference for the stacked round."""
+    lo, hi = np.concatenate(los), np.concatenate(his)
+    halves = 0.5 * (hi - lo)[:, None]
+    nodes = 0.5 * (hi + lo)[:, None] + halves * numerics._K15_NODES
+    kds, resascs, a = [], [], 0
+    for fn, n in zip(fns, map(len, los)):
+        xs, half = nodes[a:a + n], halves[a:a + n]
+        a += n
+        fx = np.asarray(fn(xs), dtype=float).reshape(-1, *xs.shape) * half
+        kd = fx @ numerics._KD_WEIGHTS
+        kds.append(kd)
+        resascs.append((np.abs(fx - 0.5 * kd[..., :1]) @ numerics._K15_WEIGHTS).ravel())
+    kd = np.concatenate([kd.reshape(-1, 2) for kd in kds])
+    ik = kd[:, 0]
+    resasc = np.concatenate(resascs)
+    ratio = np.divide(200.0 * np.abs(kd[:, 1]), resasc, out=np.zeros(ik.shape),
+                      where=resasc > 0.0)
+    err = resasc * np.minimum(1.0, ratio ** 1.5)
+    ve = np.concatenate((ik, np.maximum(err, 50.0 * numerics._EPS * np.abs(ik)))).reshape(2, -1)
+    blocks, a = [], 0
+    for k, n, _ in (kd.shape for kd in kds):
+        blocks.append(ve[:, a:a + k * n].reshape(2 * k, n))
+        a += k * n
+    return blocks
+
+
+def _alone_reference(f, x):
+    """f at the small array x, term by term with scalar amplitudes and
+    coefficients, as first written: the reference for each family
+    evaluator's values.  numpy reuses no temporary of an array this
+    small, so each complex product keeps its operands' order."""
+    if isinstance(f, HermiteExpansion):
+        y = math.sqrt(2.0 * math.pi) * x
+        acc = np.zeros(y.shape, dtype=complex)
+        for c, row in zip(f.coefficients, hermite._basis_rows(f.degree, y)):
+            acc += c * row
+        return acc
+    acc = None
+    with np.errstate(over="ignore"):
+        for t in f.terms:
+            if t.width.imag == 0.0:
+                amp = t.amplitude.real if t.amplitude.imag == 0.0 else t.amplitude
+                values = amp * np.exp((-math.pi * t.width.real) * x * x)
+            else:
+                values = t.amplitude * np.exp(-math.pi * t.width * x * x)
+            acc = values if acc is None else acc + values
+    return acc
+
+
+_UNIT = st.floats(0.1, 1.0)
+_SIGNED = st.builds(lambda v, sign: sign * v, _UNIT, st.sampled_from((1.0, -1.0)))
+
+
+@st.composite
+def _terms(draw):
+    """A term of each kind: real width and amplitude, real width and
+    complex amplitude, or complex width (with either amplitude)."""
+    kind = draw(st.sampled_from(("real", "real width", "complex width")))
+    w = draw(st.floats(0.2, 5.0))
+    if kind == "real":
+        return ComplexGaussianTerm(draw(_SIGNED), w)
+    if kind == "real width":
+        return ComplexGaussianTerm(complex(draw(_SIGNED), draw(_SIGNED)), w)
+    amp = complex(draw(_SIGNED), draw(st.one_of(st.just(0.0), _SIGNED)))
+    return ComplexGaussianTerm(amp, complex(w, 4.0 * w * draw(_SIGNED)))
+
+
+@st.composite
+def _functions(draw):
+    """A mixture of one to four terms or its transform, a Hermite
+    expansion of degree 0 to 32, odd or even, or g_c at the ends of its
+    range and at c = 1."""
+    family = draw(st.sampled_from(("mixture", "hermite", "two-scale")))
+    if family == "mixture":
+        f = GaussianMixture(tuple(draw(st.lists(_terms(), min_size=1, max_size=4))))
+        return f.ft() if draw(st.booleans()) else f
+    if family == "hermite":
+        degree, even = draw(st.integers(0, 32)), draw(st.booleans())
+        pairs = draw(st.lists(st.tuples(_SIGNED, _SIGNED), min_size=degree + 1,
+                              max_size=degree + 1))
+        return HermiteExpansion(tuple(0j if even and n % 2 else complex(*c)
+                                      for n, c in enumerate(pairs)))
+    return make_two_scale(TwoScaleParams(draw(st.sampled_from((1e-150, 1.0, 7e153)))))
+
+
+_REQUESTS = st.lists(st.tuples(_functions(), st.lists(st.sampled_from(
+    (1.0, 1.001, 1.25, 4.0 / 3.0, 1.5, 2.0, 3.0, 4.0, 6.4, 64.0)),
+    min_size=1, max_size=5, unique=True).map(tuple)), min_size=1, max_size=8)
+
+
+class TestStackedRound:
+    """A round evaluates each family of passes in one stacked call; every
+    block is bit for bit that of one evaluation per integrand."""
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(_REQUESTS)
+    def test_blocks_match_one_evaluation_per_integrand(self, requests):
+        # the seed round, which sets each pass's peak, then a round on the
+        # quarters of every other seed panel, with a plain function of x
+        # in the same call; the passes of the reference are fresh, so
+        # their peaks are set by the reference alone
+        plain = lambda x: np.exp(-x * x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = [numerics._Pass(f, e, 1e-10) for f, e in requests]
+            alone = [numerics._Pass(f, e, 1e-10) for f, e in requests]
+            edges = [p.edges for p in stacked] + [np.array([0.0, 0.5, 2.0])]
+            cuts = [numerics._quarters(e[:-1][::2], e[1:][::2]) for e in edges]
+            for los, his in (([e[:-1] for e in edges], [e[1:] for e in edges]),
+                             ([c[:-1].ravel() for c in cuts], [c[1:].ravel() for c in cuts])):
+                got = numerics._gk_panels(stacked + [plain], los, his)
+                want = _gk_panels_reference(
+                    [partial(_fold_reference, p) for p in alone] + [plain], los, his)
+                assert [(b.shape, b.tobytes()) for b in got] == [
+                    (b.shape, b.tobytes()) for b in want]
+                assert [p.peak.hex() for p in stacked] == [p.peak.hex() for p in alone]
+            # each family evaluator at both sides of every seed mesh, against
+            # each member's eval and its terms one at a time: the same
+            # dtype and bits
+            families = {}
+            for p, e in zip(stacked, edges):
+                families.setdefault(p.f.evaluator, []).append((p.f, np.concatenate((e, -e))))
+            for evaluate, members in families.items():
+                fs, xs = zip(*members)
+                values = evaluate(list(fs), np.concatenate(xs), [x.size for x in xs])
+                for alone in ([f.eval(x) for f, x in members],
+                              [_alone_reference(f, x) for f, x in members]):
+                    assert all(v.dtype == values.dtype for v in alone)
+                    assert values.tobytes() == np.concatenate(alone).tobytes()
 
 
 def _mp_hermite_rows(x, n):
