@@ -2,8 +2,11 @@
 
 Subcommands: eval (one functional value), sweep (CSV/JSON parameter
 sweep), verify (inequality check suite), minimize (direct search for
-small F_q), ftcheck (DFT vs analytic transform diagnostic).  Exit codes:
-0 success, 1 verification failure, 2 usage error.
+small F_q), ftcheck (DFT vs analytic transform diagnostic).  Each
+subcommand's handler returns its document, a dict or the CSV text of a
+sweep, with an exit code; ``run_cli`` alone renders the document and
+writes it to stdout or to ``--out``.  Exit codes: 0 success, 1
+verification failure, 2 usage error, an unwritable ``--out`` included.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from . import __version__
 from .explore import GridSpec, MinimizeFamilySpec, OptimizerConfig, minimize_Fq, sweep
 from .functionals import _resolve, eval_batch
 from .gaussian import ChirpParams, ComplexGaussianTerm, TwoScaleParams
-from .numerics import ToleranceNotAchieved, dft_approx, sample, truncation_radius
+from .numerics import (MAX_SAMPLES, ToleranceNotAchieved, check_grid, dft_approx,
+                       sample, truncation_radius)
 from .verifier import SUITE_NAMES, run_suite
 
 EVAL_SCHEMA = "uflab.eval/1"
@@ -55,33 +59,34 @@ def _parser() -> argparse.ArgumentParser:
         "--out": dict(type=str, default=None, help="write output to this file"),
     }
 
-    def command(name, help, *flags, required=()):
+    def command(name, handler, help, *flags, required=()):
         sp = sub.add_parser(name, help=help)
+        sp.set_defaults(handler=handler)
         for flag in flags + ("--out",):
             sp.add_argument(flag, required=flag in required, **shared[flag])
         return sp
 
-    sp = command("eval", "evaluate one uncertainty ratio",
+    sp = command("eval", _cmd_eval, "evaluate one uncertainty ratio",
                  "--family", "--a", "--c", "--q", "--p", "--tol",
                  required=("--family", "--q"))
     sp.add_argument("--method", choices=tuple(_METHOD_MAP), default="quad",
                     help="norm routes: auto (exact where one exists, else quadrature), "
                          "closed, quad, or both (default quad)")
 
-    sp = command("sweep", "sweep a family parameter", "--q", "--p", "--tol",
+    sp = command("sweep", _cmd_sweep, "sweep a family parameter", "--q", "--p", "--tol",
                  required=("--q",))
     sp.add_argument("--json", action="store_true", help="write JSON instead of CSV")
     sp.add_argument("--family", choices=("chirp", "twoscale"), required=True)
     sp.add_argument("--grid", type=str, required=True,
                     help="start:stop:count[log|lin]; t for chirp, c for twoscale")
 
-    sp = command("verify", "run inequality checks", "--q", "--p", "--seed")
+    sp = command("verify", _cmd_verify, "run inequality checks", "--q", "--p", "--seed")
     sp.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all",
                     help="check name or 'all' (default all)")
     sp.add_argument("--samples", type=int, default=None,
                     help="random test functions per randomized check")
 
-    sp = command("minimize", "search for small F_q values", "--q", "--seed",
+    sp = command("minimize", _cmd_minimize, "search for small F_q values", "--q", "--seed",
                  required=("--q",))
     family, optimizer = MinimizeFamilySpec(), OptimizerConfig()
     for flag, default, what in (("--terms", family.terms, "Gaussian terms in the mixture"),
@@ -89,10 +94,10 @@ def _parser() -> argparse.ArgumentParser:
                                 ("--max-iter", optimizer.max_iter, "iterations per restart")):
         sp.add_argument(flag, type=int, default=default, help=f"{what} (default {default})")
 
-    sp = command("ftcheck", "compare DFT against the analytic transform",
+    sp = command("ftcheck", _cmd_ftcheck, "compare DFT against the analytic transform",
                  "--family", "--a", "--c", "--tol", required=("--family",))
     sp.add_argument("--grid-n", type=int, default=4096,
-                    help="sample count, power of two >= 16 (default 4096)")
+                    help=f"sample count, power of two from 16 to {MAX_SAMPLES} (default 4096)")
     sp.add_argument("--dx", type=float, default=None,
                     help="grid spacing; chosen automatically when omitted")
 
@@ -114,62 +119,40 @@ def _family_object(args):
     return (ChirpParams if args.family == "chirp" else TwoScaleParams)(value), value
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-
-
-def _json_text(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _cmd_eval(args) -> int:
+def _cmd_eval(args):
     params, _ = _family_object(args)
     report = eval_batch((params,), args.q, args.p, _METHOD_MAP[args.method], args.tol)[0]
-    doc = {"schema": EVAL_SCHEMA, "family": args.family, **asdict(report)}
-    _emit(_json_text(doc), args.out)
-    return 0
+    return {"schema": EVAL_SCHEMA, "family": args.family, **asdict(report)}, 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     result = sweep(args.family, args.q, args.p, GridSpec.parse(args.grid), args.tol)
-    if args.json:
-        _emit(_json_text(asdict(result)), args.out)
-    else:
-        _emit(result.csv_text(), args.out)
-    return 0
+    return (asdict(result) if args.json else result.csv_text()), 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     results = run_suite(names, seed=args.seed, samples=args.samples, q=args.q, p=args.p)
     all_pass = all(r.passed for r in results)
-    _emit(
-        _json_text(
-            {
-                "schema": VERIFY_SCHEMA,
-                "suite": args.suite,
-                "seed": args.seed,
-                "checks": [r.to_json_dict() for r in results],
-                "pass": all_pass,
-            }
-        ),
-        args.out,
+    return (
+        {
+            "schema": VERIFY_SCHEMA,
+            "suite": args.suite,
+            "seed": args.seed,
+            "checks": [r.to_json_dict() for r in results],
+            "pass": all_pass,
+        },
+        0 if all_pass else 1,
     )
-    return 0 if all_pass else 1
 
 
-def _cmd_minimize(args) -> int:
+def _cmd_minimize(args):
     report = minimize_Fq(
         args.q,
         MinimizeFamilySpec(terms=args.terms),
         OptimizerConfig(restarts=args.restarts, max_iter=args.max_iter, seed=args.seed),
     )
-    _emit(_json_text({"schema": MINIMIZE_SCHEMA, **asdict(report)}), args.out)
-    return 0
+    return {"schema": MINIMIZE_SCHEMA, **asdict(report)}, 0
 
 
 def _auto_dx(obj, obj_hat, n: int, tol: float) -> float:
@@ -181,14 +164,13 @@ def _auto_dx(obj, obj_hat, n: int, tol: float) -> float:
     return min(1.0 / (2.0 * bandwidth), 2.0 * radius / n)
 
 
-def _cmd_ftcheck(args) -> int:
+def _cmd_ftcheck(args):
     """DFT of the sampled function against its analytic transform on the
     dual grid.  For the two-scale family the transform is g_c itself
     (``_resolve`` returns it twice), so the check compares the DFT of
     g_c with g_c: the self-duality statement."""
     n = args.grid_n
-    if n < 16 or n & (n - 1):
-        raise ValueError(f"--grid-n must be a power of two >= 16, got {n}")
+    check_grid(n)
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     params, param = _family_object(args)
@@ -198,31 +180,19 @@ def _cmd_ftcheck(args) -> int:
     exact = obj_hat.eval(approx.x_grid())
     max_err = float(np.max(np.abs(approx.samples - exact)))
     passed = max_err <= args.tol
-    _emit(
-        _json_text(
-            {
-                "schema": FTCHECK_SCHEMA,
-                "family": args.family,
-                "param": param,
-                "n": n,
-                "dx": dx,
-                "max_abs_error": max_err,
-                "tol": args.tol,
-                "pass": passed,
-            }
-        ),
-        args.out,
+    return (
+        {
+            "schema": FTCHECK_SCHEMA,
+            "family": args.family,
+            "param": param,
+            "n": n,
+            "dx": dx,
+            "max_abs_error": max_err,
+            "tol": args.tol,
+            "pass": passed,
+        },
+        0 if passed else 1,
     )
-    return 0 if passed else 1
-
-
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "sweep": _cmd_sweep,
-    "verify": _cmd_verify,
-    "minimize": _cmd_minimize,
-    "ftcheck": _cmd_ftcheck,
-}
 
 
 def run_cli(argv=None) -> int:
@@ -233,7 +203,17 @@ def run_cli(argv=None) -> int:
         # argparse exits 0 for --help/--version and 2 for usage errors
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        doc, code = args.handler(args)
+        text = doc if isinstance(doc, str) else json.dumps(doc, indent=2) + "\n"
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
+        return code
     except ValueError as exc:
         sys.stderr.write(parser.format_usage())
         sys.stderr.write(f"uflab: error: {exc}\n")

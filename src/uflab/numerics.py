@@ -86,6 +86,9 @@ from itertools import accumulate
 import numpy as np
 
 MAX_PANELS = 100_000
+# Most points of a sampled grid; larger requests are rejected before
+# anything is allocated.
+MAX_SAMPLES = 2**22
 # Most requests whose passes run in lockstep: a larger batch runs in
 # slices of this many, one after the other, so that its working arrays
 # do not grow with it.  A slice's solo retries, one exponent each, carry
@@ -121,7 +124,8 @@ class NormEstimate:
 
 @dataclass(frozen=True, eq=False)
 class SampledFunction:
-    """Values on the centered grid x_j = (j - n/2)*dx, j = 0..n-1.
+    """Values on the centered grid x_j = (j - n/2)*dx, j = 0..n-1, under
+    the rule of :func:`check_grid`.
 
     The implied frequency grid after :func:`dft_approx` is
     xi_k = (k - n/2)/(n*dx), i.e. the output is again a SampledFunction
@@ -133,19 +137,29 @@ class SampledFunction:
     samples: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.n < 16 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"n must be a power of two >= 16, got {self.n}")
-        # The grid spans n*dx and its dual grid 1/dx: both must be finite.
-        if not (self.dx > 0.0 and math.isfinite(self.n * self.dx)
-                and math.isfinite(1.0 / self.dx)):
-            raise ValueError(f"dx must be positive with n*dx and 1/dx finite, got {self.dx}")
+        check_grid(self.n, self.dx)
         samples = np.asarray(self.samples, dtype=complex)
         if samples.shape != (self.n,):
             raise ValueError(f"expected {self.n} samples, got shape {samples.shape}")
         object.__setattr__(self, "samples", samples)
 
     def x_grid(self) -> np.ndarray:
-        return (np.arange(self.n) - self.n // 2) * self.dx
+        return _centered_grid(self.n, self.dx)
+
+
+def check_grid(n: int, dx: float | None = None) -> None:
+    """The sampling grid rule: n is a power of two in [16, MAX_SAMPLES],
+    and dx, when given, is positive with the grid span n*dx and the dual
+    span 1/dx finite.  Raises ValueError naming the value that breaks it."""
+    if n < 16 or n > MAX_SAMPLES or n & (n - 1):
+        raise ValueError(f"n must be a power of two from 16 to {MAX_SAMPLES}, got {n}")
+    if dx is not None and not (dx > 0.0 and math.isfinite(n * dx)
+                               and math.isfinite(1.0 / dx)):
+        raise ValueError(f"dx must be positive with n*dx and 1/dx finite, got {dx}")
+
+
+def _centered_grid(n: int, dx: float) -> np.ndarray:
+    return (np.arange(n) - n // 2) * dx
 
 
 # Gauss7/Kronrod15 pair on [-1, 1].  The odd Kronrod abscissae together
@@ -713,10 +727,11 @@ def _quad_passes(requests, tol):
 
 def sample(f, n: int, dx: float) -> SampledFunction:
     """Evaluate ``f`` on the centered n-point grid with spacing dx: its
-    evaluator's batch of one."""
-    probe = SampledFunction(n, float(dx), np.zeros(n, dtype=complex))
-    values = np.asarray(f.evaluator([f], probe.x_grid(), [n]), dtype=complex)
-    return SampledFunction(n, float(dx), values)
+    evaluator's batch of one.  The grid must follow :func:`check_grid`,
+    which is checked before anything is allocated."""
+    dx = float(dx)
+    check_grid(n, dx)
+    return SampledFunction(n, dx, f.evaluator([f], _centered_grid(n, dx), [n]))
 
 
 def dft_approx(s: SampledFunction) -> SampledFunction:

@@ -20,6 +20,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv):
+    """``python -m uflab`` in a child process, so that stderr shows
+    whatever the interpreter itself would print, tracebacks included."""
+    src = str(Path(uflab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "uflab", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestUsageErrors:
     def test_no_arguments(self, capsys):
         code, _, err = run(capsys)
@@ -138,6 +148,44 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert "usage" in err and f"got {shown}\n" in err
+
+    # Sizes past the cap are rejected before the grid is allocated.
+    def test_grid_n_above_cap_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "ftcheck", "--family", "chirp", "--a", "2",
+                             "--grid-n", "1099511627776")
+        assert code == 2
+        assert out == ""
+        assert "usage" in err and f"from 16 to {numerics.MAX_SAMPLES}" in err
+
+    # An --out that cannot be opened for writing is a usage error, not a
+    # traceback with the exit status of a failed check.
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, where):
+        path = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+        proc = run_module("eval", "--family", "chirp", "--a", "2", "--q", "3",
+                          "--out", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: uflab")
+        assert f"uflab: error: cannot write --out {path}: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+# Every subcommand writes through one path: --out FILE holds exactly the
+# bytes the same invocation prints without it, and stdout stays empty.
+@pytest.mark.parametrize("argv", [
+    ("eval", "--family", "chirp", "--a", "2", "--q", "3"),
+    ("sweep", "--family", "chirp", "--q", "4", "--grid", "2:3:2"),
+    ("sweep", "--family", "chirp", "--q", "4", "--grid", "2:3:2", "--json"),
+    ("verify", "--suite", "closed-forms"),
+    ("minimize", "--q", "1.5", "--terms", "1", "--restarts", "1", "--max-iter", "5"),
+    ("ftcheck", "--family", "gaussian", "--grid-n", "256"),
+], ids=["eval", "sweep-csv", "sweep-json", "verify", "minimize", "ftcheck"])
+def test_out_matches_stdout(capsys, tmp_path, argv):
+    code, printed, _ = run(capsys, *argv)
+    path = tmp_path / "out"
+    assert run(capsys, *argv, "--out", str(path)) == (code, "", "")
+    assert path.read_bytes() == printed.encode()
 
 
 class TestEval:
@@ -351,14 +399,7 @@ class TestFtcheck:
 
 
 def test_python_dash_m_runs_cli():
-    src = str(Path(uflab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "uflab", "eval", "--family", "chirp", "--a", "2",
-         "--q", "4"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_module("eval", "--family", "chirp", "--a", "2", "--q", "4")
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["schema"] == "uflab.eval/1"

@@ -27,6 +27,7 @@ from uflab.gaussian import (
 )
 from uflab.hermite import HermiteExpansion, random_schwartz
 from uflab.numerics import (
+    MAX_SAMPLES,
     NormEstimate,
     SampledFunction,
     ToleranceNotAchieved,
@@ -1253,6 +1254,14 @@ class TestSampledFunction:
         for dx in (1e308, 1e-320):  # n*dx, then 1/dx, is not finite
             with pytest.raises(ValueError, match=re.escape(f"got {dx!r}") + "$"):
                 SampledFunction(16, dx, np.zeros(16, dtype=complex))
+        with pytest.raises(ValueError, match=f"from 16 to {MAX_SAMPLES}, got"):
+            SampledFunction(2 * MAX_SAMPLES, 0.1, np.zeros(16, dtype=complex))
+
+    def test_sample_checks_grid_before_allocating(self):
+        # 2**40 complex values would take 16 TiB: the rule rejects the
+        # size before any array of that length exists
+        with pytest.raises(ValueError, match=f"from 16 to {MAX_SAMPLES}, got {2**40}$"):
+            sample(single(1.0, 1.0), 2**40, 1e-3)
 
     def test_grids(self):
         s = SampledFunction(16, 0.5, np.zeros(16, dtype=complex))
