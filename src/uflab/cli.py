@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .explore import GridSpec, MinimizeFamilySpec, OptimizerConfig, minimize_Fq, sweep
-from .functionals import _resolve, eval_batch
+from .functionals import _with_transform, eval_batch
 from .gaussian import ChirpParams, ComplexGaussianTerm, TwoScaleParams
 from .numerics import (MAX_SAMPLES, ToleranceNotAchieved, check_grid, dft_approx,
                        sample, truncation_radius)
@@ -167,14 +167,14 @@ def _auto_dx(obj, obj_hat, n: int, tol: float) -> float:
 def _cmd_ftcheck(args):
     """DFT of the sampled function against its analytic transform on the
     dual grid.  For the two-scale family the transform is g_c itself
-    (``_resolve`` returns it twice), so the check compares the DFT of
-    g_c with g_c: the self-duality statement."""
+    (``_with_transform`` returns it twice), so the check compares the
+    DFT of g_c with g_c: the self-duality statement."""
     n = args.grid_n
     check_grid(n)
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     params, param = _family_object(args)
-    obj, obj_hat = _resolve(params)
+    obj, obj_hat = _with_transform(params)
     dx = args.dx if args.dx is not None else _auto_dx(obj, obj_hat, n, args.tol)
     approx = dft_approx(sample(obj, n, dx))
     exact = obj_hat.eval(approx.x_grid())

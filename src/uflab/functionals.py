@@ -31,8 +31,6 @@ from .gaussian import (
     ComplexGaussianTerm,
     GaussianMixture,
     TwoScaleParams,
-    make_chirp,
-    make_two_scale,
     term_lq_norm,
 )
 from .hermite import HermiteExpansion
@@ -162,21 +160,24 @@ def fq_gc_lower_bound(c: float, q: float) -> float:
 
 
 def _resolve(f):
-    """Map any accepted input to (object, analytic transform).  g_c is
-    its own transform, so the two-scale family returns g_c twice, the
-    same object, and its norms are taken once."""
-    if isinstance(f, ChirpParams):
-        obj = GaussianMixture((make_chirp(f),))
-    elif isinstance(f, TwoScaleParams):
-        obj = make_two_scale(f)
-        return obj, obj
-    elif isinstance(f, ComplexGaussianTerm):
-        obj = GaussianMixture((f,))
-    elif isinstance(f, (GaussianMixture, HermiteExpansion)):
-        obj = f
-    else:
-        raise TypeError(f"cannot evaluate functionals of {type(f).__name__}")
-    return obj, obj.ft()
+    """The function an accepted input stands for: the mixture or
+    expansion itself, a family parameter's ``function``, or a term's
+    one-term mixture.  Every entry point maps its inputs here."""
+    if isinstance(f, (GaussianMixture, HermiteExpansion)):
+        return f
+    if isinstance(f, (ChirpParams, TwoScaleParams)):
+        return f.function
+    if isinstance(f, ComplexGaussianTerm):
+        return GaussianMixture((f,))
+    raise TypeError(f"cannot take norms or functionals of {type(f).__name__}")
+
+
+def _with_transform(f):
+    """(function, analytic transform) of an accepted input.  g_c is its
+    own transform, so the two-scale family returns g_c twice, the same
+    object, and its norms are taken once."""
+    obj = _resolve(f)
+    return obj, obj if isinstance(f, TwoScaleParams) else obj.ft()
 
 
 def _exact_norm(g, q: float, tol: float) -> NormEstimate | None:
@@ -209,7 +210,8 @@ def _exact_norm(g, q: float, tol: float) -> NormEstimate | None:
 
 
 def norms(g, exponents, tol: float, method: str = "auto") -> tuple[NormEstimate, ...]:
-    """||g||_q for each q in ``exponents``, in order.
+    """||g||_q for each q in ``exponents``, in order, for any input that
+    :func:`eval_batch` accepts.
 
     ``tol`` must lie in numerics [TOL_FLOOR, TOL_CEIL] whatever the route.
     ``method`` "auto" takes the exact route of :func:`_exact_norm` where
@@ -223,15 +225,19 @@ def norms(g, exponents, tol: float, method: str = "auto") -> tuple[NormEstimate,
 
 
 def norms_batch(requests, tol: float, method: str = "auto") -> list[tuple[NormEstimate, ...]]:
-    """:func:`norms` of each ``(g, exponents)`` request, in order.  The
-    exponents each request leaves to quadrature go, one request per
-    function, to one ``lq_norm_quad_batch`` call, whose estimates do not
-    depend on the batch."""
+    """:func:`norms` of each ``(g, exponents)`` request, in order; each g
+    goes through :func:`_resolve`, and a request with no exponent is a
+    ValueError.  The exponents each request leaves to quadrature go, one
+    request per function, to one ``lq_norm_quad_batch`` call, whose
+    estimates do not depend on the batch."""
     check_tolerance(tol)
     if method not in ("auto", "closed-form", "quadrature"):
         raise ValueError(f"norm method must be auto, closed-form or quadrature, got {method!r}")
     exact, quad = [], {}
     for j, (g, exponents) in enumerate(requests):
+        g = _resolve(g)
+        if not exponents:
+            raise ValueError("no norm exponent given")
         found = [None if method == "quadrature" else _exact_norm(g, q, tol) for q in exponents]
         missing = tuple(dict.fromkeys(q for q, est in zip(exponents, found) if est is None))
         if method == "closed-form" and missing:
@@ -265,12 +271,13 @@ def eval_batch(fs, q: float, p: float | None = None, method: str = "auto",
     requires q < p.
 
     An input may be chirp/two-scale parameters, a term, a mixture, or a
-    Hermite expansion.  ``method`` "auto" lets :func:`norms` pick each
-    norm's route; "closed-form" requires an exact route for all four
-    (ValueError otherwise); "quadrature" integrates all four; "both"
-    evaluates exactly and records the relative discrepancy from
-    quadrature.  The norms of all inputs are taken in one
-    :func:`norms_batch` call per route.
+    Hermite expansion (:func:`_resolve`), anything else a TypeError.
+    ``method`` "auto" lets :func:`norms` pick each norm's route;
+    "closed-form" requires an exact route for all four (ValueError
+    otherwise); "quadrature" integrates all four; "both" evaluates
+    exactly and records the relative discrepancy from quadrature.  The
+    norms of all inputs are taken in one :func:`norms_batch` call per
+    route.
     """
     _check_exponent(q)
     if p is None:
@@ -281,7 +288,7 @@ def eval_batch(fs, q: float, p: float | None = None, method: str = "auto",
             raise ValueError(f"need q < p, got q={q}, p={p}")
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-    pairs = [_resolve(f) for f in fs]
+    pairs = [_with_transform(f) for f in fs]
 
     def four(route):
         """||f||_q, ||fhat||_q, ||f||_p, ||fhat||_p of each input, in

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -241,15 +241,20 @@ def _multiset_plan(n: int, m: int) -> tuple[tuple[tuple[int, int, int, int], ...
 @dataclass(frozen=True)
 class ChirpParams:
     """Parameter of the chirp family: ``a > 1 + MIN_CHIRP_MARGIN`` whose
-    term is valid, which holds up to about 7.56e153."""
+    term, of width ``(a*a-1) + 2*i*a``, is valid, which holds up to about
+    7.56e153.  ``function`` is that term as a one-term mixture, built
+    once and left out of ``repr`` and ``==``."""
 
     a: float
+    function: GaussianMixture = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.a > 1.0 + MIN_CHIRP_MARGIN:
+        a = self.a
+        if not a > 1.0 + MIN_CHIRP_MARGIN:
             raise ValueError(f"chirp parameter must exceed 1 + {MIN_CHIRP_MARGIN:g} "
-                             f"(degenerate width otherwise), got {self.a}")
-        make_chirp(self)
+                             f"(degenerate width otherwise), got {a}")
+        term = ComplexGaussianTerm(1.0, complex(a * a - 1.0, 2.0 * a))
+        object.__setattr__(self, "function", GaussianMixture((term,)))
 
     @classmethod
     def from_t(cls, t: float) -> "ChirpParams":
@@ -263,34 +268,26 @@ class ChirpParams:
 class TwoScaleParams:
     """Parameter of the self-dual two-scale family: any ``c > 0`` whose
     two terms, of widths ``1/(c*c)`` and ``c*c``, are valid; about
-    [1.32e-154, 7.56e153]."""
+    [1.32e-154, 7.56e153].  ``function`` is g_c, built once and left out
+    of ``repr`` and ``==``."""
 
     c: float
+    function: GaussianMixture = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        message = (f"two-scale parameter needs c > 0 with finite "
-                   f"pi*c*c and pi/(c*c), got {self.c}")
-        # What the two terms of make_two_scale check of their widths, in
-        # the very expressions they evaluate, without building them; c*c > 0
-        # keeps 1/(c*c) from dividing by zero.  Their amplitudes c**-0.5
-        # and c**0.5 are finite for every such c.
         c = self.c
-        if not (c > 0.0 and c * c > 0.0 and 1.0 / (c * c) > 0.0
-                and math.isfinite(math.pi * (c * c))
-                and math.isfinite(math.pi * (1.0 / (c * c)))):
+        message = (f"two-scale parameter needs c > 0 with finite "
+                   f"pi*c*c and pi/(c*c), got {c}")
+        if not c > 0.0:
             raise ValueError(message)
-
-
-def make_chirp(params: ChirpParams) -> ComplexGaussianTerm:
-    a = params.a
-    return ComplexGaussianTerm(1.0, complex(a * a - 1.0, 2.0 * a))
-
-
-def make_two_scale(params: TwoScaleParams) -> GaussianMixture:
-    c = params.c
-    wide = ComplexGaussianTerm(c ** -0.5, 1.0 / (c * c))
-    narrow = ComplexGaussianTerm(c ** 0.5, c * c)
-    return GaussianMixture((wide, narrow))
+        # The narrow term first: its width check rejects a c*c that
+        # underflows to 0 before 1/(c*c) divides by it.
+        try:
+            narrow = ComplexGaussianTerm(c ** 0.5, c * c)
+            wide = ComplexGaussianTerm(c ** -0.5, 1.0 / (c * c))
+        except ValueError:
+            raise ValueError(message) from None
+        object.__setattr__(self, "function", GaussianMixture((wide, narrow)))
 
 
 def term_lq_norm(term: ComplexGaussianTerm, q: float) -> float:

@@ -42,7 +42,7 @@ from .functionals import (
     norms_batch,
 )
 from .functionals import _in_range, _ratio  # shared exponent cap and F formula
-from .gaussian import ChirpParams, TwoScaleParams, closed_form_Fq_chirp, make_two_scale
+from .gaussian import ChirpParams, TwoScaleParams, closed_form_Fq_chirp
 from .hermite import random_schwartz
 
 # Norm tolerance used inside verification checks; one-sided inequality
@@ -206,7 +206,7 @@ def verify_closed_forms() -> CheckResult:
         for a, rep in zip(a_grid, reports):
             closed = closed_form_Fq_chirp(a, q)
             slacks.append(-abs(closed - rep.value) / closed)
-    found = norms_batch([(make_two_scale(TwoScaleParams(c)), (2.0,)) for c in c_grid],
+    found = norms_batch([(TwoScaleParams(c).function, (2.0,)) for c in c_grid],
                         QUAD_TOL, "quadrature")
     for c, (est,) in zip(c_grid, found):
         closed = gc_l2_norm_sq(c)

@@ -24,8 +24,6 @@ from uflab.gaussian import (
     GaussianMixture,
     TwoScaleParams,
     closed_form_Fq_chirp,
-    make_chirp,
-    make_two_scale,
 )
 from uflab.numerics import dft_approx, lq_norm_quad, sample, truncation_radius
 from uflab.verifier import (
@@ -73,7 +71,7 @@ def test_criterion_01_closed_form_reproduction():
 def test_criterion_02_two_scale_l2_identity():
     with Budget("02 two-scale L2 identity", 5.0):
         for c in (0.1, 1.0, 2.0, 10.0, 100.0):
-            quad_sq = lq_norm_quad(make_two_scale(TwoScaleParams(c)), (2.0,),
+            quad_sq = lq_norm_quad(TwoScaleParams(c).function, (2.0,),
                                    1e-10)[0].value ** 2
             assert quad_sq == pytest.approx(gc_l2_norm_sq(c), rel=1e-8)
         assert gc_l2_norm_sq(1.0) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
@@ -125,7 +123,7 @@ def test_criterion_07_interpolation_suite():
 
 def test_criterion_08_dft_oracle():
     with Budget("08 discrete Fourier oracle", 10.0):
-        f = GaussianMixture((make_chirp(ChirpParams(2.0)),))
+        f = ChirpParams(2.0).function
         fhat = f.ft()
         hat = dft_approx(sample(f, 4096, 0.01))
         err = np.max(np.abs(hat.samples - fhat.eval(hat.x_grid())))

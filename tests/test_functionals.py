@@ -25,6 +25,7 @@ from uflab.functionals import (
     gc_lq_upper_bound,
     interpolation_exponent,
     norms,
+    norms_batch,
 )
 from uflab.gaussian import (
     ChirpParams,
@@ -32,7 +33,6 @@ from uflab.gaussian import (
     GaussianMixture,
     TwoScaleParams,
     closed_form_Fq_chirp,
-    make_two_scale,
 )
 from uflab.hermite import HermiteExpansion, random_schwartz
 from uflab.numerics import lq_norm_quad, lq_norm_quad_batch
@@ -110,7 +110,7 @@ class TestGcBounds:
 
     @pytest.mark.parametrize("c,q", [(5.0, 4.0), (50.0, 3.0), (0.2, 6.0)])
     def test_lower_bound_below_quadrature(self, c, q):
-        norm_sq = lq_norm_quad(make_two_scale(TwoScaleParams(c)), (q,), 1e-10)[0].value ** 2
+        norm_sq = lq_norm_quad(TwoScaleParams(c).function, (q,), 1e-10)[0].value ** 2
         assert norm_sq >= gc_lq_lower_bound(c, q) - 1e-9
 
     def test_lower_bound_dominates_weak_form(self):
@@ -132,7 +132,7 @@ class TestGcBounds:
 
     @pytest.mark.parametrize("c,q", [(10.0, 4.0), (3.0, 1.5), (7.0, 2.0), (0.3, 6.0)])
     def test_upper_bound_above_quadrature(self, c, q):
-        norm_sq = lq_norm_quad(make_two_scale(TwoScaleParams(c)), (q,), 1e-10)[0].value ** 2
+        norm_sq = lq_norm_quad(TwoScaleParams(c).function, (q,), 1e-10)[0].value ** 2
         assert norm_sq <= gc_lq_upper_bound(c, q) + 1e-9
 
     def test_upper_bound_growth_exponent_q_lt_2(self):
@@ -215,7 +215,7 @@ class TestEvalFq:
             eval_Fq(TwoScaleParams(2.0), 3.0, "closed-form")
 
     def test_scalar_scale_invariance(self):
-        f = make_two_scale(TwoScaleParams(3.0))
+        f = TwoScaleParams(3.0).function
         scaled = GaussianMixture(
             tuple(ComplexGaussianTerm(7.5j * t.amplitude, t.width) for t in f.terms)
         )
@@ -225,7 +225,7 @@ class TestEvalFq:
 
     def test_dilation_invariance(self):
         lam = 2.5  # f(lam x): widths scale by lam^2, ratio unchanged
-        f = make_two_scale(TwoScaleParams(2.0))
+        f = TwoScaleParams(2.0).function
         dilated = GaussianMixture(
             tuple(
                 ComplexGaussianTerm(t.amplitude, lam * lam * t.width) for t in f.terms
@@ -339,6 +339,31 @@ class TestEvalBatch:
             eval_batch(self.BATCH, 1.0, 6.0)
 
 
+# One input of each accepted kind, and one of no accepted kind.
+_INPUTS = (ChirpParams(2.0), TwoScaleParams(3.0), ComplexGaussianTerm(0.5 - 1j, 2.0 + 1j),
+           random_schwartz("gaussian-mixture", 3, 5), random_schwartz("hermite", 4, 5),
+           object())
+
+
+@pytest.mark.parametrize("f", _INPUTS, ids=lambda f: type(f).__name__)
+def test_one_input_rule(f):
+    # norms, eval_batch and the input map accept the same inputs, and
+    # norms gives the f-norms of eval_batch's report, bit for bit
+    entry_points = (lambda: functionals._resolve(f), lambda: norms(f, (3.0, 2.0), 1e-8),
+                    lambda: eval_batch((f,), 3.0, None, "auto", 1e-8))
+    if type(f) is object:
+        for call in entry_points:
+            with pytest.raises(TypeError, match=r"of object$"):
+                call()
+        return
+    (report,) = eval_batch((f,), 3.0, None, "auto", 1e-8)
+    fq, _, f2, _ = report.norms
+    for g in (f, functionals._resolve(f)):
+        got = norms(g, (3.0, 2.0), 1e-8)
+        assert got == (fq, f2)
+        assert [n.value.hex() for n in got] == [fq.value.hex(), f2.value.hex()]
+
+
 def _counting_quadrature(monkeypatch):
     """Route every quadrature norm of ``functionals`` through a recorder;
     returns the list of (function, exponents) requests of every batch."""
@@ -358,7 +383,7 @@ class TestNorms:
     quadrature otherwise."""
 
     def test_routes_per_exponent(self):
-        g = make_two_scale(TwoScaleParams(3.0))
+        g = TwoScaleParams(3.0).function
         got = norms(g, (2.0, 3.0, 4.0, 4.000000000000001), 1e-10)
         assert [n.method for n in got] == ["closed-form", "quadrature",
                                            "closed-form", "quadrature"]
@@ -380,7 +405,7 @@ class TestNorms:
             "closed-form", "quadrature"]
 
     def test_exact_routes_report_positive_error(self):
-        for g, q in ((make_two_scale(TwoScaleParams(2.0)), 6.0),
+        for g, q in ((TwoScaleParams(2.0).function, 6.0),
                      (HermiteExpansion((1.0, 0.5j)), 2.0)):
             (est,) = norms(g, (q,), 1e-10)
             assert est.method == "closed-form"
@@ -417,7 +442,7 @@ class TestNorms:
         # 1/c of it
         calls = _counting_quadrature(monkeypatch)
         c = 5e153
-        high, l2 = norms(make_two_scale(TwoScaleParams(c)), (64.0, 2.0), 1e-10)
+        high, l2 = norms(TwoScaleParams(c).function, (64.0, 2.0), 1e-10)
         assert (high.method, l2.method) == ("quadrature", "closed-form")
         assert [qs for _, qs in calls] == [(64.0,)]
         assert high.value == pytest.approx(c ** (31 / 64) * 8.0 ** (-1 / 64), rel=1e-9)
@@ -426,7 +451,7 @@ class TestNorms:
         # c**32 would overflow an unscaled q = 64 sum of g_c; both routes
         # work on g_c / S, S its envelope amplitude, and agree
         for c in (1e10, 1e150):
-            g = make_two_scale(TwoScaleParams(c))
+            g = TwoScaleParams(c).function
             (quad,) = norms(g, (64.0,), 1e-10, "quadrature")
             (exact,) = norms(g, (64.0,), 1e-10)
             assert exact.method == "closed-form"
@@ -450,7 +475,7 @@ class TestNorms:
             assert [qs for _, qs in calls] == [(2.0,), (2.0,)]
             assert (rep.norms[0], rep.norms[1]) == (rep.norms[2], rep.norms[3])
         calls.clear()
-        got = norms(make_two_scale(TwoScaleParams(3.0)), (3.0, 2.0, 3.0), 1e-10, "quadrature")
+        got = norms(TwoScaleParams(3.0).function, (3.0, 2.0, 3.0), 1e-10, "quadrature")
         assert [qs for _, qs in calls] == [(3.0, 2.0)]
         assert got[0] == got[2]
 
@@ -525,9 +550,21 @@ class TestNorms:
             with pytest.raises(ValueError, match="tolerance must lie"):
                 eval_Fq(ChirpParams(2.0), 4.0, method, tol)
 
+    @pytest.mark.parametrize("method", ["auto", "closed-form", "quadrature"])
+    def test_empty_request_rejected(self, method):
+        # the rule of lq_norm_quad, whatever route the other requests take
+        g = TwoScaleParams(3.0)
+        for requests in ([(g, ())], [(g, (4.0,)), (g.function, ())]):
+            with pytest.raises(ValueError, match="^no norm exponent given$"):
+                norms_batch(requests, 1e-8, method)
+        with pytest.raises(ValueError, match="^no norm exponent given$"):
+            norms(g, (), 1e-8, method)
+        with pytest.raises(ValueError, match="^no norm exponent given$"):
+            lq_norm_quad(g.function, (), 1e-8)
+
     def test_closed_form_names_every_missing_exponent(self):
         with pytest.raises(ValueError, match=r"q = 3, 5 "):
-            norms(make_two_scale(TwoScaleParams(2.0)), (3.0, 4.0, 5.0), 1e-10,
+            norms(TwoScaleParams(2.0).function, (3.0, 4.0, 5.0), 1e-10,
                   "closed-form")
         with pytest.raises(ValueError, match="norm method"):
-            norms(make_two_scale(TwoScaleParams(2.0)), (3.0,), 1e-10, "both")
+            norms(TwoScaleParams(2.0).function, (3.0,), 1e-10, "both")

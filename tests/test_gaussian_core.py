@@ -21,9 +21,7 @@ from uflab.gaussian import (
     TwoScaleParams,
     closed_form_Fq_chirp,
     closed_form_Fqp_chirp,
-    make_chirp,
     _multiset_plan,
-    make_two_scale,
     term_lq_norm,
 )
 from uflab.hermite import random_schwartz
@@ -141,14 +139,23 @@ class TestConstruction:
                 assert math.isfinite(closed_form_Fq_chirp(a, q))
                 assert math.isfinite(closed_form_Fqp_chirp(a, q, 2.0 * q))
 
-    def test_make_chirp_widths(self):
-        assert make_chirp(ChirpParams(2.0)).width == complex(3.0, 4.0)
-        w = make_chirp(ChirpParams(math.sqrt(3.0))).width
+    def test_chirp_widths(self):
+        assert ChirpParams(2.0).function.terms[0].width == complex(3.0, 4.0)
+        w = ChirpParams(math.sqrt(3.0)).function.terms[0].width
         assert w.real == pytest.approx(2.0, rel=1e-15)
         assert w.imag == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-15)
 
+    def test_parameters_carry_their_function(self):
+        # built once, and left out of repr, == and hash
+        for make, value, name in ((ChirpParams, 2.0, "a"), (TwoScaleParams, 3.0, "c")):
+            p, twin = make(value), make(value)
+            assert p.function is p.function and p.function is not twin.function
+            assert p.function == twin.function
+            assert p == twin and hash(p) == hash(twin)
+            assert repr(p) == f"{make.__name__}({name}={value!r})"
+
     def test_two_scale_terms(self):
-        mix = make_two_scale(TwoScaleParams(2.0))
+        mix = TwoScaleParams(2.0).function
         amps = [t.amplitude for t in mix.terms]
         widths = [t.width for t in mix.terms]
         assert amps == [pytest.approx(2.0 ** -0.5), pytest.approx(2.0 ** 0.5)]
@@ -168,7 +175,7 @@ class TestConstruction:
         # the term rule decides the range: pi/(c*c) and pi*c*c finite
         lo, hi = 1.3219564750381271e-154, 7.564545572282618e153
         for c in (lo, hi):
-            mix = make_two_scale(TwoScaleParams(c))
+            mix = TwoScaleParams(c).function
             assert mix.ft().terms[0].width == pytest.approx(c * c, rel=1e-12)
         for c in (math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)):
             with pytest.raises(ValueError, match="two-scale parameter"):
@@ -200,19 +207,19 @@ class TestConstruction:
         assert len(accepted) < len(cases)
 
     def test_g1_is_doubled_gaussian(self):
-        mix = make_two_scale(TwoScaleParams(1.0))
+        mix = TwoScaleParams(1.0).function
         assert mix.eval(0.0) == pytest.approx(2.0, rel=1e-15)
         assert all(t.width == 1.0 for t in mix.terms)
 
 
 class TestEval:
     def test_chirp_at_zero(self):
-        assert make_chirp(ChirpParams(2.0)).eval(0.0) == pytest.approx(1.0)
+        assert ChirpParams(2.0).function.eval(0.0) == pytest.approx(1.0)
 
     def test_g2_at_one(self):
         # 2^{-1/2} e^{-pi/4} + 2^{1/2} e^{-4 pi}, scalar arithmetic oracle
         expected = 0.3224018737916913
-        got = make_two_scale(TwoScaleParams(2.0)).eval(1.0)
+        got = TwoScaleParams(2.0).function.eval(1.0)
         assert got.real == pytest.approx(expected, rel=1e-14)
         assert got.imag == 0.0
 
@@ -231,7 +238,7 @@ class TestEval:
         # a real width takes the real exp, within 1 ulp of the complex
         # one, and one more rounding for the amplitude; a real mixture
         # gives a real array
-        mix = make_two_scale(TwoScaleParams(3.0))
+        mix = TwoScaleParams(3.0).function
         x = np.linspace(-6.0, 6.0, 1201)
         eps = np.finfo(float).eps
         for term in (*mix.terms, ComplexGaussianTerm(0.6 - 0.8j, 0.25),
@@ -262,7 +269,7 @@ class TestEval:
         x = np.linspace(0.0, 6.0, 601)
         for seed in range(40):
             f = random_schwartz("gaussian-mixture", 1 + seed % 4, seed)
-            for g in (f, f.ft(), make_two_scale(TwoScaleParams(1.0 + seed))):
+            for g in (f, f.ft(), TwoScaleParams(1.0 + seed).function):
                 floor = min(t.width.real for t in g.terms)
                 assert g.envelope(0.0) == g.envelope() == (
                     sum(abs(t.amplitude) for t in g.terms), floor, 0.0)
@@ -281,7 +288,7 @@ class TestEval:
         # -inf far out, and the term is 0 there, alone or in its mixture
         c = 1e150
         x = np.concatenate(([0.0], np.geomspace(1e-10, 1e10, 41)))
-        narrow, g = ComplexGaussianTerm(c ** 0.5, c * c), make_two_scale(TwoScaleParams(c))
+        narrow, g = ComplexGaussianTerm(c ** 0.5, c * c), TwoScaleParams(c).function
         with np.errstate(over="ignore"):
             overflows = np.isinf((-math.pi * c * c) * x * x)
         assert overflows.any() and not overflows.all()
@@ -297,7 +304,7 @@ class TestEnvelopeCache:
         # at radius 0 every excess-decay factor is exp(-0.0) = 1
         for seed in range(20):
             f = random_schwartz("gaussian-mixture", 1 + seed % 4, seed)
-            for g in (f, f.ft(), make_two_scale(TwoScaleParams(10.0 ** (seed - 10)))):
+            for g in (f, f.ft(), TwoScaleParams(10.0 ** (seed - 10)).function):
                 floor = min(t.width.real for t in g.terms)
                 recomputed = (sum(abs(t.amplitude) * math.exp(
                     -(math.pi * (t.width.real - floor) * 0.0) * 0.0) for t in g.terms),
@@ -306,7 +313,7 @@ class TestEnvelopeCache:
                 assert [v.hex() for v in g.envelope()] == [v.hex() for v in recomputed]
 
     def test_cache_leaves_equality_and_hash(self):
-        g, h = (make_two_scale(TwoScaleParams(3.0)) for _ in range(2))
+        g, h = (TwoScaleParams(3.0).function for _ in range(2))
         g.envelope()
         assert "_origin_envelope" in vars(g) and "_origin_envelope" not in vars(h)
         assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
@@ -316,7 +323,7 @@ class TestEvaluator:
     def test_one_evaluator_per_sequence_of_term_kinds(self):
         # g_c of any c has two real terms; a real width may carry a
         # complex amplitude, and a chirp's width is complex
-        gcs = [make_two_scale(TwoScaleParams(c)) for c in (1e-150, 3.0, 7e153)]
+        gcs = [TwoScaleParams(c).function for c in (1e-150, 3.0, 7e153)]
         assert all(g.evaluator == gcs[0].evaluator for g in gcs)
         assert gcs[0].evaluator.kinds == ("real", "real")
         chirped = GaussianMixture((ComplexGaussianTerm(1.0, 1.0),
@@ -327,7 +334,7 @@ class TestEvaluator:
         assert len({gcs[0].evaluator, chirped.evaluator, turned.evaluator}) == 3
 
     def test_eval_keeps_the_shape_of_x(self):
-        g = make_two_scale(TwoScaleParams(3.0))
+        g = TwoScaleParams(3.0).function
         x = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
         assert g.eval(x).shape == (3, 4) and g.eval(0.5).shape == ()
         np.testing.assert_array_equal(g.eval(x).ravel(), g.evaluator([g], x.ravel(), [12]))
@@ -335,7 +342,7 @@ class TestEvaluator:
 
 class TestPowerParts:
     def test_matches_reference_expansion(self):
-        mixtures = [make_two_scale(TwoScaleParams(c)) for c in np.geomspace(1e-6, 1e6, 25)]
+        mixtures = [TwoScaleParams(c).function for c in np.geomspace(1e-6, 1e6, 25)]
         for seed in range(20):
             f = random_schwartz("gaussian-mixture", 1 + seed % 4, seed)
             mixtures += [f, f.ft()]
@@ -352,7 +359,7 @@ class TestPowerParts:
         # g_c at q = 64: comb(3 + 31, 32) = 561 multisets of 32 of its 3
         # merged widths
         for c in (1e-150, 0.3, 3.0, 1e150):
-            g = make_two_scale(TwoScaleParams(c))
+            g = TwoScaleParams(c).function
             got = g.power_parts(32)
             assert len(got) == 561 and bits(got) == bits(power_parts_reference(g, 32))
 
@@ -361,7 +368,7 @@ class TestPowerParts:
         # the cap; m times the widest of g_c at c = 7e153 overflows
         four = GaussianMixture(tuple(ComplexGaussianTerm(a, z) for a, z in (
             (1.0, 1 + 1j), (0.5j, 2 - 1j), (-0.3, 0.5 + 2j), (0.2 + 0.1j, 3 + 0.5j))))
-        huge = make_two_scale(TwoScaleParams(7e153))
+        huge = TwoScaleParams(7e153).function
         for g, m in ((four, 4), (huge, 2)):
             assert g.power_parts(m) is None and power_parts_reference(g, m) is None
         assert bits(four.power_parts(3)) == bits(power_parts_reference(four, 3))
@@ -371,7 +378,7 @@ class TestPowerParts:
         _multiset_plan.cache_clear()
         for _ in range(3):
             for c in (2.0, 5.0):
-                make_two_scale(TwoScaleParams(c)).power_parts(3)
+                TwoScaleParams(c).function.power_parts(3)
         info = _multiset_plan.cache_info()
         assert (info.misses, info.hits) == (1, 5)
         assert [len(level) for level in _multiset_plan(3, 3)] == [3, 6, 10]
@@ -386,7 +393,7 @@ class TestFourierTransform:
 
     def test_chirp_transform_modulus_and_width(self):
         # a = sqrt(3): |A_hat| = 1/2, Re(1/z) = (a^2-1)/(a^2+1)^2 = 1/8
-        hat = make_chirp(ChirpParams(math.sqrt(3.0))).ft()
+        (hat,) = ChirpParams(math.sqrt(3.0)).function.ft().terms
         assert abs(hat.amplitude) == pytest.approx(0.5, rel=1e-14)
         assert hat.width.real == pytest.approx(0.125, rel=1e-14)
 
@@ -404,7 +411,7 @@ class TestFourierTransform:
             assert twice.width == pytest.approx(term.width, rel=1e-14)
 
     def test_two_scale_self_dual(self):
-        mix = make_two_scale(TwoScaleParams(2.0))
+        mix = TwoScaleParams(2.0).function
         hat = mix.ft()
         # transform swaps the two terms; compare sorted by real width
         got = sorted(hat.terms, key=lambda t: t.width.real)
@@ -429,7 +436,7 @@ class TestNorms:
 
     def test_chirp_norms_from_display(self):
         # ||f_a||_q = (q (a^2-1))^{-1/(2q)}; a = sqrt(3), q = 2 gives 2^{-1/2}
-        term = make_chirp(ChirpParams(math.sqrt(3.0)))
+        (term,) = ChirpParams(math.sqrt(3.0)).function.terms
         assert term_lq_norm(term, 2.0) == pytest.approx(2.0 ** -0.5, rel=1e-14)
         # transformed side at q = 4: 0.5 * 2^{1/8}, quadrature-checked
         hat = term.ft()
@@ -460,7 +467,7 @@ class TestNorms:
     @pytest.mark.parametrize("c", [0.1, 0.5, 1.0, 2.0, 10.0, 100.0])
     def test_mixture_l2_matches_identity(self, c):
         # ||g_c||_2^2 = sqrt(2) + 2c/sqrt(c^4+1)
-        mix = make_two_scale(TwoScaleParams(c))
+        mix = TwoScaleParams(c).function
         expected = math.sqrt(math.sqrt(2.0) + 2.0 * c / math.sqrt(c ** 4 + 1.0))
         assert norms(mix, (2.0,), 1e-13)[0].value == pytest.approx(expected, rel=1e-13)
 

@@ -21,8 +21,6 @@ from uflab.gaussian import (
     GaussianMixture,
     MixtureEvaluator,
     TwoScaleParams,
-    make_chirp,
-    make_two_scale,
     term_lq_norm,
 )
 from uflab.hermite import HermiteExpansion, random_schwartz
@@ -272,8 +270,8 @@ class TestTruncationRadius:
         assert radii[0] <= radii[1] <= radii[2]
 
     def test_scales_with_widest_component(self):
-        r1 = truncation_radius(make_two_scale(TwoScaleParams(1.0)), 2.0, 1e-10)
-        r100 = truncation_radius(make_two_scale(TwoScaleParams(100.0)), 2.0, 1e-10)
+        r1 = truncation_radius(TwoScaleParams(1.0).function, 2.0, 1e-10)
+        r100 = truncation_radius(TwoScaleParams(100.0).function, 2.0, 1e-10)
         assert 50.0 <= r100 / r1 <= 200.0
 
     def test_rejects_nonpositive_tol(self):
@@ -348,12 +346,12 @@ class TestLqNormQuad:
 
     def test_chirp_l4_display_value(self):
         # ||f_a||_4 at a = sqrt(3): (1/sqrt(4*2))^{1/4} = 8^{-1/8}
-        f = GaussianMixture((make_chirp(ChirpParams(math.sqrt(3.0))),))
+        f = ChirpParams(math.sqrt(3.0)).function
         (est,) = lq_norm_quad(f, (4.0,), 1e-11)
         assert est.value == pytest.approx(8.0 ** -0.125, rel=1e-11)
 
     def test_g1_l2_is_eq1_value(self):
-        (est,) = lq_norm_quad(make_two_scale(TwoScaleParams(1.0)), (2.0,), 1e-11)
+        (est,) = lq_norm_quad(TwoScaleParams(1.0).function, (2.0,), 1e-11)
         assert est.value ** 2 == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-10)
 
     @pytest.mark.parametrize("q", [1.1, 1.5, 2.0, 3.0, 4.0, 10.0])
@@ -365,7 +363,7 @@ class TestLqNormQuad:
 
     def test_two_scale_l4_oracle(self):
         # scipy.integrate.quad reference for ||g_10||_4
-        (est,) = lq_norm_quad(make_two_scale(TwoScaleParams(10.0)), (4.0,), 1e-10)
+        (est,) = lq_norm_quad(TwoScaleParams(10.0).function, (4.0,), 1e-10)
         assert est.value == pytest.approx(1.6724442580962702, rel=1e-9)
 
     def test_zero_function(self):
@@ -403,7 +401,7 @@ class TestLqNormQuad:
 
     def test_fields_are_python_floats(self):
         # numpy scalars would not serialise in the JSON reports
-        f = make_two_scale(TwoScaleParams(3.0))
+        f = TwoScaleParams(3.0).function
         for est in (*lq_norm_quad(f, (3,), 1e-10), *lq_norm_quad(f, (1.5, 3), 1e-10),
                     *lq_norm_quad(single(0.0, 1.0), (2,), 1e-10)):
             assert [type(v) for v in (est.value, est.abs_error_estimate, est.q)] == [float] * 3
@@ -429,10 +427,32 @@ class TestLqNormQuad:
             assert est.value > 0.0
             assert abs(est.value - exact) <= est.abs_error_estimate
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 5: GaussianMixture.eval adds the terms in double, so a "
+        "near-cancelling pair loses digits no panel estimate sees; the L^2 and "
+        "L^3 norms miss tol 1e-8 by 1.5x and 1.25x without raising"))
+    def test_near_cancelling_pair_meets_tol_or_raises(self):
+        # |f| is about 1e-9 of its terms; the reference is 40-digit mpmath
+        f = GaussianMixture((ComplexGaussianTerm(3.0, 1.0),
+                             ComplexGaussianTerm(-3.0 + 3e-9, 1.0 + 1e-9)))
+        try:
+            found = lq_norm_quad(f, (2.0, 3.0), 1e-8)
+        except ToleranceNotAchieved:
+            return
+        with mpmath.workdps(40):
+            a, w = mpmath.mpf(-3.0 + 3e-9), mpmath.mpf(1.0 + 1e-9)
+            for est in found:
+                qm = mpmath.mpf(est.q)
+                g = lambda x: (3 * mpmath.exp(-mpmath.pi * x * x)
+                               + a * mpmath.exp(-mpmath.pi * w * x * x)) ** qm
+                exact = float((2 * mpmath.quad(g, [0, 0.25, 0.5, 1, 2, 4, mpmath.inf]))
+                              ** (1 / qm))
+                assert abs(est.value - exact) <= min(est.abs_error_estimate, 1e-8 * exact)
+
     def test_budget_failure_carries_estimate(self, monkeypatch):
         monkeypatch.setattr(numerics, "MAX_PANELS", 3)
         with pytest.raises(ToleranceNotAchieved) as exc:
-            numerics.lq_norm_quad(make_two_scale(TwoScaleParams(50.0)), (4.0,), 1e-10)
+            numerics.lq_norm_quad(TwoScaleParams(50.0).function, (4.0,), 1e-10)
         (est,) = exc.value.estimate
         assert est.value > 0.0
         assert est.method == "quadrature"
@@ -445,7 +465,7 @@ class TestLqNormQuad:
     def test_budget_failure_names_every_missed_exponent(self, monkeypatch):
         monkeypatch.setattr(numerics, "MAX_PANELS", 3)
         with pytest.raises(ToleranceNotAchieved) as exc:
-            numerics.lq_norm_quad(make_two_scale(TwoScaleParams(50.0)), (4.0, 3.0), 1e-10)
+            numerics.lq_norm_quad(TwoScaleParams(50.0).function, (4.0, 3.0), 1e-10)
         assert [est.q for est in exc.value.estimate] == [4.0, 3.0]
         assert all(est.value > 0.0 for est in exc.value.estimate)
         assert re.fullmatch(
@@ -522,7 +542,7 @@ class TestLqNormQuad:
         # one sort of a set gives the edges of two np.unique calls, on g_c,
         # random and fast-chirp mixtures (one past MAX_PHASE_RUNGS) and an
         # expansion whose shift is an edge
-        functions = [make_two_scale(TwoScaleParams(c)) for c in (1.0, 37.0, 1e4, 1e-3)]
+        functions = [TwoScaleParams(c).function for c in (1.0, 37.0, 1e4, 1e-3)]
         functions += [random_schwartz("gaussian-mixture", 1 + seed % 4, seed)
                       for seed in range(12)]
         functions += [_FAST_CHIRP_MIX, _FAST_CHIRP_MIX.ft(), _AUDIT_CHIRP_MIX,
@@ -619,7 +639,7 @@ class TestLqNormQuad:
         *(random_schwartz("gaussian-mixture", 1 + seed % 4, seed) for seed in range(6)),
         GaussianMixture((ComplexGaussianTerm(1.0, 1.0 + 40.0j),
                          ComplexGaussianTerm(0.7 - 0.2j, 0.25))).ft(),
-        make_two_scale(TwoScaleParams(300.0)),
+        TwoScaleParams(300.0).function,
         HermiteExpansion((1.0, 0.0, 0.0, 0.0, 1.0)),
     ], ids=[*(f"mixture-{seed}" for seed in range(6)), "chirpmix-ft", "gc-300", "h0+h4"])
     def test_even_function_evaluated_one_sided(self, f):
@@ -661,7 +681,7 @@ class TestLqNormQuad:
 
         monkeypatch.setattr(MixtureEvaluator, "__call__", counted)
         grid = np.logspace(1.0, 6.0, 50).tolist()
-        gcs = [make_two_scale(TwoScaleParams(c)) for c in grid]
+        gcs = [TwoScaleParams(c).function for c in grid]
         numerics.lq_norm_quad_batch([(g, (3.0,)) for g in gcs], 1e-8)
         for c, g in zip(grid, gcs):
             assert len(reach[id(g)]) == 1, c
@@ -686,7 +706,7 @@ class TestLqNormQuad:
         # largest chirps, though pi*w does not; the decay length is formed
         # without the product, so both integrate to their closed forms
         wide = single(1.0, 1e307)
-        chirp = GaussianMixture((make_chirp(ChirpParams(7.5e153)),))
+        chirp = ChirpParams(7.5e153).function
         for f, q in ((wide, 64.0), (chirp, 3.0)):
             (est,) = lq_norm_quad(f, (q,), 1e-10)
             assert est.value == pytest.approx(term_lq_norm(f.terms[0], q), rel=1e-10)
@@ -703,7 +723,7 @@ class TestLqNormQuad:
             TwoScaleParams(c)
 
     def test_halving_tol_never_raises_error_estimate(self):
-        f = make_two_scale(TwoScaleParams(3.0))
+        f = TwoScaleParams(3.0).function
         tols = [1e-4, 5e-5, 2.5e-5, 1.25e-5, 6.25e-6]
         errs = [lq_norm_quad(f, (3.0,), t)[0].abs_error_estimate for t in tols]
         assert all(b <= a for a, b in zip(errs, errs[1:]))
@@ -732,7 +752,7 @@ class TestBatch:
         from uflab.verifier import _sample_functions
 
         mixed = [g for f in _sample_functions(40, 3) for g in (f, f.ft())]
-        gcs = [make_two_scale(TwoScaleParams(c)) for c in np.geomspace(10.0, 1e6, 30).tolist()]
+        gcs = [TwoScaleParams(c).function for c in np.geomspace(10.0, 1e6, 30).tolist()]
         tuples = [(1.5,), (3.0, 1.2), (1.3, 4.0, 2.0)]
         for requests in ([(f, (1.2, 1.3, 1.5, 4.0 / 3.0, 3.0)) for f in mixed],
                          [(g, (3.0,)) for g in gcs],
@@ -756,7 +776,7 @@ class TestBatch:
 
         monkeypatch.setattr(numerics, "MAX_PANELS", max_panels)
         fs = [g for f in _sample_functions(8, 5) for g in (f, f.ft())] + [
-            _NEAR_CANCELLING, make_two_scale(TwoScaleParams(30.0))]
+            _NEAR_CANCELLING, TwoScaleParams(30.0).function]
         tol = 1e-10
         for tuples in ([(1.5, 2.0, 3.0)], [(1.5, 2.0, 3.0), (3.0,), (4.0, 1.5)]):
             requests = [(f, tuples[j % len(tuples)]) for j, f in enumerate(fs)]
@@ -862,7 +882,7 @@ class TestBatch:
 
         monkeypatch.setattr(numerics, "MAX_PANELS", 200)
         others = [g for f in _sample_functions(6, 3) for g in (f, f.ft())]
-        others += [make_two_scale(TwoScaleParams(c)) for c in (3.0, 300.0)]
+        others += [TwoScaleParams(c).function for c in (3.0, 300.0)]
         for exponents in ((2.0,), (2.0, 3.0)):
             with pytest.raises(ToleranceNotAchieved) as alone:
                 lq_norm_quad(_NEAR_CANCELLING, exponents, 1e-8)
@@ -886,7 +906,7 @@ class TestBatch:
                     numerics._quad_passes([(f, exponents)], 1e-8)[0])
 
     def test_zero_member_has_zero_norms(self):
-        zero, g = single(0.0, 1.0), make_two_scale(TwoScaleParams(3.0))
+        zero, g = single(0.0, 1.0), TwoScaleParams(3.0).function
         got = numerics.lq_norm_quad_batch([(f, (1.5, 3.0)) for f in (g, zero, g)], 1e-10)
         assert got[1] == (NormEstimate(0.0, "quadrature", 0.0, 1.5),
                           NormEstimate(0.0, "quadrature", 0.0, 3.0))
@@ -997,7 +1017,7 @@ def _functions(draw):
                               max_size=degree + 1))
         return HermiteExpansion(tuple(0j if even and n % 2 else complex(*c)
                                       for n, c in enumerate(pairs)))
-    return make_two_scale(TwoScaleParams(draw(st.sampled_from((1e-150, 1.0, 7e153)))))
+    return TwoScaleParams(draw(st.sampled_from((1e-150, 1.0, 7e153)))).function
 
 
 _REQUESTS = st.lists(st.tuples(_functions(), st.lists(st.sampled_from(
@@ -1125,7 +1145,7 @@ def _mixture_lq_reference(f, q):
 
 def _chirp_cases():
     for a, q in ((1.0 + 2e-6, 64.0), (1.7, 1.001)):
-        f = GaussianMixture((make_chirp(ChirpParams(a)),))
+        f = ChirpParams(a).function
         for g in (f, f.ft()):
             yield pytest.param(g, q, lambda g=g, q=q: term_lq_norm(g.terms[0], q),
                                id=f"chirp-a{a}-q{q}-{'ft' if g is not f else 'f'}")
@@ -1141,11 +1161,11 @@ _AUDIT_CHIRP_MIX = GaussianMixture((
 
 _HARD_CASES = [
     *_chirp_cases(),
-    *(pytest.param(make_two_scale(TwoScaleParams(c)), 3.0,
+    *(pytest.param(TwoScaleParams(c).function, 3.0,
                    lambda c=c: _gc_lq_reference(c, 3.0), id=f"gc-{c:g}-q3")
       for c in (1.0, 1e3, 1e6)),
     # the far end of the two-scale range: widths 1e-306 to 1e306
-    *(pytest.param(make_two_scale(TwoScaleParams(c)), float(q),
+    *(pytest.param(TwoScaleParams(c).function, float(q),
                    lambda c=c, q=q: _gc_binomial_reference(c, q), id=f"gc-{c:g}-q{q}")
       for c in (1e145, 1e150, 1e153) for q in (2, 3, 4, 6)),
     pytest.param(HermiteExpansion((0.0,) * 32 + (1.0,)), 1.001,
@@ -1187,7 +1207,7 @@ _DEGREE_8 = HermiteExpansion(tuple(complex(0.9 - 0.1 * n, 0.05 * n * (-1) ** n)
 # Norms with an exact route: the Gaussian sum of |f|**q at even q and the
 # coefficient sum of a Hermite expansion at q = 2.
 _EXACT_CASES = [
-    *(pytest.param(make_two_scale(TwoScaleParams(c)), q,
+    *(pytest.param(TwoScaleParams(c).function, q,
                    lambda c=c, q=q: _gc_lq_reference(c, q), id=f"gc-{c:g}-q{q:g}")
       for c in (1.0, 1e3, 1e6) for q in (4.0, 6.0)),
     *(pytest.param(g, q, lambda g=g, q=q: _mixture_lq_reference(g, q),
@@ -1225,7 +1245,7 @@ class TestErrorEstimateHonesty:
         # ||g_c||_3**3 is the sum of four Gaussian integrals, taken to 40
         # digits, against the tail bound of the per-term majorant
         for c in np.logspace(1.0, 6.0, 30):
-            g = make_two_scale(TwoScaleParams(float(c)))
+            g = TwoScaleParams(float(c)).function
             exact = _gc_binomial_reference(float(c), 3)
             for tol in (1e-8, 1e-10):
                 (est,) = lq_norm_quad(g, (3.0,), tol)
@@ -1270,7 +1290,7 @@ class TestSampledFunction:
         assert dft_approx(s).dx == pytest.approx(1.0 / 8.0)
 
     def test_sample_matches_eval(self):
-        mix = make_two_scale(TwoScaleParams(1.0))
+        mix = TwoScaleParams(1.0).function
         s = sample(mix, 16, 0.25)
         np.testing.assert_array_equal(s.samples, mix.eval(s.x_grid()))
         assert s.samples[8] == pytest.approx(2.0)
@@ -1293,7 +1313,7 @@ class TestDftApprox:
         assert np.max(np.abs(hat.samples - exact)) <= 1e-10
 
     def test_chirp_a2_transform(self):
-        f = GaussianMixture((make_chirp(ChirpParams(2.0)),))
+        f = ChirpParams(2.0).function
         s = sample(f, 4096, 0.01)
         hat = dft_approx(s)
         exact = f.ft().eval(hat.x_grid())
@@ -1304,7 +1324,7 @@ class TestDftApprox:
         assert np.all(dft_approx(s).samples == 0.0)
 
     def test_error_decreases_as_n_doubles(self):
-        f = GaussianMixture((make_chirp(ChirpParams(2.0)),))
+        f = ChirpParams(2.0).function
         fhat = f.ft()
         r = truncation_radius(f, 1.0, 1e-12)
         dx = 2.0 * r / 2048  # fixed spacing; larger n widens coverage
