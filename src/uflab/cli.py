@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .explore import GridSpec, MinimizeFamilySpec, OptimizerConfig, minimize_Fq, sweep
-from .functionals import _with_transform, eval_batch
+from .functionals import _METHODS, _with_transform, eval_batch
 from .gaussian import ChirpParams, ComplexGaussianTerm, TwoScaleParams
 from .numerics import (MAX_SAMPLES, ToleranceNotAchieved, check_grid, dft_approx,
                        sample, truncation_radius)
@@ -31,8 +31,6 @@ EVAL_SCHEMA = "uflab.eval/1"
 VERIFY_SCHEMA = "uflab.verify/1"
 MINIMIZE_SCHEMA = "uflab.minimize/1"
 FTCHECK_SCHEMA = "uflab.ftcheck/1"
-
-_METHOD_MAP = {"auto": "auto", "closed": "closed-form", "quad": "quadrature", "both": "both"}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -69,9 +67,9 @@ def _parser() -> argparse.ArgumentParser:
     sp = command("eval", _cmd_eval, "evaluate one uncertainty ratio",
                  "--family", "--a", "--c", "--q", "--p", "--tol",
                  required=("--family", "--q"))
-    sp.add_argument("--method", choices=tuple(_METHOD_MAP), default="quad",
+    sp.add_argument("--method", choices=_METHODS, default="quadrature",
                     help="norm routes: auto (exact where one exists, else quadrature), "
-                         "closed, quad, or both (default quad)")
+                         "closed-form, quadrature, or both (default quadrature)")
 
     sp = command("sweep", _cmd_sweep, "sweep a family parameter", "--q", "--p", "--tol",
                  required=("--q",))
@@ -121,7 +119,7 @@ def _family_object(args):
 
 def _cmd_eval(args):
     params, _ = _family_object(args)
-    report = eval_batch((params,), args.q, args.p, _METHOD_MAP[args.method], args.tol)[0]
+    report = eval_batch((params,), args.q, args.p, args.method, args.tol)[0]
     return {"schema": EVAL_SCHEMA, "family": args.family, **asdict(report)}, 0
 
 

@@ -193,7 +193,7 @@ def _exact_norm(g, q: float, tol: float) -> NormEstimate | None:
     """
     if isinstance(g, GaussianMixture) and len(g.terms) == 1:
         return NormEstimate(term_lq_norm(g.terms[0], q), "closed-form", 0.0, q)
-    if not (q >= 2.0 and q % 2.0 == 0.0 and hasattr(g, "power_parts")):
+    if not (q >= 2.0 and q % 2.0 == 0.0):
         return None
     parts = g.power_parts(int(q) // 2)
     if parts is None:
@@ -231,8 +231,8 @@ def norms_batch(requests, tol: float, method: str = "auto") -> list[tuple[NormEs
     request per function, to one ``lq_norm_quad_batch`` call, whose
     estimates do not depend on the batch."""
     check_tolerance(tol)
-    if method not in ("auto", "closed-form", "quadrature"):
-        raise ValueError(f"norm method must be auto, closed-form or quadrature, got {method!r}")
+    if method not in _METHODS[:3]:
+        raise ValueError(f"norm method must be one of {_METHODS[:3]}, got {method!r}")
     exact, quad = [], {}
     for j, (g, exponents) in enumerate(requests):
         g = _resolve(g)

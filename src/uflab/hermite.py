@@ -120,7 +120,7 @@ class HermiteExpansion:
         return (1.0,)
 
     def cross_phases(self):
-        """None: the basis functions are real, so no product of two of
+        """Empty: the basis functions are real, so no product of two of
         them has a phase."""
         return ()
 

@@ -584,20 +584,19 @@ class _Pass:
     The initial radius assumes the integral could undershoot the
     envelope's own integral beyond shift, sqrt(pi)*L, by six orders
     (cancellation), so its tail bound is tol/4 of that undershot
-    integral.  The seed round on it sets the peak, and where its totals
-    show a tail bound too large, they pick the radius: panels out to it
-    join the seeded ones, whose values are kept.  Where the tail bounds at
-    the refined totals still miss, those totals widen the seeded mesh the
-    same way and it is refined anew.
+    integral.  The seed round on it sets the peak M, the largest |f| on
+    its nodes (else S, else 1), and where its totals show a tail bound too
+    large, they pick the radius: panels out to it join the seeded ones,
+    whose values are kept.  Where the tail bounds at the refined totals
+    still miss, those totals widen the seeded mesh the same way and it is
+    refined anew.  The zero function takes the same pass: its totals are
+    0, which covers every tail and needs no split, so its norms are 0.
     """
 
     def __init__(self, f, exponents, tol):
         self.f, self.exponents, self.tol = f, exponents, tol
         self.scale, width_floor, self.shift = f.envelope()
         self.missed, self.radius, self.panels = [], 0.0, 0
-        if self.scale == 0.0:
-            self.found = [NormEstimate(0.0, "quadrature", 0.0, e) for e in exponents]
-            return
         self.even = f.is_even()
         # the key of the passes that one call of stack evaluates together
         self.family = (f.evaluator, self.even, exponents)
@@ -636,7 +635,7 @@ class _Pass:
                 starts = [0, *accumulate(sizes[:-1])]
                 top = np.maximum.reduceat(mag, starts, axis=1).max(0).tolist()
             for i, p in fresh:
-                p.peak = top[i] or p.scale
+                p.peak = top[i] or p.scale or 1.0
         mag /= spread([p.peak for p in passes], sizes)
         power = np.empty((len(lead.exponents), *mag.shape))
         for e, out in zip(lead.exponents, power):
@@ -683,12 +682,11 @@ class _Pass:
 
 def _quad_passes(requests, tol):
     """The shared :class:`_Pass` of each ``(f, exponents)`` request, run
-    in lockstep: one evaluation of every seed mesh, then radius rounds,
-    each one :func:`integrate_adaptive` call over the passes whose tail
-    bounds still miss."""
-    passes = [_Pass(f, exponents, tol) for f, exponents in requests]
-    todo = [p for p in passes if p.scale != 0.0]
-    if not todo:
+    in lockstep, every request alike: one evaluation of every seed mesh,
+    then radius rounds, each one :func:`integrate_adaptive` call over the
+    passes whose tail bounds still miss."""
+    passes = todo = [_Pass(f, exponents, tol) for f, exponents in requests]
+    if not passes:
         return passes
     for p, first in zip(todo, _gk_panels(todo, [p.edges[:-1] for p in todo],
                                           [p.edges[1:] for p in todo])):
@@ -720,8 +718,7 @@ def _quad_passes(requests, tol):
             break
         todo = uncovered
     for p in passes:
-        if p.scale != 0.0:
-            p.finish()
+        p.finish()
     return passes
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -130,8 +131,10 @@ class TestUsageErrors:
         assert "usage" in err and "error" in err
 
     # A norm tolerance outside [1e-13, 1e-2], nan included, is rejected
-    # whichever route the norms take.
-    @pytest.mark.parametrize("method", ["auto", "closed", "quad", "both"])
+    # whichever route the norms take.  The ids are short route labels,
+    # which keep the test names stable.
+    @pytest.mark.parametrize("method", ["auto", "closed-form", "quadrature", "both"],
+                             ids=["auto", "closed", "quad", "both"])
     @pytest.mark.parametrize("tol", ["nan", "0", "0.5", "1e-15"])
     def test_rejected_tolerance_is_usage_error(self, capsys, method, tol):
         code, out, err = run(capsys, "eval", "--family", "chirp", "--a", "2", "--q", "3",
@@ -215,13 +218,24 @@ class TestEval:
 
     def test_closed_without_exact_route_is_usage_error(self, capsys):
         code, out, err = run(capsys, "eval", "--family", "twoscale", "--c", "3",
-                             "--q", "3", "--method", "closed")
+                             "--q", "3", "--method", "closed-form")
         assert code == 2 and out == ""
         assert "no exact route" in err and "q = 3" in err
 
+    def test_closed_route_advice_names_accepted_methods(self, capsys):
+        # the methods the closed-form route's error advises are --method
+        # choices, and each of them runs
+        argv = ("eval", "--family", "twoscale", "--c", "3", "--q", "3", "--method")
+        code, _, err = run(capsys, *argv, "closed-form")
+        assert code == 2
+        advised = re.findall(r"'([a-z-]+)'", err.split("; use method", 1)[1])
+        assert advised
+        for method in advised:
+            assert run(capsys, *argv, method)[0] == 0
+
     def test_gaussian_family(self, capsys):
         code, out, _ = run(capsys, "eval", "--family", "gaussian", "--q", "4",
-                           "--method", "closed")
+                           "--method", "closed-form")
         assert code == 0
         doc = json.loads(out)
         assert doc["value"] == pytest.approx(2.0 ** 0.5 * 4.0 ** -0.25, rel=1e-12)
@@ -248,7 +262,7 @@ class TestEval:
 
     def test_fqp_via_p_flag(self, capsys):
         code, out, _ = run(capsys, "eval", "--family", "chirp", "--a", "2",
-                           "--q", "3", "--p", "6", "--method", "closed")
+                           "--q", "3", "--p", "6", "--method", "closed-form")
         assert code == 0
         assert json.loads(out)["p"] == 6.0
 

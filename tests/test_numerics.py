@@ -906,14 +906,32 @@ class TestBatch:
                     numerics._quad_passes([(f, exponents)], 1e-8)[0])
 
     def test_zero_member_has_zero_norms(self):
-        zero, g = single(0.0, 1.0), TwoScaleParams(3.0).function
-        got = numerics.lq_norm_quad_batch([(f, (1.5, 3.0)) for f in (g, zero, g)], 1e-10)
-        assert got[1] == (NormEstimate(0.0, "quadrature", 0.0, 1.5),
-                          NormEstimate(0.0, "quadrature", 0.0, 3.0))
-        assert got[0] == got[2] == lq_norm_quad(g, (1.5, 3.0), 1e-10)
-        assert numerics.lq_norm_quad_batch([(zero, (2.0,))], 1e-10) == [
-            lq_norm_quad(zero, (2.0,), 1e-10)]
-        assert numerics.lq_norm_quad_batch([], 1e-10) == []
+        # the zero function runs the ordinary pass, warning-free: alone,
+        # beside other families, and beside nonzero members of its own
+        # family, where the stacked round reads a zero peak among others
+        zeros = (single(0.0, 1.0), HermiteExpansion((0.0, 0.0)))
+        g = TwoScaleParams(3.0).function
+        batch = [g, zeros[0], single(1.0, 2.0), zeros[1], single(-2.5, 0.7), g]
+        exponents = (1.5, 3.0)
+        assert numerics._Pass(zeros[0], exponents, 1e-10).family == numerics._Pass(
+            batch[2], exponents, 1e-10).family
+
+        def zero_norms(exponents):
+            # repr tells 0.0 from -0.0
+            return repr(tuple(NormEstimate(0.0, "quadrature", 0.0, e) for e in exponents))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = numerics.lq_norm_quad_batch([(f, exponents) for f in batch], 1e-10)
+            for f, found in zip(batch, got):
+                if any(f is z for z in zeros):
+                    assert repr(found) == zero_norms(exponents)
+                else:
+                    assert found == lq_norm_quad(f, exponents, 1e-10)
+            for zero in zeros:
+                for alone in ((2.0,), exponents):
+                    assert repr(lq_norm_quad(zero, alone, 1e-10)) == zero_norms(alone)
+            assert numerics.lq_norm_quad_batch([], 1e-10) == []
 
 
 def _fold_reference(p, x):
