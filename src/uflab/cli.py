@@ -20,12 +20,13 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .explore import GridSpec, MinimizeFamilySpec, OptimizerConfig, minimize_Fq, sweep
+from .explore import (MAX_GRID_COUNT, GridSpec, MinimizeFamilySpec, OptimizerConfig,
+                      minimize_Fq, sweep)
 from .functionals import _METHODS, _with_transform, eval_batch
 from .gaussian import ChirpParams, ComplexGaussianTerm, TwoScaleParams
 from .numerics import (MAX_SAMPLES, ToleranceNotAchieved, check_grid, dft_approx,
                        sample, truncation_radius)
-from .verifier import SUITE_NAMES, run_suite
+from .verifier import MAX_CHECK_SAMPLES, SUITE_NAMES, run_suite
 
 EVAL_SCHEMA = "uflab.eval/1"
 VERIFY_SCHEMA = "uflab.verify/1"
@@ -76,13 +77,15 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true", help="write JSON instead of CSV")
     sp.add_argument("--family", choices=("chirp", "twoscale"), required=True)
     sp.add_argument("--grid", type=str, required=True,
-                    help="start:stop:count[log|lin]; t for chirp, c for twoscale")
+                    help=f"start:stop:count[log|lin], count from 2 to {MAX_GRID_COUNT}; "
+                         "t for chirp, c for twoscale")
 
     sp = command("verify", _cmd_verify, "run inequality checks", "--q", "--p", "--seed")
     sp.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all",
                     help="check name or 'all' (default all)")
     sp.add_argument("--samples", type=int, default=None,
-                    help="random test functions per randomized check")
+                    help="random test functions per randomized check, "
+                         f"from 1 to {MAX_CHECK_SAMPLES}")
 
     sp = command("minimize", _cmd_minimize, "search for small F_q values", "--q", "--seed",
                  required=("--q",))

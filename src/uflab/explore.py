@@ -34,6 +34,9 @@ from .numerics import ToleranceNotAchieved
 
 SWEEP_SCHEMA = "uflab.sweep/1"
 _SPOT_CHECK_EVERY = 8
+# Most points of a sweep grid; a larger count is rejected before any
+# grid array is allocated.
+MAX_GRID_COUNT = 100_000
 
 _GRID_RE = re.compile(r"^\s*([^:\s]+):([^:\s]+):(\d+)(log|lin)?\s*$")
 
@@ -52,8 +55,8 @@ class GridSpec:
             raise ValueError("grid endpoints must be finite")
         if not self.start < self.stop:
             raise ValueError(f"grid needs start < stop, got {self.start}:{self.stop}")
-        if self.count < 2:
-            raise ValueError(f"grid needs at least 2 points, got {self.count}")
+        if not 2 <= self.count <= MAX_GRID_COUNT:
+            raise ValueError(f"grid needs 2 to {MAX_GRID_COUNT} points, got {self.count}")
         if self.scale not in ("lin", "log"):
             raise ValueError(f"grid scale must be lin or log, got {self.scale!r}")
         if self.scale == "log" and self.start <= 0.0:

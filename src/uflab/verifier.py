@@ -8,12 +8,16 @@ order is fixed, and reductions run in a fixed order, so a repeated run
 reproduces every result bit for bit.
 
 The randomized checks (fq-lower, hy, interp, reduction) read one seeded
-batch of functions.  :func:`run_suite` draws it once and takes the norms
-of each function, and of its transform, once, over the union of the
-exponents that the selected checks read, whose values every check then
-reads; the whole table goes to :func:`~uflab.functionals.norms_batch`
-in one call, in which each function carries its own union, and numerics
-alone decides how many of its quadrature requests refine in lockstep.
+batch of functions, of at most MAX_CHECK_SAMPLES.  Each fetches its
+norm rows in one call, which raises before any norm is taken when
+(q, p) lies outside the check's domain, and its worst slacks are minima
+of its slack expressions over the rows.
+:func:`run_suite` draws the batch once and takes the norms of each
+function, and of its transform, once, over the union of the exponents
+that the selected checks read, whose values every check then fetches;
+the whole table goes to :func:`~uflab.functionals.norms_batch` in one
+call, in which each function carries its own union, and numerics alone
+decides how many of its quadrature requests refine in lockstep.
 Exponents that share a quadrature mesh can move each other's values in
 the last bits, so a row's last bits depend on its function's exponent
 union, and with it on which checks were selected, but not on which
@@ -23,7 +27,6 @@ byte-identically.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass
@@ -41,7 +44,8 @@ from .functionals import (
     interpolation_exponent,
     norms_batch,
 )
-from .functionals import _in_range, _ratio  # shared exponent cap and F formula
+# The shared exponent cap, F formula and transform rule.
+from .functionals import _in_range, _ratio, _with_transform
 from .gaussian import ChirpParams, TwoScaleParams, closed_form_Fq_chirp
 from .hermite import random_schwartz
 
@@ -49,6 +53,9 @@ from .hermite import random_schwartz
 # slacks then only dip below zero by rounding, never by integration
 # error.
 QUAD_TOL = 1e-10
+# Most functions in the seeded batch of a randomized check; a larger
+# count is rejected before any function is drawn.
+MAX_CHECK_SAMPLES = 100_000
 
 # The two-scale parameters c of the asymptotics rows: F_q(g_c) diverges
 # along the first grid, F_qp(g_c) vanishes along the second.
@@ -77,8 +84,9 @@ class _Check:
     up by module-global name at call time, so a replaced module attribute
     (a tracing wrapper, say) sees every call.  ``exponents(q, p)`` of a
     randomized check are the norms it reads of each function and of its
-    transform.  None marks default exponents, sample counts, domains and
-    norm exponents that a check does not take."""
+    transform, which ``_norm_rows`` fetches once ``domain(q, p)`` holds.
+    None marks default exponents, sample counts, domains and norm
+    exponents that a check does not take."""
 
     suite: str
     check_name: str
@@ -149,8 +157,9 @@ def _require_domain(check_name: str, q: float, p: float | None = None) -> None:
 def _sample_functions(samples: int, seed: int):
     """Half mixtures, half expansions, with child seeds drawn from one
     generator so the batch is a pure function of (samples, seed)."""
-    if samples < 1:
-        raise ValueError(f"a randomized check needs samples >= 1, got {samples}")
+    if not 1 <= samples <= MAX_CHECK_SAMPLES:
+        raise ValueError(f"a randomized check needs 1 to {MAX_CHECK_SAMPLES} samples, "
+                         f"got {samples}")
     rng = np.random.default_rng(seed)
     out = []
     for i in range(samples):
@@ -165,13 +174,13 @@ def _norm_table(seed: int, requests) -> list:
     request, in request order: per request, one row per function of its
     first ``samples``, the pair (norms of f, norms of fhat), each a tuple
     in the order of its exponents.  The batch is drawn once, at the
-    largest count, and function i and its transform take their norms
-    once each, over the union of the exponents of the requests whose
+    largest count, and function i and its transform (as
+    ``_with_transform`` forms it) take their norms once each, over the union of the exponents of the requests whose
     count exceeds i, all of them in one ``norms_batch`` call."""
     batch = []
     for i, f in enumerate(_sample_functions(max(n for n, _ in requests), seed)):
         union = tuple(dict.fromkeys(e for n, exps in requests if n > i for e in exps))
-        batch += [(f, union), (f.ft(), union)]
+        batch += [(g, union) for g in _with_transform(f)]
     sides = [dict(zip(union, (est.value for est in ests)))
              for (_, union), ests in zip(batch, norms_batch(batch, QUAD_TOL))]
     rows = [sides[j:j + 2] for j in range(0, len(sides), 2)]
@@ -185,9 +194,11 @@ def _norm_table(seed: int, requests) -> list:
 _SUITE_TABLE: ContextVar[dict] = ContextVar("_SUITE_TABLE", default={})
 
 
-def _batch_norms(check_name: str, q: float, p: float | None, samples: int, seed: int):
-    """The norm rows of ``check_name`` at (q, p): from the table of the
-    run_suite call in progress, or else from a table of its own."""
+def _norm_rows(check_name: str, q: float, p: float | None, samples: int, seed: int):
+    """The norm rows of ``check_name`` at (q, p), once (q, p) lies in its
+    domain: from the table of the run_suite call in progress, or else
+    from a table of its own."""
+    _require_domain(check_name, q, p)
     request = (samples, _BY_CHECK[check_name].exponents(q, p))
     rows = _SUITE_TABLE.get().get((seed, *request))
     return _norm_table(seed, [request])[0] if rows is None else rows
@@ -221,11 +232,9 @@ def verify_fq_lower_bound(
 ) -> CheckResult:
     """min F_q over a seeded batch stays above 1 (and is recorded against
     the sharper floor 1/B_q); stated for 1 < q < 2."""
-    _require_domain("fq-lower", q)
+    rows = _norm_rows("fq-lower", q, None, samples, seed)
     floor = 1.0 / beckner_constant(q)
-    vmin = math.inf
-    for (nf_q, nf_2), (nh_q, nh_2) in _batch_norms("fq-lower", q, None, samples, seed):
-        vmin = min(vmin, _ratio(nf_q, nh_q, nf_2, nh_2))
+    vmin = min(_ratio(nf_q, nh_q, nf_2, nh_2) for (nf_q, nf_2), (nh_q, nh_2) in rows)
     return _result("fq-lower", {"q": q}, samples, vmin - 1.0, seed,
                    {"min_value": vmin, "beckner_floor": floor, "beckner_slack": vmin - floor})
 
@@ -235,15 +244,13 @@ def verify_hausdorff_young(
 ) -> CheckResult:
     """||fhat||_q' <= B_q * ||f||_q <= ||f||_q and its reflected twin on a
     seeded batch, 1 < q <= 2 (q' in the exponent range too)."""
-    _require_domain("hausdorff-young", q)
+    rows = _norm_rows("hausdorff-young", q, None, samples, seed)
     qc = conjugate_exponent(q)
     sharp = beckner_constant(q)
-    worst = math.inf
-    worst_sharp = math.inf
-    for (nf_q, nf_qc), (nh_q, nh_qc) in _batch_norms("hausdorff-young", q, None,
-                                                      samples, seed):
-        worst = min(worst, nf_q - nh_qc, nh_q - nf_qc)
-        worst_sharp = min(worst_sharp, sharp * nf_q - nh_qc, sharp * nh_q - nf_qc)
+    worst = min(s for (nf_q, nf_qc), (nh_q, nh_qc) in rows
+                for s in (nf_q - nh_qc, nh_q - nf_qc))
+    worst_sharp = min(s for (nf_q, nf_qc), (nh_q, nh_qc) in rows
+                      for s in (sharp * nf_q - nh_qc, sharp * nh_q - nf_qc))
     return _result("hausdorff-young", {"q": q, "q_conjugate": qc, "sharp_constant": sharp},
                    samples, min(worst, worst_sharp), seed,
                    {"worst_plain_slack": worst, "worst_sharp_slack": worst_sharp})
@@ -256,19 +263,13 @@ def verify_interpolation(
     """Holder interpolation ||f||_p <= ||f||_q**theta * ||f||_2**(1-theta)
     on f and fhat, plus its consequence
     F_qp >= F_q**((1/q-1/p)/(1/q-1/2)), for 1 < q < p < 2."""
-    _require_domain("interpolation", q, p)
+    rows = _norm_rows("interpolation", q, p, samples, seed)
     theta = interpolation_exponent(q, p)
     expo = (1.0 / q - 1.0 / p) / (1.0 / q - 0.5)
-    worst = math.inf
-    for (nf_q, nf_p, nf_2), (nh_q, nh_p, nh_2) in _batch_norms("interpolation", q, p,
-                                                                samples, seed):
-        worst = min(
-            worst,
-            nf_q ** theta * nf_2 ** (1.0 - theta) - nf_p,
-            nh_q ** theta * nh_2 ** (1.0 - theta) - nh_p,
-        )
-        f_q = _ratio(nf_q, nh_q, nf_2, nh_2)
-        worst = min(worst, _ratio(nf_q, nh_q, nf_p, nh_p) - f_q ** expo)
+    worst = min(s for (nf_q, nf_p, nf_2), (nh_q, nh_p, nh_2) in rows
+                for s in (nf_q ** theta * nf_2 ** (1.0 - theta) - nf_p,
+                          nh_q ** theta * nh_2 ** (1.0 - theta) - nh_p,
+                          _ratio(nf_q, nh_q, nf_p, nh_p) - _ratio(nf_q, nh_q, nf_2, nh_2) ** expo))
     return _result("interpolation",
                    {"q": q, "p": p, "theta": theta, "consequence_exponent": expo},
                    samples, worst, seed, {})
@@ -280,11 +281,9 @@ def verify_reduction_q_lt_2_le_p(
 ) -> CheckResult:
     """F_qp >= F_qp' when 1 < q < 2 <= p and 1/p + 1/q >= 1 (p' conjugate
     to p; the boundary q = p' degenerates to F_qp >= 1)."""
-    _require_domain("reduction", q, p)
-    worst = math.inf
-    for (nf_q, nf_p, nf_pc), (nh_q, nh_p, nh_pc) in _batch_norms("reduction", q, p,
-                                                                  samples, seed):
-        worst = min(worst, _ratio(nf_q, nh_q, nf_p, nh_p) - _ratio(nf_q, nh_q, nf_pc, nh_pc))
+    rows = _norm_rows("reduction", q, p, samples, seed)
+    worst = min(_ratio(nf_q, nh_q, nf_p, nh_p) - _ratio(nf_q, nh_q, nf_pc, nh_pc)
+                for (nf_q, nf_p, nf_pc), (nh_q, nh_p, nh_pc) in rows)
     return _result("reduction", {"q": q, "p": p, "p_conjugate": conjugate_exponent(p)},
                    samples, worst, seed, {})
 
@@ -295,14 +294,14 @@ def _worst_bracket_slack(grid, reports, exponents) -> float:
     over the grid, e in ``exponents`` (at most (q, p)), read from each
     report's norms: g_c is self-dual, so norms[0] is ||g_c||_q and
     norms[2] is ||g_c||_p.  The lower bound is stated for e > 2 only."""
-    worst = math.inf
+    slacks = []
     for c, rep in zip(grid, reports):
         for e, est in zip(exponents, rep.norms[::2]):
             sq = est.value ** 2
-            worst = min(worst, (gc_lq_upper_bound(c, e) - sq) / sq)
+            slacks.append((gc_lq_upper_bound(c, e) - sq) / sq)
             if e > 2.0:
-                worst = min(worst, (sq - gc_lq_lower_bound(c, e)) / sq)
-    return worst
+                slacks.append((sq - gc_lq_lower_bound(c, e)) / sq)
+    return min(slacks)
 
 
 def verify_asymptotics(q: float, p: float | None = None) -> CheckResult:

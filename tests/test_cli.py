@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import uflab
-from uflab import numerics
+from uflab import explore, numerics, verifier
 from uflab.cli import run_cli
 from uflab.gaussian import closed_form_Fq_chirp
 
@@ -159,6 +159,24 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert "usage" in err and f"from 16 to {numerics.MAX_SAMPLES}" in err
+
+    # Counts past their caps are rejected before anything is allocated or
+    # drawn; no function may be drawn at all.
+    @pytest.mark.parametrize("argv, cap", [
+        (("sweep", "--family", "chirp", "--q", "3", "--grid", "2:3:1000000000000"),
+         f"grid needs 2 to {explore.MAX_GRID_COUNT} points"),
+        (("verify", "--suite", "fq-lower", "--samples", "100000000000"),
+         f"needs 1 to {verifier.MAX_CHECK_SAMPLES} samples"),
+    ], ids=["grid", "samples"])
+    def test_count_above_cap_is_usage_error(self, capsys, monkeypatch, argv, cap):
+        def drawn(*args):
+            raise AssertionError("a function was drawn")
+
+        monkeypatch.setattr(verifier, "random_schwartz", drawn)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "usage" in err and cap in err
 
     # An --out that cannot be opened for writing is a usage error, not a
     # traceback with the exit status of a failed check.

@@ -11,6 +11,7 @@ import scipy.optimize
 
 from uflab import explore
 from uflab.explore import (
+    MAX_GRID_COUNT,
     GridSpec,
     MinimizeFamilySpec,
     OptimizerConfig,
@@ -50,6 +51,12 @@ class TestGridSpec:
             GridSpec(1.0, math.inf, 5)
         with pytest.raises(ValueError, match="lin or log"):
             GridSpec(1.0, 2.0, 5, "sqrt")
+
+    def test_count_above_cap_rejected(self):
+        # the count is checked on construction, before values() allocates
+        assert GridSpec(2.0, 3.0, MAX_GRID_COUNT).count == MAX_GRID_COUNT
+        with pytest.raises(ValueError, match=f"2 to {MAX_GRID_COUNT} points"):
+            GridSpec(2.0, 3.0, MAX_GRID_COUNT + 1)
 
 
 class TestSweep:

@@ -13,6 +13,7 @@ from uflab import verifier
 from uflab.functionals import conjugate_exponent, norms_batch
 from uflab.verifier import (
     _SUITE,
+    MAX_CHECK_SAMPLES,
     SUITE_NAMES,
     CheckResult,
     _result,
@@ -204,6 +205,14 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite(names, samples=0)
 
+    def test_samples_above_cap_rejected_before_drawing(self, monkeypatch):
+        def drawn(*args):
+            raise AssertionError("a function was drawn")
+
+        monkeypatch.setattr(verifier, "random_schwartz", drawn)
+        with pytest.raises(ValueError, match=f"1 to {MAX_CHECK_SAMPLES} samples"):
+            run_suite(samples=MAX_CHECK_SAMPLES + 1)
+
     def test_default_sample_count(self, monkeypatch):
         # the row's count stands in when no count is given; a small
         # default keeps the batch short
@@ -283,6 +292,20 @@ class TestSharedNorms:
         assert all(len(set(qs)) == len(qs) for qs in seen)
         assert [set(qs) for qs in seen] == [_UNION] * 6 + [{1.5, 2.0}] * 4
         assert verifier._SUITE_TABLE.get() == {}
+
+    @pytest.mark.parametrize("run_check", [
+        lambda: verify_fq_lower_bound(3.0, samples=4),
+        lambda: verify_hausdorff_young(2.5, samples=4),
+        lambda: verify_interpolation(1.5, 1.2, samples=4),
+        lambda: verify_reduction_q_lt_2_le_p(1.5, 1.8, samples=4),
+    ], ids=_RANDOMIZED)
+    def test_domain_checked_before_any_norm(self, monkeypatch, run_check):
+        def taken(*args):
+            raise AssertionError("a norm was taken")
+
+        monkeypatch.setattr(verifier, "norms_batch", taken)
+        with pytest.raises(ValueError, match="outside the domain of"):
+            run_check()
 
     def test_suite_rows_match_standalone_checks(self):
         suite = {r.check_name: r for r in run_suite(_RANDOMIZED, samples=8, seed=3)}
