@@ -6,7 +6,9 @@ small F_q), ftcheck (DFT vs analytic transform diagnostic).  Each
 subcommand's handler returns its document, a dict or the CSV text of a
 sweep, with an exit code; ``run_cli`` alone renders the document and
 writes it to stdout or to ``--out``.  Exit codes: 0 success, 1
-verification failure, 2 usage error, an unwritable ``--out`` included.
+verification failure or tolerance not achieved, 2 usage error, a value
+the library rejects or an unwritable ``--out`` included; argparse
+reports each usage error under the failing subcommand's usage.
 """
 
 from __future__ import annotations
@@ -54,13 +56,13 @@ def _parser() -> argparse.ArgumentParser:
         "--p": dict(type=float, default=None,
                     help="second exponent p; eval and sweep then use F_qp"),
         "--tol": dict(type=float, default=1e-8, help="tolerance (default 1e-8)"),
-        "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+        "--seed": dict(type=int, default=0, help="RNG seed, a non-negative integer (default 0)"),
         "--out": dict(type=str, default=None, help="write output to this file"),
     }
 
     def command(name, handler, help, *flags, required=()):
         sp = sub.add_parser(name, help=help)
-        sp.set_defaults(handler=handler)
+        sp.set_defaults(handler=handler, parser=sp)
         for flag in flags + ("--out",):
             sp.add_argument(flag, required=flag in required, **shared[flag])
         return sp
@@ -197,14 +199,14 @@ def _cmd_ftcheck(args):
 
 
 def run_cli(argv=None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 for --help/--version and 2 for usage errors
-        return int(exc.code or 0)
-    try:
-        doc, code = args.handler(args)
+        args = _parser().parse_args(argv)
+        try:
+            doc, code = args.handler(args)
+        except ValueError as exc:
+            args.parser.error(str(exc))
+        except ToleranceNotAchieved as exc:
+            args.parser.exit(1, f"uflab: tolerance not achieved: {exc}\n")
         text = doc if isinstance(doc, str) else json.dumps(doc, indent=2) + "\n"
         if args.out is None:
             sys.stdout.write(text)
@@ -213,15 +215,13 @@ def run_cli(argv=None) -> int:
                 with open(args.out, "w") as fh:
                     fh.write(text)
             except OSError as exc:
-                raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
+                args.parser.error(f"cannot write --out {args.out}: {exc.strerror or exc}")
         return code
-    except ValueError as exc:
-        sys.stderr.write(parser.format_usage())
-        sys.stderr.write(f"uflab: error: {exc}\n")
-        return 2
-    except ToleranceNotAchieved as exc:
-        sys.stderr.write(f"uflab: tolerance not achieved: {exc}\n")
-        return 1
+    except SystemExit as exc:
+        # argparse writes every usage error under the failing subcommand's
+        # usage and exits 2; it exits 0 for --help/--version and 1 for a
+        # tolerance not achieved
+        return int(exc.code or 0)
 
 
 def main() -> None:

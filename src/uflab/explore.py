@@ -19,7 +19,7 @@ import io
 import math
 import re
 import sys
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -105,10 +105,9 @@ class SweepResult:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for r in self.rows:
+            values = (getattr(r, name) for name in CSV_HEADER[1:])
             writer.writerow(
-                [self.schema]
-                + [v if isinstance(v, str) else f"{v:.17g}" for v in astuple(r)]
-            )
+                [self.schema] + [v if isinstance(v, str) else f"{v:.17g}" for v in values])
         return buf.getvalue()
 
 

@@ -12,7 +12,8 @@ import pytest
 import uflab
 from uflab import explore, numerics, verifier
 from uflab.cli import run_cli
-from uflab.gaussian import closed_form_Fq_chirp
+from uflab.functionals import eval_batch
+from uflab.gaussian import TwoScaleParams, closed_form_Fq_chirp
 
 
 def run(capsys, *argv):
@@ -188,8 +189,33 @@ class TestUsageErrors:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("usage: uflab")
-        assert f"uflab: error: cannot write --out {path}: " in proc.stderr
+        assert f"uflab eval: error: cannot write --out {path}: " in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    # A value the library rejects is reported as argparse reports its own
+    # errors: the failing subcommand's usage line, then the library's
+    # message under that subcommand's name.
+    @pytest.mark.parametrize("argv, library_call", [
+        (("sweep", "--family", "chirp", "--q", "3", "--grid", "2:3:1"),
+         lambda: explore.GridSpec.parse("2:3:1")),
+        (("verify", "--suite", "closed-forms", "--q", "3"),
+         lambda: verifier.run_suite(("closed-forms",), q=3.0)),
+        (("eval", "--family", "twoscale", "--c", "3", "--q", "3", "--method", "closed-form"),
+         lambda: eval_batch((TwoScaleParams(3.0),), 3.0, None, "closed-form", 1e-8)),
+        (("ftcheck", "--family", "chirp", "--a", "2", "--grid-n", "1099511627776"),
+         lambda: numerics.check_grid(1099511627776)),
+        (("minimize", "--q", "1.5", "--restarts", "0"),
+         lambda: explore.OptimizerConfig(restarts=0)),
+    ], ids=["sweep", "verify", "eval", "ftcheck", "minimize"])
+    def test_library_error_under_subcommand_usage(self, capsys, argv, library_call):
+        with pytest.raises(ValueError) as excinfo:
+            library_call()
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0].startswith(f"usage: uflab {argv[0]} ")
+        assert lines[-1] == f"uflab {argv[0]}: error: {excinfo.value}"
 
 
 # Every subcommand writes through one path: --out FILE holds exactly the
