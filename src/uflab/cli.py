@@ -44,6 +44,14 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"uflab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def seed(text: str) -> int:
+        """A --seed value; argparse reports a negative one, like a
+        non-integer, as a usage error naming the flag."""
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+        return value
+
     # Flags shared by several subcommands; each subcommand declares only
     # those its handler reads, so an unread flag is a usage error, and
     # marks those it cannot run without as required.
@@ -56,7 +64,7 @@ def _parser() -> argparse.ArgumentParser:
         "--p": dict(type=float, default=None,
                     help="second exponent p; eval and sweep then use F_qp"),
         "--tol": dict(type=float, default=1e-8, help="tolerance (default 1e-8)"),
-        "--seed": dict(type=int, default=0, help="RNG seed, a non-negative integer (default 0)"),
+        "--seed": dict(type=seed, default=0, help="RNG seed, a non-negative integer (default 0)"),
         "--out": dict(type=str, default=None, help="write output to this file"),
     }
 

@@ -118,45 +118,34 @@ def _gc_braced_power(c: float, q: float) -> float:
     return s ** (2.0 * e / q) * (rest / math.sqrt(q)) ** (2.0 / q)
 
 
-def gc_lq_lower_bound(c: float, q: float) -> float:
-    """Termwise lower bound for ||g_c||_q**2, q > 2: the braced sum of
-    the three componentwise integrals raised to 2/q."""
-    TwoScaleParams(c)
-    if not (math.isfinite(q) and q > 2.0):
-        raise ValueError(f"lower bound stated for q > 2, got {q}")
-    return _gc_braced_power(c, q)
-
-
-def gc_lq_lower_bound_weak(c: float, q: float) -> float:
-    """Single-spike weakening (1/q)**(1/q) * c**(1-2/q) of the bound
-    above; what the divergence rate of F_q(g_c) is read off from."""
-    TwoScaleParams(c)
-    if not (math.isfinite(q) and q > 2.0):
-        raise ValueError(f"lower bound stated for q > 2, got {q}")
-    return (1.0 / q) ** (1.0 / q) * c ** (1.0 - 2.0 / q)
-
-
-def gc_lq_upper_bound(c: float, q: float) -> float:
-    """Upper bound for ||g_c||_q**2 with the three-way exponent split:
-    4 at q = 2, the braced sum to the 2/q for q < 2, and an extra
-    3**(1-2/q) for q > 2, from (a1+a2+a3)**s <= 3**(s-1) * sum(a_i**s),
-    s = q/2.  The verifier's asymptotics rows check the bound, and so
-    this constant, against the quadrature norms of g_c."""
+def gc_lq_bracket(c: float, q: float) -> tuple[float | None, float]:
+    """(lower, upper) bracket of ||g_c||_q**2, q > 1, from the braced
+    sum of the three componentwise integrals raised to 2/q.  The upper
+    side is 4 at q = 2, the braced power for q < 2, and for q > 2 the
+    braced power times 3**(1-2/q), from (a1+a2+a3)**s <= 3**(s-1) *
+    sum(a_i**s), s = q/2.  The lower side is the braced power itself,
+    stated for q > 2 only, and None elsewhere.  The verifier's
+    asymptotics rows check the bracket against the quadrature norms of
+    g_c."""
     TwoScaleParams(c)
     if not (math.isfinite(q) and q > 1.0):
         raise ValueError(f"upper bound stated for q > 1, got {q}")
     if q == 2.0:
-        return 4.0
+        return None, 4.0
+    braced = _gc_braced_power(c, q)
     if q < 2.0:
-        return _gc_braced_power(c, q)
-    factor = max(1.0, 3.0 ** (0.5 * q - 1.0)) ** (2.0 / q)
-    return factor * _gc_braced_power(c, q)
+        return None, braced
+    return braced, (3.0 ** (0.5 * q - 1.0)) ** (2.0 / q) * braced
 
 
 def fq_gc_lower_bound(c: float, q: float) -> float:
     """Divergent lower bound for F_q(g_c), q > 2:
-    (1/q)**(1/q) * c**(1-2/q) / ||g_c||_2**2."""
-    return gc_lq_lower_bound_weak(c, q) / gc_l2_norm_sq(c)
+    (1/q)**(1/q) * c**(1-2/q) / ||g_c||_2**2, the single-spike weakening
+    of the bracket's lower side over the L^2 identity."""
+    TwoScaleParams(c)
+    if not (math.isfinite(q) and q > 2.0):
+        raise ValueError(f"lower bound stated for q > 2, got {q}")
+    return (1.0 / q) ** (1.0 / q) * c ** (1.0 - 2.0 / q) / gc_l2_norm_sq(c)
 
 
 def _resolve(f):

@@ -31,11 +31,11 @@ from .numerics import check_exponent, spread
 # Re z = a*a - 1 collapses and every L^q norm of the term blows up.
 MIN_CHIRP_MARGIN = 1e-6
 
-# Most terms GaussianMixture.power_parts expands into.  The cap counts
-# parts, not cost: on a 2-vCPU Xeon, g_c (c = 3) at q = 64 has 561 parts,
-# which take 1.2 ms against 0.09 ms for quadrature of its L^64 norm at
-# tol 1e-8, while a four-term complex mixture has 136 at q = 4 (0.06 ms
-# against 0.17 ms) and 490,314 at q = 16.
+# Most terms GaussianMixture.power_parts expands into for m > 1.  The
+# cap counts parts, not cost: on a 2-vCPU Xeon, g_c (c = 3) at q = 64
+# has 561 parts, which take 1.2 ms against 0.09 ms for quadrature of its
+# L^64 norm at tol 1e-8, while a four-term complex mixture has 136 at
+# q = 4 (0.06 ms against 0.17 ms) and 490,314 at q = 16.
 MAX_POWER_PARTS = 1000
 
 
@@ -72,7 +72,9 @@ class ComplexGaussianTerm:
 
 @dataclass(frozen=True)
 class GaussianMixture:
-    """Finite sum of :class:`ComplexGaussianTerm`, evaluated pointwise.
+    """Finite sum of :class:`ComplexGaussianTerm`, evaluated pointwise;
+    the sum of its amplitudes' moduli, the envelope amplitude, must be
+    finite.
 
     Terms are kept unaggregated even when widths coincide, so a mixture
     round-trips through the Fourier transform term by term.
@@ -84,6 +86,8 @@ class GaussianMixture:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise ValueError("mixture needs at least one term")
+        if not math.isfinite(self._origin_envelope[0]):
+            raise ValueError("mixture amplitude sum (envelope amplitude) must be finite")
 
     def eval(self, x):
         """The mixture at an array x of any shape: its evaluator's batch of
@@ -165,9 +169,11 @@ class GaussianMixture:
         conj(z_k))*x**2)``, ``a = A/S``, are merged by width.  The m-th
         power of their sum has one term per multiset of m merged widths,
         with the multinomial count of its orderings, and each term
-        ``B * exp(-pi*w*x**2)`` integrates to ``B/sqrt(w)``.  None when
-        there would be more than ``MAX_POWER_PARTS`` terms or a sum of m
-        widths could overflow.
+        ``B * exp(-pi*w*x**2)`` integrates to ``B/sqrt(w)``.  None when a
+        sum of m widths could overflow, or when m > 1 and there would be
+        more than ``MAX_POWER_PARTS`` terms; at m = 1 the parts are the
+        merged pairwise products themselves, already built, so the cap
+        saves no work there.
         """
         scale = self.envelope()[0] or 1.0
         amps = [t.amplitude / scale for t in self.terms]
@@ -176,7 +182,7 @@ class GaussianMixture:
             for tk, ak in zip(self.terms, amps):
                 w = tj.width + tk.width.conjugate()
                 merged[w] = merged.get(w, 0j) + aj * ak.conjugate()
-        if (math.comb(len(merged) + m - 1, m) > MAX_POWER_PARTS
+        if ((m > 1 and math.comb(len(merged) + m - 1, m) > MAX_POWER_PARTS)
                 or not all(cmath.isfinite(m * w) for w in merged)):
             return None
         widths, amps = tuple(merged), tuple(merged.values())

@@ -48,7 +48,8 @@ def _basis_rows(nmax: int, y: np.ndarray):
 
 @dataclass(frozen=True)
 class HermiteExpansion:
-    """Finite expansion sum(c_n * h_n); degree at most N_MAX."""
+    """Finite expansion sum(c_n * h_n); degree at most N_MAX, with a
+    finite envelope amplitude."""
 
     coefficients: tuple[complex, ...]
 
@@ -59,6 +60,8 @@ class HermiteExpansion:
             raise ValueError("expansion needs at least one coefficient")
         if len(coeffs) - 1 > N_MAX:
             raise ValueError(f"degree {len(coeffs) - 1} exceeds cap {N_MAX}")
+        if not math.isfinite(self.envelope()[0]):
+            raise ValueError("expansion envelope amplitude (from sum |c_n|) must be finite")
 
     @property
     def degree(self) -> int:

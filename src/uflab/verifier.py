@@ -39,8 +39,7 @@ from .functionals import (
     eval_batch,
     fq_gc_lower_bound,
     gc_l2_norm_sq,
-    gc_lq_lower_bound,
-    gc_lq_upper_bound,
+    gc_lq_bracket,
     interpolation_exponent,
     norms_batch,
 )
@@ -290,17 +289,19 @@ def verify_reduction_q_lt_2_le_p(
 
 def _worst_bracket_slack(grid, reports, exponents) -> float:
     """The worst relative slack of the two-scale norm bracket
-    gc_lq_lower_bound(c, e) <= ||g_c||_e**2 <= gc_lq_upper_bound(c, e)
+    lower <= ||g_c||_e**2 <= upper, (lower, upper) = gc_lq_bracket(c, e),
     over the grid, e in ``exponents`` (at most (q, p)), read from each
     report's norms: g_c is self-dual, so norms[0] is ||g_c||_q and
-    norms[2] is ||g_c||_p.  The lower bound is stated for e > 2 only."""
+    norms[2] is ||g_c||_p.  Where the bracket states no lower side
+    (lower is None), the upper side alone is checked."""
     slacks = []
     for c, rep in zip(grid, reports):
         for e, est in zip(exponents, rep.norms[::2]):
             sq = est.value ** 2
-            slacks.append((gc_lq_upper_bound(c, e) - sq) / sq)
-            if e > 2.0:
-                slacks.append((sq - gc_lq_lower_bound(c, e)) / sq)
+            lower, upper = gc_lq_bracket(c, e)
+            slacks.append((upper - sq) / sq)
+            if lower is not None:
+                slacks.append((sq - lower) / sq)
     return min(slacks)
 
 
@@ -312,7 +313,9 @@ def verify_asymptotics(q: float, p: float | None = None) -> CheckResult:
     (needs q < p and 1/p + 1/q < 1): F_qp(g_c) strictly decreases along
     VANISHING_GRID and its log-log slope over the last four grid points
     matches the predicted decay rate within 0.05.  Both rows also check
-    the two-scale norm bracket at every exponent whose norm they take.
+    the two-scale norm bracket gc_lq_bracket at every exponent whose
+    norm they take: both of its sides where it states a lower one, its
+    upper side alone elsewhere.
 
     Up to about q = 2.1, F_q(g_c) still dips somewhere on c = 10..1e4
     before it grows, so the divergence row fails there through its

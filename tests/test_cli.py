@@ -98,6 +98,19 @@ class TestUsageErrors:
         assert out == ""
         assert f"unrecognized arguments: {' '.join(flag)}" in err
 
+    # A negative seed is rejected by argparse itself, naming the flag, not
+    # by numpy's bare "expected non-negative integer" where a check draws
+    # functions, and also where no check reads it (asymptotics).
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--suite", "fq-lower", "--seed", "-5"),
+        ("minimize", "--q", "3", "--seed", "-1"),
+        ("verify", "--suite", "asymptotics", "--seed", "-1"),
+    ], ids=["fq-lower", "minimize", "asymptotics"])
+    def test_negative_seed_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "argument --seed" in err.strip().splitlines()[-1]
+
     # Values the library rejects, and family flags the family does not
     # read (the chirp reads --a, the others --c), reach the user as usage
     # errors, not tracebacks, silently clamped reports or ignored flags.

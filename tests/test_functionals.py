@@ -20,9 +20,7 @@ from uflab.functionals import (
     eval_Fqp,
     fq_gc_lower_bound,
     gc_l2_norm_sq,
-    gc_lq_lower_bound,
-    gc_lq_lower_bound_weak,
-    gc_lq_upper_bound,
+    gc_lq_bracket,
     interpolation_exponent,
     norms,
     norms_batch,
@@ -99,47 +97,55 @@ class TestGcBounds:
 
     def test_lower_bound_braced_sum_c1_q4(self):
         # braced sum (2 + 2^{5/2}/sqrt(2))/2 = 3, so the bound is 3^{1/2}
-        assert gc_lq_lower_bound(1.0, 4.0) == pytest.approx(
+        assert gc_lq_bracket(1.0, 4.0)[0] == pytest.approx(
             math.sqrt(3.0), rel=1e-14
         )
 
     def test_weak_bound_value(self):
-        assert gc_lq_lower_bound_weak(100.0, 4.0) == pytest.approx(
-            7.0710678118654755, rel=1e-14
+        # the single-spike form (1/4)**(1/4) * 100**(1/2) = 7.0710678118654755
+        # over ||g_100||_2**2
+        assert fq_gc_lower_bound(100.0, 4.0) == pytest.approx(
+            7.0710678118654755 / gc_l2_norm_sq(100.0), rel=1e-14
         )
 
     @pytest.mark.parametrize("c,q", [(5.0, 4.0), (50.0, 3.0), (0.2, 6.0)])
     def test_lower_bound_below_quadrature(self, c, q):
         norm_sq = lq_norm_quad(TwoScaleParams(c).function, (q,), 1e-10)[0].value ** 2
-        assert norm_sq >= gc_lq_lower_bound(c, q) - 1e-9
+        assert norm_sq >= gc_lq_bracket(c, q)[0] - 1e-9
 
     def test_lower_bound_dominates_weak_form(self):
         for c, q in [(2.0, 3.0), (10.0, 4.0), (100.0, 8.0)]:
-            assert gc_lq_lower_bound(c, q) >= gc_lq_lower_bound_weak(c, q) - 1e-12
+            weak = fq_gc_lower_bound(c, q) * gc_l2_norm_sq(c)
+            assert gc_lq_bracket(c, q)[0] >= weak - 1e-12
+
+    @pytest.mark.parametrize("c", [1.0, 3.0, 1e3])
+    def test_no_lower_side_at_q_le_2(self, c):
+        assert gc_lq_bracket(c, 2.0)[0] is None
+        assert gc_lq_bracket(c, 1.5)[0] is None
 
     def test_lower_bound_rejects_q_le_2(self):
-        with pytest.raises(ValueError):
-            gc_lq_lower_bound(1.0, 2.0)
-        with pytest.raises(ValueError, match="lower bound stated for q > 2"):
-            gc_lq_lower_bound_weak(3.0, 2.0)
+        # the divergence bound raises where the bracket states no lower side
+        for q in (2.0, 1.5):
+            with pytest.raises(ValueError, match="lower bound stated for q > 2"):
+                fq_gc_lower_bound(3.0, q)
 
     def test_upper_bound_rejects_q_le_1(self):
         with pytest.raises(ValueError, match="upper bound stated for q > 1"):
-            gc_lq_upper_bound(3.0, 1.0)
+            gc_lq_bracket(3.0, 1.0)
 
     def test_upper_bound_cases(self):
-        assert gc_lq_upper_bound(7.0, 2.0) == pytest.approx(4.0)
+        assert gc_lq_bracket(7.0, 2.0) == (None, 4.0)
 
     @pytest.mark.parametrize("c,q", [(10.0, 4.0), (3.0, 1.5), (7.0, 2.0), (0.3, 6.0)])
     def test_upper_bound_above_quadrature(self, c, q):
         norm_sq = lq_norm_quad(TwoScaleParams(c).function, (q,), 1e-10)[0].value ** 2
-        assert norm_sq <= gc_lq_upper_bound(c, q) + 1e-9
+        assert norm_sq <= gc_lq_bracket(c, q)[1] + 1e-9
 
     def test_upper_bound_growth_exponent_q_lt_2(self):
         # log-log slope of the q = 1.5 bound approaches 2/q - 1 = 1/3;
         # the c^{q/2-1} term decays slowly, so fit far out
         cs = np.geomspace(1e6, 1e12, 7)
-        vals = np.array([gc_lq_upper_bound(c, 1.5) for c in cs])
+        vals = np.array([gc_lq_bracket(c, 1.5)[1] for c in cs])
         slope = np.polyfit(np.log(cs), np.log(vals), 1)[0]
         assert slope == pytest.approx(1.0 / 3.0, abs=1e-4)
 
@@ -157,14 +163,14 @@ class TestGcBounds:
         # the braced sum tends to (s + 1/s)/2 at q = 4.
         s = max(c, 1.0 / c)
         assert gc_l2_norm_sq(c) == pytest.approx(math.sqrt(2.0), rel=1e-15)
-        assert gc_lq_lower_bound(c, 4.0) == pytest.approx(math.sqrt(s / 2.0), rel=1e-14)
-        assert gc_lq_upper_bound(c, 4.0) == pytest.approx(
-            math.sqrt(3.0 * s / 2.0), rel=1e-14)
+        lower, upper = gc_lq_bracket(c, 4.0)
+        assert lower == pytest.approx(math.sqrt(s / 2.0), rel=1e-14)
+        assert upper == pytest.approx(math.sqrt(3.0 * s / 2.0), rel=1e-14)
         if c > 1.0:
             assert fq_gc_lower_bound(c, 4.0) == pytest.approx(
                 0.25 ** 0.25 * math.sqrt(c) / math.sqrt(2.0), rel=1e-14)
         # the bracketing powers stay finite at the top of the exponent range
-        lower, upper = gc_lq_lower_bound(c, 64.0), gc_lq_upper_bound(c, 64.0)
+        lower, upper = gc_lq_bracket(c, 64.0)
         assert lower == pytest.approx(64.0 ** (-1.0 / 64.0) * s ** (31.0 / 32.0), rel=1e-13)
         assert upper == pytest.approx(3.0 ** (31.0 / 32.0) * lower, rel=1e-13)
 

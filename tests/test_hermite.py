@@ -1,13 +1,14 @@
 """Hermite eigenbasis and the random test-function generator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from uflab.functionals import norms
-from uflab.gaussian import GaussianMixture
+from uflab.gaussian import MAX_POWER_PARTS, GaussianMixture
 from uflab.hermite import L2_REJECT_FLOOR, N_MAX, HermiteExpansion, random_schwartz
 from uflab.numerics import dft_approx, lq_norm_quad, sample
 
@@ -165,6 +166,15 @@ class TestExpansion:
         bound = amp * np.exp(-math.pi * width * (x - shift) ** 2)
         assert np.all(np.abs(f.eval(x)) <= bound + 1e-12)
 
+    @pytest.mark.parametrize("coefficient", [math.nan, math.inf, 1e308])
+    def test_envelope_amplitude_must_be_finite(self, coefficient):
+        # accepted, these would reach quadrature, leak RuntimeWarnings and
+        # end in "tolerance not achieved (relative error nan)"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="envelope amplitude"):
+                HermiteExpansion((1.0, coefficient))
+
 
 class TestRandomSchwartz:
     def test_deterministic(self):
@@ -221,6 +231,14 @@ class TestRandomSchwartz:
                     complex(scalar.uniform(-1.0, 1.0), scalar.uniform(-1.0, 1.0))
                     for _ in range(size + 1)]
                 assert one.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("size", [40, 64])
+    def test_many_term_mixture(self, size):
+        # more than MAX_POWER_PARTS merged widths: the L^2 rejection reads
+        # power_parts(1), which a cap at m = 1 would turn into None
+        f = random_schwartz("gaussian-mixture", size, 0)
+        assert len(f.terms) == size and len(f.power_parts(1)) > MAX_POWER_PARTS
+        assert f == random_schwartz("gaussian-mixture", size, 0)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

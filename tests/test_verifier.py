@@ -148,8 +148,13 @@ class TestAsymptotics:
 
     def test_bracket_can_fail(self, monkeypatch):
         # a doubled lower bound lies above ||g_c||_q**2 at every grid point
-        lower = verifier.gc_lq_lower_bound
-        monkeypatch.setattr(verifier, "gc_lq_lower_bound", lambda c, e: 2.0 * lower(c, e))
+        bracket = verifier.gc_lq_bracket
+
+        def doubled_lower(c, e):
+            lower, upper = bracket(c, e)
+            return None if lower is None else 2.0 * lower, upper
+
+        monkeypatch.setattr(verifier, "gc_lq_bracket", doubled_lower)
         for r in run_suite(("asymptotics",)):
             assert not r.passed
             assert r.worst_slack == r.observed["worst_bracket_slack"] < -0.5
