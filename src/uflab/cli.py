@@ -64,7 +64,8 @@ def _parser() -> argparse.ArgumentParser:
         "--p": dict(type=float, default=None,
                     help="second exponent p; eval and sweep then use F_qp"),
         "--tol": dict(type=float, default=1e-8, help="tolerance (default 1e-8)"),
-        "--seed": dict(type=seed, default=0, help="RNG seed, a non-negative integer (default 0)"),
+        "--seed": dict(type=seed, help="RNG seed, a non-negative integer (default 0); "
+                                       "verify reads it in its randomized checks only"),
         "--out": dict(type=str, default=None, help="write output to this file"),
     }
 
@@ -149,7 +150,7 @@ def _cmd_verify(args):
         {
             "schema": VERIFY_SCHEMA,
             "suite": args.suite,
-            "seed": args.seed,
+            "seed": args.seed or 0,
             "checks": [r.to_json_dict() for r in results],
             "pass": all_pass,
         },
@@ -161,7 +162,7 @@ def _cmd_minimize(args):
     report = minimize_Fq(
         args.q,
         MinimizeFamilySpec(terms=args.terms),
-        OptimizerConfig(restarts=args.restarts, max_iter=args.max_iter, seed=args.seed),
+        OptimizerConfig(restarts=args.restarts, max_iter=args.max_iter, seed=args.seed or 0),
     )
     return {"schema": MINIMIZE_SCHEMA, **asdict(report)}, 0
 

@@ -11,7 +11,9 @@ The randomized checks (fq-lower, hy, interp, reduction) read one seeded
 batch of functions, of at most MAX_CHECK_SAMPLES.  Each fetches its
 norm rows in one call, which raises before any norm is taken when
 (q, p) lies outside the check's domain, and its worst slacks are minima
-of its slack expressions over the rows.
+of its slack expressions over the rows.  closed-forms and the two
+asymptotics rows (verify_divergence, verify_vanishing) run fixed grids
+and read neither a seed nor a sample count.
 :func:`run_suite` draws the batch once and takes the norms of each
 function, and of its transform, once, over the union of the exponents
 that the selected checks read, whose values every check then fetches;
@@ -85,7 +87,8 @@ class _Check:
     randomized check are the norms it reads of each function and of its
     transform, which ``_norm_rows`` fetches once ``domain(q, p)`` holds.
     None marks default exponents, sample counts, domains and norm
-    exponents that a check does not take."""
+    exponents that a check does not take; a None sample count marks a
+    fixed-grid check, which reads neither a sample count nor a seed."""
 
     suite: str
     check_name: str
@@ -129,10 +132,10 @@ _SUITE = (
            lambda q, p: _in_range(q, p) and q < 2.0 <= p and 1.0 / p + 1.0 / q >= 1.0 - 1e-12,
            _reduction_exponents),
     _Check("asymptotics", "asymptotics-divergence",
-           lambda q, p, n, seed: verify_asymptotics(q), 1e-9,
+           lambda q, p, n, seed: verify_divergence(q), 1e-9,
            4.0, None, None, lambda q, p: _in_range(q) and q > 2.0),
     _Check("asymptotics", "asymptotics-vanishing",
-           lambda q, p, n, seed: verify_asymptotics(q, p), 1e-9,
+           lambda q, p, n, seed: verify_vanishing(q, p), 1e-9,
            3.0, 6.0, None,
            lambda q, p: _in_range(q, p) and q < p and 1.0 / q + 1.0 / p < 1.0),
 )
@@ -305,62 +308,67 @@ def _worst_bracket_slack(grid, reports, exponents) -> float:
     return min(slacks)
 
 
-def verify_asymptotics(q: float, p: float | None = None) -> CheckResult:
-    """Trend checks along the two-scale family.
+def _twoscale_row(check_name, grid, *exponents):
+    """F of g_c at each c of the grid, by eval_batch's default "auto"
+    routes, once ``exponents`` (q, or q and p) lie in the domain of
+    ``check_name``, and the worst slack of the norm bracket at those
+    exponents: (values, bracket slack)."""
+    _require_domain(check_name, *exponents)
+    reports = eval_batch([TwoScaleParams(c) for c in grid], *exponents, tol=QUAD_TOL)
+    return [rep.value for rep in reports], _worst_bracket_slack(grid, reports, exponents)
 
-    Without p (needs q > 2): F_q(g_c) strictly increases along
-    DIVERGENCE_GRID and dominates fq_gc_lower_bound everywhere.  With p
-    (needs q < p and 1/p + 1/q < 1): F_qp(g_c) strictly decreases along
-    VANISHING_GRID and its log-log slope over the last four grid points
-    matches the predicted decay rate within 0.05.  Both rows also check
-    the two-scale norm bracket gc_lq_bracket at every exponent whose
-    norm they take: both of its sides where it states a lower one, its
-    upper side alone elsewhere.
+
+def verify_divergence(q: float) -> CheckResult:
+    """F_q(g_c) strictly increases along DIVERGENCE_GRID and dominates
+    fq_gc_lower_bound everywhere, for q > 2; the two-scale norm bracket
+    gc_lq_bracket holds on both of its sides at q.
 
     Up to about q = 2.1, F_q(g_c) still dips somewhere on c = 10..1e4
-    before it grows, so the divergence row fails there through its
-    increase slacks alone; its bound and bracket slacks stay positive.
+    before it grows, so this row fails there through its increase slacks
+    alone; its bound and bracket slacks stay positive.
     """
-    name = "asymptotics-divergence" if p is None else "asymptotics-vanishing"
-    _require_domain(name, q, p)
-    grid = DIVERGENCE_GRID if p is None else VANISHING_GRID
-    exponents = (q,) if p is None else (q, p)
-    reports = eval_batch([TwoScaleParams(c) for c in grid], q, p, "auto", QUAD_TOL)
-    values = [rep.value for rep in reports]
-    bracket = _worst_bracket_slack(grid, reports, exponents)
-    steps = [b - a if p is None else a - b for a, b in zip(values, values[1:])]
-    if p is None:
-        bounds = [fq_gc_lower_bound(c, q) for c in grid]
-        trend = [v - b for v, b in zip(values, bounds)] + steps
-        observed = {"values": values, "bounds": bounds}
-    else:
-        target = 2.0 * (1.0 / q + 1.0 / p - 1.0) if q <= 2.0 else 2.0 * (1.0 / p - 1.0 / q)
-        slope = float(
-            np.polyfit(np.log(np.asarray(grid[-4:])), np.log(np.asarray(values[-4:])), 1)[0]
-        )
-        trend = steps + [0.05 - abs(slope - target)]
-        observed = {"values": values, "slope": slope, "slope_target": target}
-    parameters = {"q": q, **({} if p is None else {"p": p}), "c_grid": list(grid)}
-    return _result(name, parameters, len(grid), min(*trend, bracket), None,
-                   {**observed, "worst_bracket_slack": bracket})
+    values, bracket = _twoscale_row("asymptotics-divergence", DIVERGENCE_GRID, q)
+    bounds = [fq_gc_lower_bound(c, q) for c in DIVERGENCE_GRID]
+    trend = [v - b for v, b in zip(values, bounds)] + [b - a for a, b in zip(values, values[1:])]
+    return _result("asymptotics-divergence", {"q": q, "c_grid": list(DIVERGENCE_GRID)},
+                   len(DIVERGENCE_GRID), min(*trend, bracket), None,
+                   {"values": values, "bounds": bounds, "worst_bracket_slack": bracket})
+
+
+def verify_vanishing(q: float, p: float) -> CheckResult:
+    """F_qp(g_c) strictly decreases along VANISHING_GRID and its log-log
+    slope over the last four grid points matches the predicted decay rate
+    within 0.05, for q < p and 1/p + 1/q < 1.  The two-scale norm bracket
+    gc_lq_bracket holds at q and at p: both of its sides where it states
+    a lower one (exponents above 2), its upper side alone elsewhere.
+    """
+    values, bracket = _twoscale_row("asymptotics-vanishing", VANISHING_GRID, q, p)
+    target = 2.0 * (1.0 / q + 1.0 / p - 1.0) if q <= 2.0 else 2.0 * (1.0 / p - 1.0 / q)
+    slope = float(np.polyfit(np.log(VANISHING_GRID[-4:]), np.log(values[-4:]), 1)[0])
+    trend = [a - b for a, b in zip(values, values[1:])] + [0.05 - abs(slope - target)]
+    return _result("asymptotics-vanishing", {"q": q, "p": p, "c_grid": list(VANISHING_GRID)},
+                   len(VANISHING_GRID), min(*trend, bracket), None,
+                   {"values": values, "slope": slope, "slope_target": target,
+                    "worst_bracket_slack": bracket})
 
 
 def run_suite(
     names=SUITE_NAMES,
-    seed: int = 0,
+    seed: int | None = None,
     samples: int | None = None,
     q: float | None = None,
     p: float | None = None,
 ) -> list[CheckResult]:
     """Run the named checks and return results sorted by check name.
 
-    An exponent override ``q``/``p`` reaches every check that takes that
-    exponent and whose domain contains the resulting (q, p); the other
-    checks run with both of their defaults.  An override that no
-    selected check reads is a ValueError, and so is a ``samples`` count
-    when every selected check runs a fixed grid.  The randomized checks
-    read their norms from one table, built here for all of them and
-    dropped on return.
+    An override reaches every selected check that reads it: an exponent
+    ``q``/``p`` each check that takes that exponent and whose domain
+    contains the resulting (q, p), while the other checks run with both
+    of their defaults; ``samples`` and ``seed`` each randomized check
+    (one with a default sample count), whose seed defaults to 0.  An
+    override that no selected check reads is a ValueError.  The
+    randomized checks read their norms from one table, built here for
+    all of them and dropped on return.
     """
     jobs, read = [], set()
     for name in names:
@@ -375,13 +383,15 @@ def run_suite(
                 eq, ep = row.q, row.p
             else:
                 read |= {k for k in ("q", "p") if getattr(row, k) is not None}
+            if row.samples is not None:
+                read |= {"samples", "seed"}
             jobs.append((row, eq, ep, row.samples if samples is None else samples))
-    unread = [f"{k}={v}" for k, v in (("q", q), ("p", p)) if v is not None and k not in read]
+    overrides = {"q": q, "p": p, "samples": samples, "seed": seed}
+    unread = [f"{k}={v}" for k, v in overrides.items() if v is not None and k not in read]
     if unread:
-        raise ValueError(f"exponent override {', '.join(unread)} is read by no check "
+        raise ValueError(f"override {', '.join(unread)} is read by no check "
                          f"of {', '.join(names)} (not taken or outside its domain)")
-    if samples is not None and jobs and all(row.samples is None for row, *_ in jobs):
-        raise ValueError(f"{', '.join(names)} takes no sample count")
+    seed = seed or 0
     requests = [(n, row.exponents(eq, ep)) for row, eq, ep, n in jobs if row.exponents]
     table = _norm_table(seed, requests) if requests else []
     token = _SUITE_TABLE.set({(seed, *request): rows

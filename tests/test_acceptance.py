@@ -27,10 +27,11 @@ from uflab.gaussian import (
 )
 from uflab.numerics import dft_approx, lq_norm_quad, sample, truncation_radius
 from uflab.verifier import (
-    verify_asymptotics,
+    verify_divergence,
     verify_fq_lower_bound,
     verify_hausdorff_young,
     verify_interpolation,
+    verify_vanishing,
 )
 
 
@@ -87,14 +88,14 @@ def test_criterion_03_lower_bound_q_below_2():
 
 def test_criterion_04_divergence_q_above_2():
     with Budget("04 divergence along g_c at q=4", 60.0):
-        r = verify_asymptotics(4.0)
+        r = verify_divergence(4.0)
         assert r.passed  # F_4(g_c) >= fq_gc_lower_bound(c, 4) on the grid
         assert r.observed["values"][-1] >= 50.0
 
 
 def test_criterion_05_vanishing_q3_p6():
     with Budget("05 vanishing slope at (q,p)=(3,6)", 120.0):
-        r = verify_asymptotics(3.0, 6.0)
+        r = verify_vanishing(3.0, 6.0)
         assert r.passed
         assert r.observed["slope"] == pytest.approx(-1.0 / 3.0, abs=0.05)
         assert r.observed["values"][-1] <= 0.1
@@ -140,7 +141,7 @@ def test_criterion_09_image_interval_reports():
     with Budget("09 image interval estimates", 180.0):
         # F_4 falls below 0.05 on chirps near t = 1 and diverges along g_c
         assert closed_form_Fq_chirp(1.0 + 2e-6, 4.0) < 0.05
-        assert verify_asymptotics(4.0).passed
+        assert verify_divergence(4.0).passed
         # F_1.5 along g_c stays between the proved floor and 1.07926
         low = min(r.value for r in sweep("twoscale", 1.5, grid="0.1:10:9log").rows)
         assert 1.0 / beckner_constant(1.5) - 1e-6 <= low <= 1.07926

@@ -356,8 +356,7 @@ class TestVerify:
     def test_byte_identical_runs(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
-            code = run_cli(["verify", "--suite", "asymptotics", "--seed", "42",
-                            "--out", str(path)])
+            code = run_cli(["verify", "--suite", "asymptotics", "--out", str(path)])
             assert code == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
@@ -418,11 +417,16 @@ class TestVerify:
         for name in ("fq-lower", "hausdorff-young", "interpolation", "reduction"):
             assert samples[name] == 4
 
+    # A fixed-grid suite reads neither a sample count nor a seed, and
+    # either one given is an override read by no check.
+    @pytest.mark.parametrize("flag, value", [("--samples", "3"), ("--seed", "5")],
+                             ids=["samples", "seed"])
     @pytest.mark.parametrize("suite", ["closed-forms", "asymptotics"])
-    def test_samples_on_fixed_grid_is_usage_error(self, capsys, suite):
-        code, _, err = run(capsys, "verify", "--suite", suite, "--samples", "3")
+    def test_samples_on_fixed_grid_is_usage_error(self, capsys, suite, flag, value):
+        code, _, err = run(capsys, "verify", "--suite", suite, flag, value)
         assert code == 2
-        assert "usage" in err and "takes no sample count" in err
+        assert err.startswith("usage: uflab verify ")
+        assert f"{flag[2:]}={value} is read by no check" in err
 
 
 class TestMinimize:

@@ -74,9 +74,9 @@ def test_module_entry_points_resolve():
     checks = sorted(a for a in vars(verifier)
                     if a.startswith("verify_") and callable(getattr(verifier, a)))
     assert checks == [
-        "verify_asymptotics", "verify_closed_forms", "verify_fq_lower_bound",
+        "verify_closed_forms", "verify_divergence", "verify_fq_lower_bound",
         "verify_hausdorff_young", "verify_interpolation",
-        "verify_reduction_q_lt_2_le_p",
+        "verify_reduction_q_lt_2_le_p", "verify_vanishing",
     ]
 
 

@@ -19,12 +19,13 @@ from uflab.verifier import (
     _result,
     _sample_functions,
     run_suite,
-    verify_asymptotics,
     verify_closed_forms,
+    verify_divergence,
     verify_fq_lower_bound,
     verify_hausdorff_young,
     verify_interpolation,
     verify_reduction_q_lt_2_le_p,
+    verify_vanishing,
 )
 
 
@@ -110,29 +111,29 @@ class TestReduction:
 
 class TestAsymptotics:
     def test_divergence(self):
-        r = verify_asymptotics(4.0)
+        r = verify_divergence(4.0)
         assert r.check_name == "asymptotics-divergence"
         assert r.passed
         assert r.observed["values"][-1] >= 50.0
 
     def test_divergence_needs_q_gt_2(self):
         with pytest.raises(ValueError):
-            verify_asymptotics(1.5)
+            verify_divergence(1.5)
 
     def test_vanishing_slope(self):
-        r = verify_asymptotics(3.0, 6.0)
+        r = verify_vanishing(3.0, 6.0)
         assert r.check_name == "asymptotics-vanishing"
         assert r.passed
         assert r.observed["slope"] == pytest.approx(-1.0 / 3.0, abs=0.05)
 
     def test_vanishing_slope_q_below_2(self):
-        r = verify_asymptotics(1.5, 4.0)
+        r = verify_vanishing(1.5, 4.0)
         assert r.passed
         assert r.observed["slope"] == pytest.approx(-1.0 / 6.0, abs=0.05)
 
     def test_vanishing_needs_scaling_condition(self):
         with pytest.raises(ValueError):
-            verify_asymptotics(1.5, 2.5)  # 1/q + 1/p > 1
+            verify_vanishing(1.5, 2.5)  # 1/q + 1/p > 1
 
     def test_worst_slack_folds_in_the_bracket(self):
         div, van = run_suite(("asymptotics",))
@@ -181,7 +182,7 @@ class TestAsymptotics:
         # at q = 2.05 F_q(g_c) still dips along c = 10..1e4 before it
         # grows: the row fails, while g_c stays above its bound and inside
         # its norm bracket
-        r = verify_asymptotics(2.05)
+        r = verify_divergence(2.05)
         v, b = r.observed["values"], r.observed["bounds"]
         assert not r.passed
         assert r.observed["worst_bracket_slack"] > 0.0
@@ -198,8 +199,13 @@ class TestRunSuite:
         assert all(r.passed for r in results)
 
     def test_single_name(self):
-        results = run_suite(("closed-forms",), seed=0)
+        results = run_suite(("closed-forms",))
         assert [r.check_name for r in results] == ["closed-forms"]
+
+    def test_seed_on_fixed_grid_rejected(self):
+        # closed-forms draws no batch, so a seed is read by no check
+        with pytest.raises(ValueError, match="override seed=3 is read by no check"):
+            run_suite(("closed-forms",), seed=3)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -234,7 +240,7 @@ class TestRunSuite:
         )
 
     def test_explicit_exponents_forwarded(self):
-        results = run_suite(("asymptotics",), q=1.5, p=4.0, seed=0)
+        results = run_suite(("asymptotics",), q=1.5, p=4.0)
         by_name = {r.check_name: r for r in results}
         assert by_name["asymptotics-vanishing"].parameters["q"] == 1.5
         assert by_name["asymptotics-vanishing"].parameters["p"] == 4.0
